@@ -11,7 +11,9 @@ Crank-Nicolson diffusion / Adams-Bashforth-2 reaction:
 Forcing and control enter the load lagged (evaluated at the step start).
 The first step is one semi-implicit Euler step (implicit diffusion,
 explicit reaction) since AB2 needs two history levels.  Both shifted
-operators are factorized once per step size and reused.
+operators are symmetric positive definite and banded in the row-major node
+ordering; each is Cholesky-factorized once per step size in LAPACK band
+storage (pbtrf) and every step solves with the band factor (pbtrs).
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .geometry import FemOperators, StructuredTriangulation
 
@@ -214,11 +217,41 @@ class TrajectoryRecord:
         return self.states[idx[0]]
 
 
+class _BandedCholesky:
+    """Cholesky factor of a sparse SPD matrix, kept in LAPACK upper band storage.
+
+    The half-bandwidth is read off the sparsity pattern.  ``solve`` calls
+    LAPACK pbtrs directly, without a finiteness scan of the right-hand
+    side; callers check the result instead.
+    """
+
+    def __init__(self, a):
+        a = a.tocoo()
+        a.sum_duplicates()
+        kd = int(np.max(np.abs(a.col - a.row)))
+        upper = a.col >= a.row
+        rows, cols = a.row[upper], a.col[upper]
+        ab = np.zeros((kd + 1, a.shape[0]), order="F")
+        ab[kd + rows - cols, cols] = a.data[upper]
+        pbtrf, self._pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
+        self._factor, info = pbtrf(ab, lower=0, overwrite_ab=1)
+        if info != 0:
+            raise LinAlgError(f"matrix is not positive definite (pbtrf info = {info})")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x, info = self._pbtrs(self._factor, b, lower=0)
+        if info != 0:
+            raise LinAlgError(f"pbtrs argument {-info} is invalid")
+        return x
+
+
 class CrankNicolsonAB2:
     """Time stepper owning the factorized shifted operators.
 
     Immutable after construction; safe to share across runs at the same
-    step size.
+    step size.  Both shifted operators are symmetric, so the solve and
+    apply methods below also apply their transposes (the adjoint reuses
+    them).
     """
 
     def __init__(self, fe: FemOperators, params: SchloeglParams, dt: float):
@@ -228,25 +261,37 @@ class CrankNicolsonAB2:
         self.params = params
         self.dt = dt
         mass, stiff = fe.mass, fe.stiffness
-        self._cn_lhs = splu((mass / dt + 0.5 * stiff).tocsc())
+        self._cn_lhs = _BandedCholesky(mass / dt + 0.5 * stiff)
         self._cn_rhs = (mass / dt - 0.5 * stiff).tocsr()
-        self._euler_lhs = splu((mass / dt + stiff).tocsc())
+        self._euler_lhs = _BandedCholesky(mass / dt + stiff)
         self._mass_over_dt = (mass / dt).tocsr()
+
+    def solve_cn(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve (M/dt + K/2) x = rhs."""
+        return self._cn_lhs.solve(rhs)
+
+    def solve_startup(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve (M/dt + K) x = rhs."""
+        return self._euler_lhs.solve(rhs)
+
+    def apply_cn_explicit(self, v: np.ndarray) -> np.ndarray:
+        """Return (M/dt - K/2) v."""
+        return self._cn_rhs @ v
 
     def startup_step(self, y0: np.ndarray, load: np.ndarray | None) -> np.ndarray:
         """Semi-implicit Euler: (M/dt + K) y1 = (M/dt) y0 - M f(y0) + load."""
         rhs = self._mass_over_dt @ y0 - self.fe.mass @ cubic_reaction(y0, self.params)
         if load is not None:
             rhs = rhs + load
-        return self._euler_lhs.solve(rhs)
+        return self.solve_startup(rhs)
 
     def ab2_step(self, y_prev: np.ndarray, y_curr: np.ndarray, load: np.ndarray | None) -> np.ndarray:
         f_curr = cubic_reaction(y_curr, self.params)
         f_prev = cubic_reaction(y_prev, self.params)
-        rhs = self._cn_rhs @ y_curr - self.fe.mass @ (1.5 * f_curr - 0.5 * f_prev)
+        rhs = self.apply_cn_explicit(y_curr) - self.fe.mass @ (1.5 * f_curr - 0.5 * f_prev)
         if load is not None:
             rhs = rhs + load
-        return self._cn_lhs.solve(rhs)
+        return self.solve_cn(rhs)
 
     def check_finite(self, y: np.ndarray, t: float) -> None:
         m = np.max(np.abs(y))
@@ -320,6 +365,14 @@ def _n_steps_for(horizon: float, dt: float) -> int:
     if n < 1 or abs(n * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"horizon {horizon} is not a positive multiple of the step size {dt}")
     return n
+
+
+def _check_target_record(record: TrajectoryRecord, dt: float) -> None:
+    """Refuse a target record on another time grid or without every level stored."""
+    if abs(record.times[1] - record.times[0] - dt) > 1e-12:
+        raise ValueError("target time grid does not match the integrator step size")
+    if len(record.state_levels) != record.n_steps + 1:
+        raise ValueError("target record must store every time level (state_stride=1)")
 
 
 def simulate_free(y0: np.ndarray, horizon: float, fe: FemOperators, params: SchloeglParams,

@@ -23,6 +23,7 @@ from .dynamics import (
     IntegratorConfig,
     SchloeglParams,
     TrajectoryRecord,
+    _check_target_record,
     _n_steps_for,
     _Recorder,
 )
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 SATURATION_SLACK = 1e-12
+NUDGE_PASSES = 8  # cap on the feasibility nudges after a radial rescale
 
 
 @dataclass(frozen=True)
@@ -83,11 +85,17 @@ def radial_project(v: np.ndarray, sat: SaturationConfig) -> np.ndarray:
         return v
     out = (sat.bound / n) * v
     # one-ulp overshoot of the rescaled norm would break bitwise
-    # idempotence; nudge down until feasible (at most a couple of passes)
+    # idempotence; nudge down until feasible (at most two passes unless
+    # squares of the entries underflow, where the norm may never settle)
     m = control_norm(out, sat.norm)
-    while m > sat.bound:
+    for _ in range(NUDGE_PASSES):
+        if m <= sat.bound:
+            return out
         out = (sat.bound / m) * out
         m = control_norm(out, sat.norm)
+    if m > sat.bound:
+        raise FloatingPointError(f"rescaled norm {m!r} still exceeds the bound {sat.bound!r} "
+                                 f"after {NUDGE_PASSES} passes")
     return out
 
 
@@ -204,9 +212,6 @@ def closed_loop_simulate(y0: np.ndarray, target: TrajectoryRecord, law: Feedback
     cfg = cfg or IntegratorConfig()
     forcing = forcing or ForcingSpec.zero()
     n_steps = target.n_steps
-    if abs(target.times[1] - target.times[0] - cfg.dt) > 1e-12:
-        raise ValueError("target time grid does not match the integrator step size")
-    if len(target.state_levels) != n_steps + 1:
-        raise ValueError("target record must store every time level (state_stride=1)")
+    _check_target_record(target, cfg.dt)
     loop = _TrackingLoop(fe, params, coupling, law, forcing, cfg, n_steps)
     return loop.run(y0, lambda n: target.states[n])

@@ -31,11 +31,12 @@ from .dynamics import (
     IntegratorConfig,
     SchloeglParams,
     TrajectoryRecord,
+    _check_target_record,
     _n_steps_for,
     _Recorder,
     cubic_reaction_derivative,
 )
-from .feedback import FeedbackLaw, SaturationConfig, control_norm, radial_project, saturated_feedback
+from .feedback import NUDGE_PASSES, FeedbackLaw, SaturationConfig, control_norm, radial_project, saturated_feedback
 from .geometry import FemOperators
 
 __all__ = [
@@ -149,22 +150,20 @@ def solve_adjoint(states: np.ndarray, prob: OcpProblem) -> np.ndarray:
     z = states - prob.target
     p = np.empty((n, states.shape[1]))
     startup = prob.y_prev is None
+    stepper = prob.stepper
 
-    cn_solve = prob.stepper._cn_lhs.solve
-    euler_solve = prob.stepper._euler_lhs.solve
-    e_op = prob.stepper._cn_rhs
     mp_ahead = None  # mass @ p[m+1], carried between backward steps
     for m in range(n, 0, -1):
         rhs = 2.0 * tau[m] * (mass @ z[m])
         if m <= n - 1:
             fprime = cubic_reaction_derivative(states[m], prob.params)
             mp = mass @ p[m]
-            rhs += e_op @ p[m] - 1.5 * fprime * mp
+            rhs += stepper.apply_cn_explicit(p[m]) - 1.5 * fprime * mp
             if m <= n - 2:
                 rhs += 0.5 * fprime * mp_ahead
             mp_ahead = mp
-        solver = euler_solve if (startup and m == 1) else cn_solve
-        p[m - 1] = solver(rhs)
+        solve = stepper.solve_startup if (startup and m == 1) else stepper.solve_cn
+        p[m - 1] = solve(rhs)
     return p
 
 
@@ -197,11 +196,17 @@ def project_admissible(u: np.ndarray, sat: SaturationConfig) -> np.ndarray:
     out = u * scale
     # nudge away one-ulp overshoots so projecting twice is bitwise stable
     norms = col_norms(out)
-    while np.any(over := norms > sat.bound):
+    for _ in range(NUDGE_PASSES):
+        over = norms > sat.bound
+        if not np.any(over):
+            return out
         scale = np.ones_like(norms)
         scale[over] = sat.bound / norms[over]
         out = out * scale
         norms = col_norms(out)
+    if np.any(norms > sat.bound):
+        raise FloatingPointError(f"rescaled column norms still exceed the bound {sat.bound!r} "
+                                 f"after {NUDGE_PASSES} passes")
     return out
 
 
@@ -340,9 +345,8 @@ class _TargetProvider:
 class _RecordTargetProvider:
     """Target windows sliced from a precomputed full-state trajectory record."""
 
-    def __init__(self, record: TrajectoryRecord):
-        if len(record.state_levels) != record.n_steps + 1:
-            raise ValueError("target record must store every time level (state_stride=1)")
+    def __init__(self, record: TrajectoryRecord, dt: float):
+        _check_target_record(record, dt)
         self.states = record.states
         self.level = 0
 
@@ -379,7 +383,7 @@ class RhcResult:
     controls: np.ndarray          # (count, n_total) concatenated first-interval controls
     record: TrajectoryRecord      # plant trajectory diagnostics
     total_cost: float
-    window_reports: list          # (iterations, cost, converged, evaluations) per window
+    window_reports: list          # (iterations, cost, converged, evaluations, stop reason) per window
     converged_all: bool
 
 
@@ -409,7 +413,7 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, coupling: CouplingMatrix, fe
     stepper = CrankNicolsonAB2(fe, params, dt)
     fload = ForcingLoad(forcing, fe)
     if isinstance(target, TrajectoryRecord):
-        provider = _RecordTargetProvider(target)
+        provider = _RecordTargetProvider(target, dt)
     else:
         provider = _TargetProvider(fe, params, forcing, CrankNicolsonAB2(fe, params, dt), target)
 
@@ -437,7 +441,7 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, coupling: CouplingMatrix, fe
             u_init[:, : n_horizon - n_delta] = warm[:, n_delta:]
             u_init[:, n_horizon - n_delta:] = warm[:, -1:]
         res = bb_projected_gradient(prob, u_init, tol=cfg.tol, j_max=cfg.j_max)
-        reports.append((res.iterations, res.cost, res.converged, res.n_evaluations))
+        reports.append((res.iterations, res.cost, res.converged, res.n_evaluations, res.message))
         warm = res.u
 
         if w == 0:

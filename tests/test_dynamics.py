@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import LinAlgError
+from scipy.sparse.linalg import splu
 
 from schloegl import (
     BlowUpError,
@@ -24,6 +27,7 @@ from schloegl import (
     shifted_reaction_derivative,
     simulate_free,
 )
+from schloegl.dynamics import CrankNicolsonAB2, _BandedCholesky
 
 
 class TestReaction:
@@ -156,3 +160,37 @@ class TestIntegrator:
         assert rec.state_at_level(14).shape == (fe16.mesh.n_nodes,)
         with pytest.raises(KeyError):
             rec.state_at_level(13)
+
+
+class TestBandedSolver:
+    @staticmethod
+    def shifted_operators(fe, dt):
+        """(M/dt + K/2, M/dt + K, M/dt - K/2), assembled as the stepper does."""
+        mass, stiff = fe.mass, fe.stiffness
+        return mass / dt + 0.5 * stiff, mass / dt + stiff, mass / dt - 0.5 * stiff
+
+    def test_matches_sparse_lu_on_nonsquare_mesh(self, params, rng):
+        # 12 x 7 cells: the row-major half-bandwidth nx + 2 = 14 exceeds ny + 2
+        fe = build_fem(12, 7, 0.1)
+        dt = 1e-3
+        stepper = CrankNicolsonAB2(fe, params, dt)
+        cn, euler, explicit = self.shifted_operators(fe, dt)
+        for solve, a in ((stepper.solve_cn, cn), (stepper.solve_startup, euler)):
+            lu = splu(a.tocsc())
+            for _ in range(3):
+                b = rng.normal(size=fe.mesh.n_nodes)
+                x_ref = lu.solve(b)
+                assert np.linalg.norm(solve(b) - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+        v = rng.normal(size=fe.mesh.n_nodes)
+        assert np.array_equal(stepper.apply_cn_explicit(v), explicit.tocsr() @ v)
+
+    def test_shifted_operators_exactly_symmetric(self):
+        # the adjoint applies the transposes through the forward methods
+        fe = build_fem(12, 7, 0.1)
+        for a in self.shifted_operators(fe, 1e-3):
+            assert (a != a.T).nnz == 0
+
+    def test_not_positive_definite_raises(self):
+        indefinite = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        with pytest.raises(LinAlgError):
+            _BandedCholesky(indefinite)

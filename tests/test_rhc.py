@@ -25,6 +25,7 @@ from schloegl import (
     run_rhc,
     shifted_reaction,
     simulate_controlled,
+    simulate_free,
     solve_adjoint,
     track_target,
 )
@@ -163,6 +164,25 @@ class TestProjectAdmissible:
         twice = project_admissible(once, sat)
         assert np.array_equal(once, twice)
 
+    def test_extreme_inputs_terminate_feasibly(self):
+        u = np.array([[1e308, 3.0, -1.7e308], [-1.7e308, 4.0, 1e-300]])
+        for bound in (5e-324, 1.0, 1e308):
+            for norm in ("euclidean", "max"):
+                sat = SaturationConfig(bound=bound, norm=norm)
+                with np.errstate(over="ignore"):
+                    once = project_admissible(u, sat)
+                    if norm == "euclidean":
+                        norms = np.sqrt(np.sum(once * once, axis=0))
+                    else:
+                        norms = np.max(np.abs(once), axis=0)
+                    assert np.array_equal(project_admissible(once, sat), once)
+                assert np.all(norms <= bound)
+
+    def test_unsettled_norm_raises_instead_of_spinning(self):
+        u = np.array([[6.643061751921988e40, 1.0]])
+        with pytest.raises(FloatingPointError):
+            project_admissible(u, SaturationConfig(bound=1.8193942323567405e-161))
+
 
 class TestBBSolver:
     def test_cost_never_exceeds_initial(self, rng):
@@ -235,6 +255,38 @@ class TestRunRhc:
         # feasibility of the concatenated control
         norms = np.sqrt(np.sum(res.controls ** 2, axis=0))
         assert np.all(norms <= sat.bound + 1e-12)
+
+    def test_stored_target_record_matches_rolling_target(self, fe16, params):
+        cm = self.setup_case(fe16, params)
+        forcing = ForcingSpec.periodic_indicator()
+        sat = SaturationConfig(bound=math.exp(1.5), norm="max")
+        y0 = np.full(fe16.mesh.n_nodes, -1.0)
+        yhat0 = np.full(fe16.mesh.n_nodes, 2.0)
+        integ = IntegratorConfig(dt=1e-2, state_stride=5)
+        cfg = RhcConfig(horizon=0.3, delta=0.1, t_final=0.3, beta=1e-3, tol=1e-3)
+        rolling = run_rhc(cfg, y0, yhat0, cm, fe16, params, forcing, integ, sat)
+        target = simulate_free(yhat0, cfg.t_final + cfg.horizon, fe16, params, forcing,
+                               IntegratorConfig(dt=integ.dt, state_stride=1))
+        stored = run_rhc(cfg, y0, target, cm, fe16, params, forcing, integ, sat)
+        assert np.array_equal(stored.controls, rolling.controls)
+        assert np.array_equal(stored.record.states, rolling.record.states)
+        assert np.array_equal(stored.record.err_norm, rolling.record.err_norm)
+
+        # a record on a finer grid covers every window but is refused
+        fine = simulate_free(yhat0, cfg.t_final + cfg.horizon, fe16, params, forcing,
+                             IntegratorConfig(dt=integ.dt / 2, state_stride=1))
+        with pytest.raises(ValueError, match="time grid"):
+            run_rhc(cfg, y0, fine, cm, fe16, params, forcing, integ, sat)
+
+    def test_window_reports_keep_stop_reason(self, fe16, params):
+        cm = self.setup_case(fe16, params)
+        y0 = np.full(fe16.mesh.n_nodes, 1.0)
+        cfg = RhcConfig(horizon=0.2, delta=0.1, t_final=0.2, beta=1e-3, tol=1e-3)
+        res = run_rhc(cfg, y0, np.full(fe16.mesh.n_nodes, 2.0), cm, fe16, params,
+                      integ=IntegratorConfig(dt=1e-2))
+        assert len(res.window_reports) == 2
+        for report in res.window_reports:
+            assert isinstance(report[4], str) and report[4]
 
     def test_error_dynamics_formulation_equivalent(self, fe16, params):
         # simulating the error system with the shifted reaction reproduces
