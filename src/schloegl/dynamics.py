@@ -14,6 +14,8 @@ explicit reaction) since AB2 needs two history levels.  Both shifted
 operators are symmetric positive definite and banded in the row-major node
 ordering; each is Cholesky-factorized once per step size in LAPACK band
 storage (pbtrf) and every step solves with the band factor (pbtrs).
+Every trajectory of the package advances through one private plant loop
+(``_run_plant``) on a two-level cursor, against one target source.
 """
 
 from __future__ import annotations
@@ -150,14 +152,14 @@ def eval_forcing(spec: ForcingSpec, t: float, mesh: StructuredTriangulation) -> 
 
 
 class ForcingLoad:
-    """Cached per-step load vectors M @ h(t) for a fixed mesh/forcing pair."""
+    """Per-step load vectors M @ h(t) for a fixed mesh/forcing pair; None is a zero load."""
 
     def __init__(self, spec: ForcingSpec, fe: FemOperators):
         self.spec = spec
         self.fe = fe
         if spec.kind == "periodic":
-            x, y = fe.mesh.nodes[:, 0], fe.mesh.nodes[:, 1]
-            self._base = fe.mass @ (0.5 * (x * x + y * y < 0.5))
+            # the load with the time gate open (|sin 6t| = 1), assembled once
+            self._base = fe.mass @ eval_forcing(spec, math.pi / 12, fe.mesh)
 
     def __call__(self, t: float) -> np.ndarray | None:
         if self.spec.kind == "zero":
@@ -189,7 +191,7 @@ class TrajectoryRecord:
 
     ``times``/``state_norm``/``err_norm``/``running_cost`` have one entry
     per time level (n_steps + 1); ``control_norms`` and ``controls`` have
-    one entry per step.  ``states`` holds snapshots at ``state_times``
+    one entry per step.  ``states`` holds snapshots at ``state_levels``
     (every ``state_stride`` levels, endpoints always included).
     """
 
@@ -199,11 +201,9 @@ class TrajectoryRecord:
     control_norms: np.ndarray
     running_cost: np.ndarray
     controls: np.ndarray | None
-    state_times: np.ndarray
     states: np.ndarray
     state_levels: np.ndarray
     final_state: np.ndarray = field(repr=False, default=None)
-    final_prev_state: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_steps(self) -> int:
@@ -299,8 +299,34 @@ class CrankNicolsonAB2:
             raise BlowUpError(t)
 
 
+class _Cursor:
+    """AB2 history (y_prev, y) of a trajectory ``level`` steps after its start time t0.
+
+    ``step`` takes the startup step while y_prev is None, else the AB2
+    step, and checks the new state at time t0 + level * dt.
+    """
+
+    def __init__(self, stepper: CrankNicolsonAB2, y: np.ndarray, y_prev: np.ndarray | None = None,
+                 t0: float = 0.0):
+        self.stepper = stepper
+        self.y_prev = y_prev
+        self.y = np.asarray(y, dtype=float)
+        self.level = 0
+        self.t0 = t0
+
+    def step(self, load: np.ndarray | None) -> np.ndarray:
+        if self.y_prev is None:
+            y_next = self.stepper.startup_step(self.y, load)
+        else:
+            y_next = self.stepper.ab2_step(self.y_prev, self.y, load)
+        self.level += 1
+        self.stepper.check_finite(y_next, self.t0 + self.level * self.stepper.dt)
+        self.y_prev, self.y = self.y, y_next
+        return y_next
+
+
 class _Recorder:
-    """Accumulates per-step diagnostics and strided snapshots."""
+    """Per-level diagnostics and strided snapshots, one ``record`` call per level."""
 
     def __init__(self, fe: FemOperators, n_steps: int, dt: float, stride: int, beta: float,
                  n_controls: int | None, track_error: bool):
@@ -319,32 +345,31 @@ class _Recorder:
         self._n_steps = n_steps
         self._prev_err_sq = 0.0
 
-    def record_level(self, n: int, y: np.ndarray, err_sq: float | None):
+    def record(self, n: int, y: np.ndarray, err_sq: float | None, u: np.ndarray | None = None):
+        """Level n, and the amplitudes u of the step that reached it (None: no control)."""
         self.state_norm[n] = self.fe.norm(y)
+        cost = 0.0
+        if u is not None:
+            # the cost weighs the Euclidean amplitude norm regardless of the
+            # saturation norm; the stored series follows the same convention
+            # so the running cost re-integrates from the CSV columns
+            eu = float(np.linalg.norm(u))
+            self.control_norms[n - 1] = eu
+            if self.controls is not None:
+                self.controls[n - 1] = u
+            # exact integral of the piecewise-constant control on [t_n-1, t_n]
+            cost = self.beta * self.dt * eu * eu
+        e2 = 0.0 if err_sq is None else max(err_sq, 0.0)
         if self.err_norm is not None:
-            e2 = max(err_sq, 0.0)
             self.err_norm[n] = math.sqrt(e2)
-            if n > 0:
-                self.running_cost[n] += self.running_cost[n - 1] + 0.5 * self.dt * (self._prev_err_sq + e2)
-            self._prev_err_sq = e2
-        elif n > 0:
-            self.running_cost[n] += self.running_cost[n - 1]
+        if n > 0:
+            self.running_cost[n] = cost + (self.running_cost[n - 1] + 0.5 * self.dt * (self._prev_err_sq + e2))
+        self._prev_err_sq = e2
         if n % self.stride == 0 or n == self._n_steps:
             self._snap_levels.append(n)
             self._snaps.append(y.copy())
 
-    def record_control(self, n: int, u: np.ndarray | None, u_norm: float):
-        # the cost weighs the Euclidean amplitude norm regardless of the
-        # saturation norm; the stored series follows the same convention
-        # so the running cost re-integrates from the CSV columns
-        eu = u_norm if u is None else float(np.linalg.norm(u))
-        self.control_norms[n] = eu
-        if self.controls is not None and u is not None:
-            self.controls[n] = u
-        # exact integral of the piecewise-constant control on [t_n, t_n+1]
-        self.running_cost[n + 1] = self.beta * self.dt * eu * eu
-
-    def finish(self, y_curr: np.ndarray, y_prev: np.ndarray | None) -> TrajectoryRecord:
+    def finish(self) -> TrajectoryRecord:
         return TrajectoryRecord(
             times=self.times,
             state_norm=self.state_norm,
@@ -352,11 +377,9 @@ class _Recorder:
             control_norms=self.control_norms,
             running_cost=self.running_cost,
             controls=self.controls,
-            state_times=np.array(self._snap_levels) * self.dt,
             states=np.array(self._snaps),
             state_levels=np.array(self._snap_levels),
-            final_state=y_curr.copy(),
-            final_prev_state=None if y_prev is None else y_prev.copy(),
+            final_state=self._snaps[-1],
         )
 
 
@@ -375,6 +398,101 @@ def _check_target_record(record: TrajectoryRecord, dt: float) -> None:
         raise ValueError("target record must store every time level (state_stride=1)")
 
 
+class _TargetSource:
+    """Target states by time level: rows of a stored record, or a rolling co-simulation.
+
+    ``window(n0, n_steps)`` returns levels n0..n0+n_steps as read-only rows;
+    no request may start before the previous one.  The rolling source steps
+    each level once and keeps only the levels from the latest request on,
+    so lockstep use (n_steps = 0) holds one state.
+    """
+
+    def __init__(self, rows: np.ndarray, cursor: _Cursor | None = None, load: ForcingLoad | None = None):
+        self._rows = rows  # states at levels self._base, self._base + 1, ...
+        self._base = 0
+        self._cursor = cursor
+        self._load = load
+
+    @classmethod
+    def of(cls, target, stepper: CrankNicolsonAB2, load: ForcingLoad) -> "_TargetSource":
+        """A full-state :class:`TrajectoryRecord` on the stepper's grid, or the free run from the state ``target``."""
+        if isinstance(target, TrajectoryRecord):
+            _check_target_record(target, stepper.dt)
+            return cls(target.states)
+        cursor = _Cursor(stepper, target)
+        return cls(cursor.y[None], cursor, load)
+
+    def window(self, n0: int, n_steps: int) -> np.ndarray:
+        if n0 < self._base:
+            raise ValueError(f"target level {n0} precedes the previous request at level {self._base}")
+        rows = self._rows[n0 - self._base:]
+        if len(rows) <= n_steps:
+            cursor = self._cursor
+            if cursor is None:
+                raise ValueError("target record does not cover the requested window")
+            grown = np.empty((n_steps + 1, len(cursor.y)))
+            grown[:len(rows)] = rows
+            while cursor.level < n0 + n_steps:
+                y = cursor.step(self._load(cursor.level * cursor.stepper.dt))
+                if cursor.level >= n0:
+                    grown[cursor.level - n0] = y
+            rows = grown
+        self._rows, self._base = rows, n0
+        return rows[:n_steps + 1]
+
+
+def _run_plant(cursor: _Cursor, n_steps: int, forcing, b=None, control=None,
+               target: _TargetSource | None = None, rec: _Recorder | None = None,
+               states: np.ndarray | None = None) -> None:
+    """Advance ``cursor`` by ``n_steps`` steps: the plant loop of every run.
+
+    Step k applies the load ``forcing(k)`` (None: zero) plus ``b @ u`` with
+    ``u = control(k, z)``, z being the error against ``target`` at the step
+    start (None without one); ``control=None`` runs the plant free.  ``rec``
+    records each new level, and level 0 before the first step; ``states``
+    receives the new states in rows 1..n_steps.
+    """
+    mass = cursor.stepper.fe.mass
+
+    def error():
+        if target is None:
+            return None, None
+        z = cursor.y - target.window(cursor.level, 0)[0]
+        return z, float(z @ (mass @ z))
+
+    z, err_sq = error()
+    if rec is not None and cursor.level == 0:
+        rec.record(0, cursor.y, err_sq)
+    for k in range(n_steps):
+        load = forcing(k)
+        u = None
+        if control is not None:
+            u = control(k, z)
+            bu = b @ u
+            load = bu if load is None else load + bu
+        y = cursor.step(load)
+        z, err_sq = error()
+        if rec is not None:
+            rec.record(cursor.level, y, err_sq, u)
+        if states is not None:
+            states[k + 1] = y
+
+
+def _simulate(y0: np.ndarray, n_steps: int, fe: FemOperators, params: SchloeglParams,
+              forcing: ForcingSpec | None, cfg: IntegratorConfig, beta: float = 0.0, target=None,
+              coupling=None, control=None) -> TrajectoryRecord:
+    """Record of a run from level 0 against ``target`` (initial state, full-state record
+    or None); plant and target share one stepper."""
+    stepper = CrankNicolsonAB2(fe, params, cfg.dt)
+    load = ForcingLoad(forcing or ForcingSpec.zero(), fe)
+    if target is not None:
+        target = _TargetSource.of(target, stepper, load)
+    b, count = (None, None) if coupling is None else (coupling.b, coupling.count)
+    rec = _Recorder(fe, n_steps, cfg.dt, cfg.state_stride, beta, count, track_error=target is not None)
+    _run_plant(_Cursor(stepper, y0), n_steps, lambda n: load(n * cfg.dt), b, control, target, rec)
+    return rec.finish()
+
+
 def simulate_free(y0: np.ndarray, horizon: float, fe: FemOperators, params: SchloeglParams,
                   forcing: ForcingSpec | None = None, cfg: IntegratorConfig | None = None) -> TrajectoryRecord:
     """Uncontrolled trajectory from y0 over [0, horizon].
@@ -383,25 +501,7 @@ def simulate_free(y0: np.ndarray, horizon: float, fe: FemOperators, params: Schl
     leaves the finite range.
     """
     cfg = cfg or IntegratorConfig()
-    forcing = forcing or ForcingSpec.zero()
-    n_steps = _n_steps_for(horizon, cfg.dt)
-    stepper = CrankNicolsonAB2(fe, params, cfg.dt)
-    load = ForcingLoad(forcing, fe)
-
-    rec = _Recorder(fe, n_steps, cfg.dt, cfg.state_stride, 0.0, None, track_error=False)
-    y_prev = None
-    y = np.asarray(y0, dtype=float).copy()
-    rec.record_level(0, y, None)
-    for n in range(n_steps):
-        t = n * cfg.dt
-        if y_prev is None:
-            y_next = stepper.startup_step(y, load(t))
-        else:
-            y_next = stepper.ab2_step(y_prev, y, load(t))
-        stepper.check_finite(y_next, (n + 1) * cfg.dt)
-        y_prev, y = y, y_next
-        rec.record_level(n + 1, y, None)
-    return rec.finish(y, y_prev)
+    return _simulate(y0, _n_steps_for(horizon, cfg.dt), fe, params, forcing, cfg)
 
 
 def scalar_cnab_trajectory(y0: float, dt: float, n_steps: int, params: SchloeglParams,

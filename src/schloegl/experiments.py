@@ -78,7 +78,6 @@ class ScenarioConfig:
     controller: str = "none"
     csv_stride: int = 1
     state_stride: int = 10
-    seed: int = 0
     rhc_horizon: float = 1.25
     rhc_delta: float = 0.5
     rhc_beta: float = 1e-3
@@ -118,7 +117,6 @@ _KEYS = {
     "run.controller": ("controller", "none, saturated, or rhc"),
     "run.csv_stride": ("csv_stride", "positive int"),
     "run.state_stride": ("state_stride", "positive int"),
-    "run.seed": ("seed", "int"),
     "rhc.t": ("rhc_horizon", "positive float"),
     "rhc.delta": ("rhc_delta", "positive float"),
     "rhc.beta": ("rhc_beta", "positive float"),
@@ -175,7 +173,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def _assign(cfg: ScenarioConfig, attr: str, value: str, lineno: int):
-    if attr in ("nx", "ny", "m", "csv_stride", "state_stride", "seed", "rhc_j_max"):
+    if attr in ("nx", "ny", "m", "csv_stride", "state_stride", "rhc_j_max"):
         setattr(cfg, attr, int(value))
     elif attr == "zeta":
         parts = [float(p) for p in value.split(",")]
@@ -322,7 +320,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunArtifact:
         "actuators": grid.count,
         "status": "completed",
     }
-    record = None
     rhc_result = None
     try:
         if cfg.controller == "rhc":
@@ -369,29 +366,29 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunArtifact:
     return RunArtifact(directory=out, summary=summary, series_csv=series, record=record)
 
 
+def _map(fn, payloads: list, workers: int) -> list:
+    """fn over the payloads, in order; in a process pool when workers > 1."""
+    if workers <= 1:
+        return [fn(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, payloads))
+
+
 def _table1_cell(payload: dict) -> dict:
     """One Table-1 cell: saturated feedback and RHC costs (worker-safe)."""
     base = ScenarioConfig(**payload["base"])
     cu_tag, t_inf, beta = payload["cu_tag"], payload["t_inf"], payload["beta"]
     out = {"cu": cu_tag, "t_inf": t_inf, "beta": beta}
-    try:
-        sat_cfg = replace(base, controller="saturated", cu=parse_bound(cu_tag), cu_tag=cu_tag,
+    for kind, controller in (("satcon", "saturated"), ("rhc", "rhc")):
+        try:
+            cfg = replace(base, controller=controller, cu=parse_bound(cu_tag), cu_tag=cu_tag,
                           t_final=t_inf, rhc_beta=beta, provenance={}, source_text="")
-        art = run_scenario(sat_cfg, Path(payload["out_dir"]) / f"satcon_b{beta:g}_{cu_tag.replace('^', '')}_T{t_inf:g}")
-        out["satcon"] = art.summary.get("J_total", math.nan)
-        out["satcon_status"] = art.summary["status"]
-    except Exception as exc:  # per-cell failures recorded, table still emitted
-        out["satcon"] = math.nan
-        out["satcon_status"] = f"failed: {exc}"
-    try:
-        rhc_cfg = replace(base, controller="rhc", cu=parse_bound(cu_tag), cu_tag=cu_tag,
-                          t_final=t_inf, rhc_beta=beta, provenance={}, source_text="")
-        art = run_scenario(rhc_cfg, Path(payload["out_dir"]) / f"rhc_b{beta:g}_{cu_tag.replace('^', '')}_T{t_inf:g}")
-        out["rhc"] = art.summary.get("J_total", math.nan)
-        out["rhc_status"] = art.summary["status"]
-    except Exception as exc:
-        out["rhc"] = math.nan
-        out["rhc_status"] = f"failed: {exc}"
+            art = run_scenario(cfg, Path(payload["out_dir"]) / f"{kind}_b{beta:g}_{cu_tag.replace('^', '')}_T{t_inf:g}")
+            out[kind] = art.summary.get("J_total", math.nan)
+            out[f"{kind}_status"] = art.summary["status"]
+        except Exception as exc:  # per-cell failures recorded, table still emitted
+            out[kind] = math.nan
+            out[f"{kind}_status"] = f"failed: {exc}"
     return out
 
 
@@ -413,11 +410,7 @@ def run_table1(out_dir: str | Path, base: ScenarioConfig | None = None,
         for beta in betas
         for (cu_tag, t_inf) in cells
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_table1_cell, payloads))
-    else:
-        rows = [_table1_cell(p) for p in payloads]
+    rows = _map(_table1_cell, payloads, workers)
 
     with open(out / "table1.csv", "w") as fh:
         fh.write("beta,cu,t_inf,rhc,satcon,rhc_status,satcon_status\n")
@@ -472,11 +465,7 @@ def run_sweep(axis: str, values: list, base: ScenarioConfig, out_dir: str | Path
             cfg = replace(cfg, m=m)
         payloads.append({"cfg": {k: w for k, w in cfg.__dict__.items() if k not in ("provenance", "source_text")},
                          "value": str(v), "out_dir": str(out / f"{axis}_{str(v).replace('^', '')}")})
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_one, payloads))
-    else:
-        rows = [_sweep_one(p) for p in payloads]
+    rows = _map(_sweep_one, payloads, workers)
     with open(out / f"sweep_{axis}.csv", "w") as fh:
         fh.write("value,mu_est,final_err_l2,status\n")
         for r in rows:

@@ -5,7 +5,10 @@ u = sat(-gain * box_means(z)), where box_means are the coefficients of
 the L2 projection onto the actuator span and sat rescales onto the ball
 of radius ``bound`` whenever the amplitude norm exceeds it.  The control
 enters the plant lagged (evaluated at the step start), matching the
-Adams-Bashforth treatment of the non-diffusive terms.
+Adams-Bashforth treatment of the non-diffusive terms.  Closed-loop runs
+drive the plant loop of :mod:`.dynamics` with this law as its control
+policy, against the shared target source (lockstep co-simulation or a
+stored record); plant and target share one stepper.
 """
 
 from __future__ import annotations
@@ -15,18 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actuators import CouplingMatrix, apply_control_operator, project_onto_actuator_span
-from .dynamics import (
-    CrankNicolsonAB2,
-    ForcingLoad,
-    ForcingSpec,
-    IntegratorConfig,
-    SchloeglParams,
-    TrajectoryRecord,
-    _check_target_record,
-    _n_steps_for,
-    _Recorder,
-)
+from .actuators import CouplingMatrix, project_onto_actuator_span
+from .dynamics import ForcingSpec, IntegratorConfig, SchloeglParams, TrajectoryRecord, _n_steps_for, _simulate
 from .geometry import FemOperators
 
 __all__ = [
@@ -125,47 +118,18 @@ def feedback_dissipation(z: np.ndarray, u: np.ndarray, coupling: CouplingMatrix)
     return float(np.asarray(u, dtype=float) @ (coupling.b.T @ np.asarray(z, dtype=float)))
 
 
-class _TrackingLoop:
-    """Lockstep closed-loop stepping against a target supplied per level."""
+def _feedback_control(law: FeedbackLaw, coupling: CouplingMatrix):
+    """Plant-loop control policy: the saturated law on the step's error, bound-checked."""
+    bound = law.saturation.bound
 
-    def __init__(self, fe: FemOperators, params: SchloeglParams, coupling: CouplingMatrix,
-                 law: FeedbackLaw, forcing: ForcingSpec, cfg: IntegratorConfig, n_steps: int):
-        self.fe = fe
-        self.coupling = coupling
-        self.law = law
-        self.cfg = cfg
-        self.stepper = CrankNicolsonAB2(fe, params, cfg.dt)
-        self.load = ForcingLoad(forcing, fe)
-        self.rec = _Recorder(fe, n_steps, cfg.dt, cfg.state_stride, cfg.cost_beta,
-                             coupling.count, track_error=True)
-        self.n_steps = n_steps
+    def control(k: int, z: np.ndarray) -> np.ndarray:
+        u = saturated_feedback(z, law, coupling)
+        u_norm = control_norm(u, law.saturation.norm)
+        if u_norm > bound + SATURATION_SLACK:
+            raise AssertionError(f"saturation bound violated on step {k}: {u_norm} > {bound}")
+        return u
 
-    def run(self, y0: np.ndarray, target_at) -> TrajectoryRecord:
-        y = np.asarray(y0, dtype=float).copy()
-        y_prev = None
-        mass = self.fe.mass
-        bound = self.law.saturation.bound
-        z = y - target_at(0)
-        self.rec.record_level(0, y, float(z @ (mass @ z)))
-        for n in range(self.n_steps):
-            t = n * self.cfg.dt
-            u = saturated_feedback(z, self.law, self.coupling)
-            u_norm = control_norm(u, self.law.saturation.norm)
-            if u_norm > bound + SATURATION_SLACK:
-                raise AssertionError(f"saturation bound violated at t = {t:.6g}: {u_norm} > {bound}")
-            self.rec.record_control(n, u, u_norm)
-            load = self.load(t)
-            bu = apply_control_operator(self.coupling, u)
-            load = bu if load is None else load + bu
-            if y_prev is None:
-                y_next = self.stepper.startup_step(y, load)
-            else:
-                y_next = self.stepper.ab2_step(y_prev, y, load)
-            self.stepper.check_finite(y_next, (n + 1) * self.cfg.dt)
-            y_prev, y = y, y_next
-            z = y - target_at(n + 1)
-            self.rec.record_level(n + 1, y, float(z @ (mass @ z)))
-        return self.rec.finish(y, y_prev)
+    return control
 
 
 def track_target(y0: np.ndarray, target_y0: np.ndarray, law: FeedbackLaw, coupling: CouplingMatrix,
@@ -177,27 +141,8 @@ def track_target(y0: np.ndarray, target_y0: np.ndarray, law: FeedbackLaw, coupli
     independent of the horizon.
     """
     cfg = cfg or IntegratorConfig()
-    forcing = forcing or ForcingSpec.zero()
-    n_steps = _n_steps_for(horizon, cfg.dt)
-    loop = _TrackingLoop(fe, params, coupling, law, forcing, cfg, n_steps)
-
-    tgt_stepper = CrankNicolsonAB2(fe, params, cfg.dt)
-    tgt_load = ForcingLoad(forcing, fe)
-    state = {"prev": None, "curr": np.asarray(target_y0, dtype=float).copy(), "level": 0}
-
-    def target_at(n: int) -> np.ndarray:
-        while state["level"] < n:
-            t = state["level"] * cfg.dt
-            if state["prev"] is None:
-                y_next = tgt_stepper.startup_step(state["curr"], tgt_load(t))
-            else:
-                y_next = tgt_stepper.ab2_step(state["prev"], state["curr"], tgt_load(t))
-            tgt_stepper.check_finite(y_next, (state["level"] + 1) * cfg.dt)
-            state["prev"], state["curr"] = state["curr"], y_next
-            state["level"] += 1
-        return state["curr"]
-
-    return loop.run(y0, target_at)
+    return _simulate(y0, _n_steps_for(horizon, cfg.dt), fe, params, forcing, cfg, cfg.cost_beta,
+                     target_y0, coupling, _feedback_control(law, coupling))
 
 
 def closed_loop_simulate(y0: np.ndarray, target: TrajectoryRecord, law: FeedbackLaw,
@@ -210,8 +155,5 @@ def closed_loop_simulate(y0: np.ndarray, target: TrajectoryRecord, law: Feedback
     with every level stored (state_stride 1); interpolation is refused.
     """
     cfg = cfg or IntegratorConfig()
-    forcing = forcing or ForcingSpec.zero()
-    n_steps = target.n_steps
-    _check_target_record(target, cfg.dt)
-    loop = _TrackingLoop(fe, params, coupling, law, forcing, cfg, n_steps)
-    return loop.run(y0, lambda n: target.states[n])
+    return _simulate(y0, target.n_steps, fe, params, forcing, cfg, cfg.cost_beta,
+                     target, coupling, _feedback_control(law, coupling))

@@ -10,9 +10,12 @@ over amplitude trajectories with per-step norm bound.  Gradients are
 exact discrete adjoints (transpose of the linearized forward step), so
 finite-difference checks are hard pass/fail.  The optimizer is a
 projected gradient method with BB1 stepsizes and a nonmonotone Armijo
-line search.  Windows after the first continue the AB2 history of the
-plant, so the concatenated receding-horizon trajectory re-simulates
-bitwise from the logged control.
+line search, in which a blown-up trial iterate counts as infinite cost.
+Forward windows, the warm start, the receding-horizon plant and the
+replay all run the plant loop of :mod:`.dynamics` against its target
+source, with one stepper per run.  Windows after the first continue the
+AB2 history of the plant, so the concatenated receding-horizon
+trajectory re-simulates bitwise from the logged control.
 """
 
 from __future__ import annotations
@@ -25,18 +28,22 @@ import numpy as np
 
 from .actuators import CouplingMatrix
 from .dynamics import (
+    BlowUpError,
     CrankNicolsonAB2,
     ForcingLoad,
     ForcingSpec,
     IntegratorConfig,
     SchloeglParams,
     TrajectoryRecord,
-    _check_target_record,
+    _Cursor,
     _n_steps_for,
     _Recorder,
+    _run_plant,
+    _simulate,
+    _TargetSource,
     cubic_reaction_derivative,
 )
-from .feedback import NUDGE_PASSES, FeedbackLaw, SaturationConfig, control_norm, radial_project, saturated_feedback
+from .feedback import NUDGE_PASSES, FeedbackLaw, SaturationConfig, _feedback_control
 from .geometry import FemOperators
 
 __all__ = [
@@ -99,35 +106,16 @@ class OcpProblem:
         w[0] = w[-1] = 0.5 * self.dt
         return w
 
-    def step_load(self, u: np.ndarray, n: int) -> np.ndarray:
-        bu = self.coupling.b @ u[:, n]
-        f = self.forcing_loads[n]
-        return bu if f is None else f + bu
-
-
-def _forward_states(prob: OcpProblem, u: np.ndarray) -> np.ndarray:
-    n = prob.n_steps
-    states = np.empty((n + 1, len(prob.y0)))
-    states[0] = prob.y0
-    y_prev = prob.y_prev
-    y = prob.y0
-    for k in range(n):
-        if y_prev is None:
-            y_next = prob.stepper.startup_step(y, prob.step_load(u, k))
-        else:
-            y_next = prob.stepper.ab2_step(y_prev, y, prob.step_load(u, k))
-        prob.stepper.check_finite(y_next, prob.t0 + (k + 1) * prob.dt)
-        y_prev, y = y, y_next
-        states[k + 1] = y
-    return states
-
 
 def evaluate_cost(u: np.ndarray, prob: OcpProblem) -> tuple[float, np.ndarray]:
     """Forward-simulate the window and return (cost, states)."""
     u = np.asarray(u, dtype=float)
     if u.shape != (prob.coupling.count, prob.n_steps):
         raise ValueError(f"control shape {u.shape} does not match ({prob.coupling.count}, {prob.n_steps})")
-    states = _forward_states(prob, u)
+    states = np.empty((prob.n_steps + 1, len(prob.y0)))
+    states[0] = prob.y0
+    _run_plant(_Cursor(prob.stepper, prob.y0, prob.y_prev, prob.t0), prob.n_steps,
+               prob.forcing_loads.__getitem__, prob.coupling.b, lambda k, z: u[:, k], states=states)
     z = states - prob.target
     mz = (prob.fe.mass @ z.T).T
     err_sq = np.einsum("ij,ij->i", z, mz)
@@ -244,20 +232,21 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
     for it in range(1, j_max + 1):
         ref = max(history)
         step = alpha
-        accepted = False
         for _ in range(60):
             u_new = project_admissible(u - step * grad, prob.saturation)
             d = u_new - u
             d_sq = float(np.sum(d * d))
             if d_sq == 0.0:
                 return OptimizeResult(best_u, best_cost, it, True, evals, "stationary point")
-            cost_new, states_new = evaluate_cost(u_new, prob)
             evals += 1
+            try:
+                cost_new, states_new = evaluate_cost(u_new, prob)
+            except BlowUpError:
+                cost_new = math.inf  # rejected: backtrack towards the finite iterate
             if cost_new <= ref + armijo * float(np.sum(grad * d)):
-                accepted = True
                 break
             step *= backtrack
-        if not accepted:
+        else:
             return OptimizeResult(best_u, best_cost, it, False, evals, "line search failed")
 
         grad_new = reduced_gradient(u_new, states_new, solve_adjoint(states_new, prob), prob)
@@ -287,76 +276,16 @@ def saturated_control_on_window(prob: OcpProblem, gain: float) -> np.ndarray:
     Used as the first-window initial iterate of the receding-horizon
     solver.
     """
-    law = FeedbackLaw(gain=gain, saturation=prob.saturation)
-    n = prob.n_steps
-    u = np.empty((prob.coupling.count, n))
-    y_prev = prob.y_prev
-    y = prob.y0
-    for k in range(n):
-        u[:, k] = saturated_feedback(y - prob.target[k], law, prob.coupling)
-        load = prob.step_load(u, k)
-        if y_prev is None:
-            y_next = prob.stepper.startup_step(y, load)
-        else:
-            y_next = prob.stepper.ab2_step(y_prev, y, load)
-        y_prev, y = y, y_next
+    policy = _feedback_control(FeedbackLaw(gain=gain, saturation=prob.saturation), prob.coupling)
+    u = np.empty((prob.coupling.count, prob.n_steps))
+
+    def control(k: int, z: np.ndarray) -> np.ndarray:
+        u[:, k] = policy(k, z)
+        return u[:, k]
+
+    _run_plant(_Cursor(prob.stepper, prob.y0, prob.y_prev, prob.t0), prob.n_steps,
+               prob.forcing_loads.__getitem__, prob.coupling.b, control, _TargetSource(prob.target))
     return u
-
-
-class _TargetProvider:
-    """Rolling target states on consecutive windows of one continuous run."""
-
-    def __init__(self, fe: FemOperators, params: SchloeglParams, forcing: ForcingSpec,
-                 stepper: CrankNicolsonAB2, y0: np.ndarray):
-        self.stepper = stepper
-        self.load = ForcingLoad(forcing, fe)
-        self.level = 0
-        self.y_prev = None
-        self.y = np.asarray(y0, dtype=float).copy()
-        self._window = None
-        self._window_level = None
-
-    def window(self, n0: int, n_steps: int) -> np.ndarray:
-        if n0 != self.level:
-            raise ValueError(f"windows must be requested at the current level {self.level}, got {n0}")
-        states = np.empty((n_steps + 1, len(self.y)))
-        states[0] = self.y
-        y_prev, y = self.y_prev, self.y
-        for k in range(n_steps):
-            t = (n0 + k) * self.stepper.dt
-            if y_prev is None:
-                y_next = self.stepper.startup_step(y, self.load(t))
-            else:
-                y_next = self.stepper.ab2_step(y_prev, y, self.load(t))
-            self.stepper.check_finite(y_next, t + self.stepper.dt)
-            y_prev, y = y, y_next
-            states[k + 1] = y
-        self._window = states
-        self._window_level = n0
-        return states
-
-    def advance(self, n_delta: int):
-        states = self._window
-        self.y_prev = states[n_delta - 1].copy() if n_delta >= 1 else self.y_prev
-        self.y = states[n_delta].copy()
-        self.level = self._window_level + n_delta
-
-
-class _RecordTargetProvider:
-    """Target windows sliced from a precomputed full-state trajectory record."""
-
-    def __init__(self, record: TrajectoryRecord, dt: float):
-        _check_target_record(record, dt)
-        self.states = record.states
-        self.level = 0
-
-    def window(self, n0: int, n_steps: int) -> np.ndarray:
-        if n0 + n_steps >= self.states.shape[0]:
-            raise ValueError("target record does not cover the requested window")
-        return self.states[n0:n0 + n_steps + 1]
-
-    def advance(self, n_delta: int):
-        self.level += n_delta
 
 
 @dataclass(frozen=True)
@@ -412,26 +341,18 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, coupling: CouplingMatrix, fe
 
     stepper = CrankNicolsonAB2(fe, params, dt)
     fload = ForcingLoad(forcing, fe)
-    if isinstance(target, TrajectoryRecord):
-        provider = _RecordTargetProvider(target, dt)
-    else:
-        provider = _TargetProvider(fe, params, forcing, CrankNicolsonAB2(fe, params, dt), target)
-
+    source = _TargetSource.of(target, stepper, fload)
+    plant = _Cursor(stepper, y0)
     rec = _Recorder(fe, n_total, dt, integ.state_stride, cfg.beta, coupling.count, track_error=True)
-    mass = fe.mass
-    y = np.asarray(y0, dtype=float).copy()
-    y_prev = None
-    u_log = np.zeros((coupling.count, n_total))
     reports = []
     warm = None
 
     for w in range(n_windows):
         n0 = w * n_delta
-        tgt = provider.window(n0, n_horizon)
         prob = OcpProblem(
             fe=fe, params=params, coupling=coupling, stepper=stepper,
-            y0=y, y_prev=y_prev, target=tgt, beta=cfg.beta, saturation=saturation,
-            t0=n0 * dt,
+            y0=plant.y, y_prev=plant.y_prev, target=source.window(n0, n_horizon), beta=cfg.beta,
+            saturation=saturation, t0=n0 * dt,
             forcing_loads=[fload((n0 + k) * dt) for k in range(n_horizon)],
         )
         if warm is None:
@@ -443,28 +364,12 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, coupling: CouplingMatrix, fe
         res = bb_projected_gradient(prob, u_init, tol=cfg.tol, j_max=cfg.j_max)
         reports.append((res.iterations, res.cost, res.converged, res.n_evaluations, res.message))
         warm = res.u
+        _run_plant(plant, n_delta, prob.forcing_loads.__getitem__, coupling.b,
+                   lambda k, z: warm[:, k], source, rec)
 
-        if w == 0:
-            z = y - tgt[0]
-            rec.record_level(0, y, float(z @ (mass @ z)))
-        for k in range(n_delta):
-            u_col = res.u[:, k]
-            u_log[:, n0 + k] = u_col
-            rec.record_control(n0 + k, u_col, control_norm(u_col, saturation.norm))
-            load = prob.step_load(res.u, k)
-            if y_prev is None:
-                y_next = stepper.startup_step(y, load)
-            else:
-                y_next = stepper.ab2_step(y_prev, y, load)
-            stepper.check_finite(y_next, (n0 + k + 1) * dt)
-            y_prev, y = y, y_next
-            z = y - tgt[k + 1]
-            rec.record_level(n0 + k + 1, y, float(z @ (mass @ z)))
-        provider.advance(n_delta)
-
-    record = rec.finish(y, y_prev)
+    record = rec.finish()
     return RhcResult(
-        controls=u_log,
+        controls=record.controls.T.copy(),
         record=record,
         total_cost=float(record.running_cost[-1]),
         window_reports=reports,
@@ -479,52 +384,11 @@ def simulate_controlled(y0: np.ndarray, controls: np.ndarray, coupling: Coupling
     """Open-loop replay of a logged control sequence (one column per step).
 
     With ``target_y0`` given, the target free dynamics is co-simulated so
-    error norms and the running cost are logged; the state recursion is
-    the same code path as the receding-horizon plant, so replaying the
+    error norms and the running cost are logged; plant loop and target
+    source are those of the receding-horizon plant, so replaying the
     logged receding-horizon control reproduces its trajectory bitwise.
     """
     integ = integ or IntegratorConfig()
-    forcing = forcing or ForcingSpec.zero()
     controls = np.asarray(controls, dtype=float)
-    n_total = controls.shape[1]
-    dt = integ.dt
-    stepper = CrankNicolsonAB2(fe, params, dt)
-    fload = ForcingLoad(forcing, fe)
-    track = target_y0 is not None
-    rec = _Recorder(fe, n_total, dt, integ.state_stride, beta, coupling.count, track_error=track)
-
-    tgt_stepper = CrankNicolsonAB2(fe, params, dt) if track else None
-    ty_prev, ty = None, (np.asarray(target_y0, dtype=float).copy() if track else None)
-    y = np.asarray(y0, dtype=float).copy()
-    y_prev = None
-    mass = fe.mass
-
-    def err_sq():
-        if not track:
-            return None
-        z = y - ty
-        return float(z @ (mass @ z))
-
-    rec.record_level(0, y, err_sq())
-    for n in range(n_total):
-        t = n * dt
-        u_col = controls[:, n]
-        rec.record_control(n, u_col, control_norm(u_col))
-        f = fload(t)
-        bu = coupling.b @ u_col
-        load = bu if f is None else f + bu
-        if y_prev is None:
-            y_next = stepper.startup_step(y, load)
-        else:
-            y_next = stepper.ab2_step(y_prev, y, load)
-        stepper.check_finite(y_next, t + dt)
-        y_prev, y = y, y_next
-        if track:
-            tf = fload(t)
-            if ty_prev is None:
-                ty_next = tgt_stepper.startup_step(ty, tf)
-            else:
-                ty_next = tgt_stepper.ab2_step(ty_prev, ty, tf)
-            ty_prev, ty = ty, ty_next
-        rec.record_level(n + 1, y, err_sq())
-    return rec.finish(y, y_prev)
+    return _simulate(y0, controls.shape[1], fe, params, forcing, integ, beta, target_y0, coupling,
+                     lambda k, z: controls[:, k])

@@ -27,7 +27,7 @@ from schloegl import (
     shifted_reaction_derivative,
     simulate_free,
 )
-from schloegl.dynamics import CrankNicolsonAB2, _BandedCholesky
+from schloegl.dynamics import CrankNicolsonAB2, ForcingLoad, _BandedCholesky
 
 
 class TestReaction:
@@ -100,6 +100,22 @@ class TestForcing:
         spec = ForcingSpec.custom(lambda t, x, y: t * x)
         h = eval_forcing(spec, 2.0, fe16.mesh)
         assert np.allclose(h, 2.0 * fe16.mesh.nodes[:, 0])
+
+
+class TestForcingLoad:
+    @pytest.mark.parametrize("spec, t", [
+        (ForcingSpec.zero(), 0.3),
+        (ForcingSpec.periodic_indicator(), math.pi / 12),   # gate open
+        (ForcingSpec.periodic_indicator(), 0.7),            # gate open, |sin 6t| < 1
+        (ForcingSpec.periodic_indicator(), 0.0),            # gate closed
+        (ForcingSpec.periodic_indicator(), 0.5),            # gate closed
+        (ForcingSpec.custom(lambda t, x, y: np.sin(t) * x - y * y), 0.4),
+    ])
+    def test_matches_mass_times_nodal_forcing_bitwise(self, fe16, spec, t):
+        expected = fe16.mass @ eval_forcing(spec, t, fe16.mesh)
+        load = ForcingLoad(spec, fe16)(t)
+        got = np.zeros(fe16.mesh.n_nodes) if load is None else load  # None is the zero load
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestIntegrator:

@@ -64,6 +64,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("[initial]\ny0 = quadratic\n")
 
+    def test_seed_key_is_not_part_of_the_grammar(self):
+        # nothing in a run is random, so no seed is parsed
+        with pytest.raises(ConfigError, match="line 2: unknown key 'run.seed'"):
+            parse_config("[run]\nseed = 0\n")
+
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# comment\n\n[mesh]\nnx = 3  # trailing\n; другой\nny = 4\n")
         assert (cfg.nx, cfg.ny) == (3, 4)
@@ -125,6 +130,27 @@ class TestRunScenario:
         assert art.summary["status"] == "completed"
         assert art.summary["rhc_windows"] == 4
         assert art.summary["rhc_iterations_total"] >= 4
+
+
+    @pytest.mark.parametrize("controller", ["saturated", "rhc"])
+    def test_one_stepper_per_run(self, tmp_path, monkeypatch, controller):
+        # plant, target and (for RHC) every window share one factorization
+        from schloegl.dynamics import CrankNicolsonAB2
+
+        built = []
+        original = CrankNicolsonAB2.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CrankNicolsonAB2, "__init__", counting_init)
+        cfg = parse_config("[mesh]\nnx = 6\nny = 6\n[time]\ndt = 0.01\nt_final = 0.2\n"
+                           + f"[run]\ncontroller = {controller}\n[rhc]\nt = 0.2\ndelta = 0.1\ntol = 1e-3\n"
+                           + "[initial]\nyhat0 = constant:2\ny0 = constant:1\n[forcing]\nkind = periodic\n")
+        art = run_scenario(cfg, tmp_path / "run")
+        assert art.summary["status"] == "completed"
+        assert len(built) == 1
 
 
 class TestTable1AndSweep:

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from schloegl import (
+    BlowUpError,
     FeedbackLaw,
     ForcingSpec,
     IntegratorConfig,
@@ -205,6 +206,39 @@ class TestBBSolver:
         assert out.cost < j0
 
 
+    @staticmethod
+    def constant_tracking_problem(dt, c):
+        # y0 = target = c everywhere, no bound, a tiny control weight
+        prob = make_problem(nx=8, n_steps=20, beta=1e-5, dt=dt, m=2)
+        prob.target = np.full_like(prob.target, c)
+        prob.y0 = prob.target[0].copy()
+        return prob
+
+    def test_blown_up_trial_is_rejected(self):
+        # from the finite zero control, the first BB trial blows up the
+        # forward solve; the line search must backtrack instead of raising
+        prob = self.constant_tracking_problem(dt=0.05, c=3.0)
+        u0 = np.zeros((prob.coupling.count, prob.n_steps))
+        j0, _ = evaluate_cost(u0, prob)
+        assert math.isfinite(j0)
+        out = bb_projected_gradient(prob, u0)
+        assert math.isfinite(out.cost) and out.cost <= j0
+        assert out.cost == evaluate_cost(out.u, prob)[0]
+
+    def test_blown_up_initial_iterate_raises(self):
+        prob = self.constant_tracking_problem(dt=0.1, c=5.0)
+        with pytest.raises(BlowUpError), np.errstate(over="ignore", invalid="ignore"):
+            bb_projected_gradient(prob, np.zeros((prob.coupling.count, prob.n_steps)))
+
+    def test_warm_start_checks_for_blow_up(self):
+        prob = make_problem(nx=6, n_steps=20, dt=0.1)
+        prob.y0 = np.full(prob.fe.mesh.n_nodes, 100.0)
+        from schloegl.rhc import saturated_control_on_window
+
+        with pytest.raises(BlowUpError), np.errstate(over="ignore", invalid="ignore"):
+            saturated_control_on_window(prob, 175.0)
+
+
 class TestRunRhc:
     def setup_case(self, fe, params):
         grid = build_actuator_grid(3, 0.5)
@@ -278,6 +312,24 @@ class TestRunRhc:
         with pytest.raises(ValueError, match="time grid"):
             run_rhc(cfg, y0, fine, cm, fe16, params, forcing, integ, sat)
 
+    def test_rolling_target_steps_each_level_once(self, fe16, params, monkeypatch):
+        # every stepper call is a plant step, a target step, a warm-start
+        # step or a step of a forward window; the target must not re-step
+        # the levels its windows share
+        cm = self.setup_case(fe16, params)
+        calls = []
+        for name in ("startup_step", "ab2_step"):
+            original = getattr(CrankNicolsonAB2, name)
+            monkeypatch.setattr(CrankNicolsonAB2, name,
+                                lambda self, *a, _f=original: calls.append(1) or _f(self, *a))
+        cfg = RhcConfig(horizon=0.3, delta=0.1, t_final=0.3, beta=1e-3, tol=1e-3)
+        res = run_rhc(cfg, np.full(fe16.mesh.n_nodes, 1.0), np.full(fe16.mesh.n_nodes, 2.0), cm, fe16, params,
+                      ForcingSpec.periodic_indicator(), IntegratorConfig(dt=1e-2))
+        n_total, n_horizon = 30, 30
+        target_levels = 20 + n_horizon  # last window starts at level 20
+        forward = sum(r[3] for r in res.window_reports) * n_horizon
+        assert len(calls) == n_total + target_levels + n_horizon + forward
+
     def test_window_reports_keep_stop_reason(self, fe16, params):
         cm = self.setup_case(fe16, params)
         y0 = np.full(fe16.mesh.n_nodes, 1.0)
@@ -287,6 +339,19 @@ class TestRunRhc:
         assert len(res.window_reports) == 2
         for report in res.window_reports:
             assert isinstance(report[4], str) and report[4]
+
+    def test_replay_checks_the_target_for_blow_up(self):
+        fe = build_fem(8, 8, 0.1)
+        params = SchloeglParams()
+        cm = discretize_actuators(build_actuator_grid(2, 0.5), fe.mesh)
+        y0 = np.zeros(fe.mesh.n_nodes)
+        target_y0 = np.full(fe.mesh.n_nodes, 50.0)
+        integ = IntegratorConfig(dt=0.1)
+        with pytest.raises(BlowUpError):
+            simulate_free(target_y0, 1.0, fe, params, cfg=integ)
+        with pytest.raises(BlowUpError):
+            simulate_controlled(y0, np.zeros((cm.count, 10)), cm, fe, params, integ=integ,
+                                target_y0=target_y0, beta=1e-3)
 
     def test_error_dynamics_formulation_equivalent(self, fe16, params):
         # simulating the error system with the shifted reaction reproduces
