@@ -329,7 +329,6 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, coupling: CouplingMatrix, fe
     and pad the tail with its last column.
     """
     integ = integ or IntegratorConfig()
-    forcing = forcing or ForcingSpec.zero()
     saturation = saturation or SaturationConfig()
     dt = integ.dt
     n_delta = _n_steps_for(cfg.delta, dt)
@@ -340,7 +339,7 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, coupling: CouplingMatrix, fe
     n_windows = n_total // n_delta
 
     stepper = CrankNicolsonAB2(fe, params, dt)
-    fload = ForcingLoad(forcing, fe)
+    fload = ForcingLoad(forcing or ForcingSpec.zero(), fe)
     source = _TargetSource.of(target, stepper, fload)
     plant = _Cursor(stepper, y0)
     rec = _Recorder(fe, n_total, dt, integ.state_stride, cfg.beta, coupling.count, track_error=True)
