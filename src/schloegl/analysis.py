@@ -13,7 +13,13 @@ sums (s2, s1, s0),
 
 The discrete stabilizability margin is the smallest eigenvalue of the
 symmetric pencil  (K + M + 2 lam B G^-1 B^T) w = theta M w,  computed by
-shift-invert Lanczos at shift 0 with a fixed start vector.
+shift-invert Lanczos at shift 0.  The actuator term is never assembled:
+it has rank ``count``, so the shift-invert solve is one banded Cholesky
+solve with K + M plus a ``count``-dimensional Sherman-Morrison-Woodbury
+correction.  The start vector is a fixed pseudo-random one; a start
+vector invariant under the mesh symmetries would keep Lanczos inside the
+symmetric subspace and miss a smallest eigenvalue of another symmetry
+class.
 """
 
 from __future__ import annotations
@@ -22,10 +28,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .actuators import ActuatorGrid, CouplingMatrix, control_operator_inverse_norm
+from .dynamics import _BandedCholesky
 from .geometry import FemOperators
 
 __all__ = [
@@ -107,26 +114,50 @@ def stabilizability_margin(gain: float, coupling: CouplingMatrix, fe: FemOperato
                            required_margin: float = 0.0, tol: float = 1e-8) -> MarginReport:
     """Smallest theta with (K + M + 2 gain B G^-1 B^T) w = theta M w.
 
-    theta >= 1 always (V-norm dominates the L2 norm); gain = 0 gives
-    exactly 1 with the constant eigenvector.  Raises on Lanczos
-    nonconvergence or if the pencil residual exceeds the tolerance.
+    With A = K + M (banded Cholesky, once per call) and C = 2 gain G^-1,
+    the shift-invert operator is applied by Sherman-Morrison-Woodbury,
+
+        (A + B C B^T)^-1 x = y - W S^-1 (B^T y),  y = A^-1 x,  W = A^-1 B,
+
+    S = C^-1 + B^T W being the SPD ``count`` x ``count`` capacitance
+    matrix; gain = 0 leaves the plain solve with A.  Lanczos starts from
+    a fixed pseudo-random vector.  theta >= 1 always (V-norm dominates
+    the L2 norm); gain = 0 gives exactly 1 with the constant eigenvector.
+    Raises on Lanczos nonconvergence or if the pencil residual, with the
+    pencil applied in factored form, exceeds the tolerance.
     """
     if gain < 0:
         raise ValueError(f"gain must be >= 0, got {gain}")
-    mass, stiff = fe.mass, fe.stiffness
-    pencil = (stiff + mass).tocsr()
-    if gain > 0:
-        proj = coupling.b @ sp.diags(1.0 / coupling.volumes) @ coupling.b.T
-        pencil = (pencil + 2.0 * gain * proj).tocsr()
+    mass = fe.mass
+    base = (fe.stiffness + mass).tocsr()
+    chol = _BandedCholesky(base)
     n = mass.shape[0]
-    v0 = np.ones(n) / math.sqrt(n)
+    b = coupling.b
+    if gain > 0:
+        weights = 2.0 * gain / coupling.volumes  # the diagonal of C
+        w_mat = chol.solve(b.toarray())
+        cap = cho_factor(np.diag(1.0 / weights) + b.T @ w_mat)
+
+        def apply_pencil(v):
+            return base @ v + b @ (weights * (b.T @ v))
+
+        def solve_pencil(x):
+            y = chol.solve(x)
+            return y - w_mat @ cho_solve(cap, b.T @ y)
+    else:
+        apply_pencil, solve_pencil = base.dot, chol.solve
+
+    pencil = LinearOperator((n, n), matvec=apply_pencil, dtype=float)
+    op_inv = LinearOperator((n, n), matvec=solve_pencil, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        vals, vecs = eigsh(pencil, k=1, M=mass, sigma=0.0, which="LM", v0=v0, tol=tol * 1e-2)
+        vals, vecs = eigsh(pencil, k=1, M=mass, sigma=0.0, which="LM", v0=v0, tol=tol * 1e-2,
+                           OPinv=op_inv)
     except ArpackNoConvergence as exc:
         raise RuntimeError(f"shift-invert Lanczos did not converge: {exc}") from exc
     theta = float(vals[0])
     w = vecs[:, 0]
-    resid = np.linalg.norm(pencil @ w - theta * (mass @ w)) / np.linalg.norm(w)
+    resid = np.linalg.norm(apply_pencil(w) - theta * (mass @ w)) / np.linalg.norm(w)
     if resid > tol * max(1.0, abs(theta)):
         raise RuntimeError(f"pencil residual {resid:.3e} exceeds tolerance {tol:.1e}")
     return MarginReport(

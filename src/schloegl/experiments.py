@@ -4,8 +4,9 @@ Configurations are flat ``key = value`` text with optional ``[section]``
 headers (grammar documented in the README); every default applied during
 parsing is recorded with its provenance.  A run writes a directory with
 the config snapshot, a per-step CSV series
-(t, err_l2, log_err_l2, u_norm, J_running; 17 significant digits) and a
-key-value summary.  The Table-1 harness compares the saturated feedback
+(t, err_l2, log_err_l2, u_norm, J_running; 17 significant digits), a
+key-value summary and, for receding-horizon runs, a per-window CSV of the
+optimizer statistics.  The Table-1 harness compares the saturated feedback
 with the receding-horizon control cell by cell; sweeps consolidate decay
 rates across one parameter axis.
 """
@@ -22,7 +23,7 @@ import numpy as np
 
 from .actuators import build_actuator_grid, discretize_actuators
 from .analysis import fit_decay_rate
-from .dynamics import BlowUpError, ForcingSpec, IntegratorConfig, SchloeglParams
+from .dynamics import BlowUpError, ForcingSpec, IntegratorConfig, SchloeglParams, _n_steps_for, _simulate
 from .feedback import FeedbackLaw, SaturationConfig, track_target
 from .geometry import RectangleDomain, build_fem
 from .rhc import RhcConfig, run_rhc
@@ -271,6 +272,15 @@ def _write_series_csv(path: Path, record, stride: int):
                 fh.write(",".join(_fmt(v) for v in (times[i], err[i], log_err, u, cost[i])) + "\n")
 
 
+def _write_windows_csv(path: Path, reports: list, times: np.ndarray):
+    """One row per RHC window: its start time and how its optimizer ended."""
+    n_delta = (len(times) - 1) // len(reports)
+    with open(path, "w") as fh:
+        fh.write("window,t0,iterations,evaluations,cost,converged,stop_reason\n")
+        for w, (iters, cost, converged, evals, reason) in enumerate(reports):
+            fh.write(",".join(_fmt(v) for v in (w, times[w * n_delta], iters, evals, cost, converged, reason)) + "\n")
+
+
 def _write_summary(path: Path, summary: dict):
     with open(path, "w") as fh:
         for k, v in summary.items():
@@ -307,7 +317,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunArtifact:
     fe = build_fem(cfg.nx, cfg.ny, cfg.nu, domain)
     params = SchloeglParams(nu=cfg.nu, roots=cfg.zeta)
     grid = build_actuator_grid(cfg.m, cfg.r, domain)
-    coupling = discretize_actuators(grid, fe.mesh)
+    coupling = None if cfg.controller == "none" else discretize_actuators(grid, fe.mesh)
     forcing = forcing_spec(cfg.forcing)
     yhat0 = initial_field(cfg.yhat0, fe.mesh)
     y0 = initial_field(cfg.y0, fe.mesh)
@@ -328,11 +338,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunArtifact:
             rhc_result = run_rhc(rcfg, y0, yhat0, coupling, fe, params, forcing, integ,
                                  SaturationConfig(bound=cfg.cu, norm=cfg.norm))
             record = rhc_result.record
+        elif cfg.controller == "none":
+            record = _simulate(y0, _n_steps_for(cfg.t_final, cfg.dt), fe, params, forcing, integ, target=yhat0)
         else:
-            if cfg.controller == "none":
-                law = FeedbackLaw(gain=0.0, saturation=SaturationConfig(bound=0.0, norm=cfg.norm))
-            else:
-                law = FeedbackLaw(gain=cfg.gain, saturation=SaturationConfig(bound=cfg.cu, norm=cfg.norm))
+            law = FeedbackLaw(gain=cfg.gain, saturation=SaturationConfig(bound=cfg.cu, norm=cfg.norm))
             record = track_target(y0, yhat0, law, coupling, fe, params, forcing, integ, horizon=cfg.t_final)
     except BlowUpError as exc:
         summary["status"] = "completed-unstable"
@@ -356,6 +365,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunArtifact:
         summary["mu_est"] = math.nan
         summary["mu_fit_note"] = str(exc)
     if rhc_result is not None:
+        _write_windows_csv(out / "windows.csv", rhc_result.window_reports, record.times)
         iters = [r[0] for r in rhc_result.window_reports]
         summary["rhc_windows"] = len(iters)
         summary["rhc_iterations_total"] = int(sum(iters))

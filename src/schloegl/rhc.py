@@ -323,7 +323,8 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, coupling: CouplingMatrix, fe
     sampling interval of its optimal control, advance the plant, slide.
 
     ``target`` is either the target initial state (rolling co-simulation)
-    or a full-state :class:`TrajectoryRecord` covering t_final + horizon.
+    or a full-state :class:`TrajectoryRecord` covering t_final - delta +
+    horizon, which is checked before the first window.
     The first window starts from the saturated feedback control with the
     configured warm-start gain; later windows shift the previous optimum
     and pad the tail with its last column.
@@ -341,6 +342,9 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, coupling: CouplingMatrix, fe
     stepper = CrankNicolsonAB2(fe, params, dt)
     fload = ForcingLoad(forcing or ForcingSpec.zero(), fe)
     source = _TargetSource.of(target, stepper, fload)
+    if isinstance(target, TrajectoryRecord) and target.n_steps < n_total - n_delta + n_horizon:
+        raise ValueError(f"target record covers {target.n_steps} steps, the last window "
+                         f"needs {n_total - n_delta + n_horizon}")
     plant = _Cursor(stepper, y0)
     rec = _Recorder(fe, n_total, dt, integ.state_stride, cfg.beta, coupling.count, track_error=True)
     reports = []

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from schloegl import (
     build_actuator_grid,
@@ -69,6 +70,19 @@ class TestMargin:
         cm = discretize_actuators(build_actuator_grid(3, 0.5), fe32.mesh)
         thetas = [stabilizability_margin(lam, cm, fe32).min_eigenvalue for lam in (0.0, 1.0, 10.0, 100.0)]
         assert all(b >= a - 1e-10 for a, b in zip(thetas, thetas[1:]))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_dense_generalized_eigensolver(self, fe16, m):
+        # the smallest eigenvalue can be a near-double pair outside the subspace
+        # of mesh-symmetric vectors (m = 3, gain 100 on this mesh)
+        cm = discretize_actuators(build_actuator_grid(m, 0.5), fe16.mesh)
+        base = (fe16.stiffness + fe16.mass).toarray()
+        b = cm.b.toarray()
+        for gain in (0.0, 1.0, 10.0, 100.0, 1e6):
+            pencil = base + 2.0 * gain * (b / cm.volumes) @ b.T
+            exact = sla.eigh(pencil, fe16.mass.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
+            theta = stabilizability_margin(gain, cm, fe16).min_eigenvalue
+            assert theta == pytest.approx(exact, rel=1e-9), gain
 
     def test_pass_flag(self, fe32):
         cm = discretize_actuators(build_actuator_grid(3, 0.5), fe32.mesh)

@@ -132,6 +132,46 @@ class TestRunScenario:
         assert art.summary["rhc_iterations_total"] >= 4
 
 
+    def test_rhc_windows_csv(self, tmp_path):
+        cfg = parse_config("[mesh]\nnx = 8\nny = 8\n[time]\ndt = 0.01\nt_final = 0.4\n"
+                           + "[run]\ncontroller = rhc\n[rhc]\nt = 0.3\ndelta = 0.1\nbeta = 1e-3\ntol = 1e-3\n"
+                           + "[initial]\nyhat0 = constant:2\ny0 = constant:1\n[feedback]\ncu = e^2\n")
+        art = run_scenario(cfg, tmp_path / "run")
+        lines = (art.directory / "windows.csv").read_text().splitlines()
+        assert lines[0] == "window,t0,iterations,evaluations,cost,converged,stop_reason"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == art.summary["rhc_windows"] == 4
+        assert [int(r[0]) for r in rows] == [0, 1, 2, 3]
+        assert [float(r[1]) for r in rows] == pytest.approx([0.0, 0.1, 0.2, 0.3], abs=1e-12)
+        assert sum(int(r[2]) for r in rows) == art.summary["rhc_iterations_total"]
+        assert all(int(r[3]) >= 1 and r[5] in ("True", "False") and r[6] for r in rows)
+
+    def test_free_run_applies_no_control(self, tmp_path, monkeypatch):
+        # controller none runs the plant loop without a control policy and
+        # reproduces the zero-gain, zero-bound feedback loop bit for bit
+        from schloegl import (FeedbackLaw, ForcingSpec, IntegratorConfig, SaturationConfig, SchloeglParams,
+                              build_actuator_grid, build_fem, discretize_actuators, feedback, track_target)
+        from schloegl.experiments import initial_field
+
+        fe = build_fem(10, 10, 0.1)
+        coupling = discretize_actuators(build_actuator_grid(3, 0.5), fe.mesh)
+        ref = track_target(initial_field("linear", fe.mesh), np.full(fe.mesh.n_nodes, 2.0),
+                           FeedbackLaw(gain=0.0, saturation=SaturationConfig(bound=0.0)), coupling, fe,
+                           SchloeglParams(), ForcingSpec.periodic_indicator(),
+                           IntegratorConfig(dt=5e-3, state_stride=10, cost_beta=1e-3), horizon=0.5)
+
+        def no_feedback(*args):
+            raise AssertionError("the free run evaluated the feedback law")
+
+        monkeypatch.setattr(feedback, "saturated_feedback", no_feedback)
+        cfg = parse_config(COARSE + "[forcing]\nkind = periodic\n[initial]\nyhat0 = constant:2\ny0 = linear\n")
+        art = run_scenario(cfg, tmp_path / "run")
+        assert art.summary["status"] == "completed"
+        assert art.record.controls is None
+        for name in ("states", "err_norm", "state_norm", "control_norms", "running_cost"):
+            assert np.array_equal(getattr(art.record, name), getattr(ref, name)), name
+        assert not (art.directory / "windows.csv").exists()
+
     @pytest.mark.parametrize("controller", ["saturated", "rhc"])
     def test_one_stepper_per_run(self, tmp_path, monkeypatch, controller):
         # plant, target and (for RHC) every window share one factorization

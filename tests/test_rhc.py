@@ -30,6 +30,7 @@ from schloegl import (
     solve_adjoint,
     track_target,
 )
+import schloegl.rhc as rhc_module
 from schloegl.dynamics import CrankNicolsonAB2
 
 
@@ -311,6 +312,23 @@ class TestRunRhc:
                              IntegratorConfig(dt=integ.dt / 2, state_stride=1))
         with pytest.raises(ValueError, match="time grid"):
             run_rhc(cfg, y0, fine, cm, fe16, params, forcing, integ, sat)
+
+    def test_short_target_record_refused_before_the_first_window(self, params, monkeypatch):
+        # the last window needs t_final - delta + horizon = 0.7 > 0.6: refuse
+        # the record before any window is optimized
+        fe = build_fem(8, 8, 0.1)
+        cm = discretize_actuators(build_actuator_grid(2, 0.5), fe.mesh)
+        integ = IntegratorConfig(dt=0.01)
+        target = simulate_free(np.full(fe.mesh.n_nodes, 2.0), 0.6, fe, params,
+                               cfg=IntegratorConfig(dt=integ.dt, state_stride=1))
+        solves = []
+        original = rhc_module.bb_projected_gradient
+        monkeypatch.setattr(rhc_module, "bb_projected_gradient",
+                            lambda *a, **k: solves.append(1) or original(*a, **k))
+        cfg = RhcConfig(horizon=0.3, delta=0.1, t_final=0.5)
+        with pytest.raises(ValueError, match="target record"):
+            run_rhc(cfg, np.full(fe.mesh.n_nodes, 1.0), target, cm, fe, params, integ=integ)
+        assert solves == []
 
     def test_rolling_target_steps_each_level_once(self, fe16, params, monkeypatch):
         # every stepper call is a plant step, a target step, a warm-start
