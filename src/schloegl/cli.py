@@ -131,15 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="scenario configuration file")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--ci", action="store_true", help=f"coarse preset (mesh {CI_MESH}x{CI_MESH})")
         return sp
 
     add_run("simulate-free", "free dynamics vs the target (controller none)")
     add_run("simulate-feedback", "saturated feedback closed loop")
     add_run("run-rhc", "receding-horizon control run")
-    add_run("table1", "cost comparison grid: saturated feedback vs RHC")
+    add_run("table1", "cost comparison grid: saturated feedback vs RHC").add_argument("--threads", type=int, default=1)
     sp = add_run("sweep", "one run per value along an axis, consolidating decay rates")
+    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--axis", required=True, choices=("cu", "lambda", "msigma"))
     sp.add_argument("--values", required=True, help="comma-separated values, e.g. 'e^1,e^2,inf'")
 

@@ -334,7 +334,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunArtifact:
     try:
         if cfg.controller == "rhc":
             rcfg = RhcConfig(horizon=cfg.rhc_horizon, delta=cfg.rhc_delta, t_final=cfg.t_final,
-                             beta=beta, tol=cfg.rhc_tol, j_max=cfg.rhc_j_max)
+                             beta=beta, tol=cfg.rhc_tol, j_max=cfg.rhc_j_max, warm_start_gain=cfg.gain)
             rhc_result = run_rhc(rcfg, y0, yhat0, coupling, fe, params, forcing, integ,
                                  SaturationConfig(bound=cfg.cu, norm=cfg.norm))
             record = rhc_result.record

@@ -3,7 +3,9 @@
 The feedback maps the tracking error z = y - y_target to amplitudes
 u = sat(-gain * box_means(z)), where box_means are the coefficients of
 the L2 projection onto the actuator span and sat rescales onto the ball
-of radius ``bound`` whenever the amplitude norm exceeds it.  The control
+of radius ``bound`` whenever the amplitude norm exceeds it.  The same
+sat is the per-step projection of ``rhc.project_admissible``; its norm
+is overflow-safe, and a non-finite input comes out all NaN.  The control
 enters the plant lagged (evaluated at the step start), matching the
 Adams-Bashforth treatment of the non-diffusive terms.  Closed-loop runs
 drive the plant loop of :mod:`.dynamics` with this law as its control
@@ -33,7 +35,6 @@ __all__ = [
     "closed_loop_simulate",
 ]
 
-SATURATION_SLACK = 1e-12
 NUDGE_PASSES = 8  # cap on the feasibility nudges after a radial rescale
 
 
@@ -56,40 +57,68 @@ class SaturationConfig:
 
 
 def control_norm(v: np.ndarray, norm: str = "euclidean") -> float:
-    v = np.asarray(v, dtype=float)
-    if norm == "euclidean":
-        return float(np.linalg.norm(v))
+    """Norm of the amplitude vector v, the one-column case of :func:`_column_norms`."""
+    col = np.asarray(v, dtype=float).ravel().tolist()
+    s = 0.0
+    for x in col:  # numpy's order for the rows of a C-ordered array
+        s += x * x  # NaN exactly when an entry is
     if norm == "max":
-        return float(np.max(np.abs(v))) if v.size else 0.0
-    raise ValueError(f"unknown norm tag {norm!r}")
+        return max(map(abs, col), default=0.0) if s == s else math.nan
+    if norm != "euclidean":
+        raise ValueError(f"unknown norm tag {norm!r}")
+    n = math.sqrt(s)
+    return n if 1e-150 <= n <= 1e150 else math.hypot(*col)
+
+
+def _column_norms(a: np.ndarray, norm: str) -> np.ndarray:
+    """Column norms of the 2-D array ``a``; Euclidean: sqrt(sum(a * a)) in [1e-150, 1e150], else hypot."""
+    if a.shape[1] == 1:  # plain floats are faster
+        return np.array([control_norm(a, norm)])
+    if norm == "max":
+        return np.maximum.reduce(np.abs(a), axis=0, initial=0.0)
+    with np.errstate(over="ignore", under="ignore"):
+        n = np.sqrt(np.add.reduce(a * a, axis=0))
+        odd = ~((n >= 1e-150) & (n <= 1e150))
+        if odd.any():
+            n[odd] = np.hypot.reduce(a[:, odd], axis=0, initial=0.0)
+    return n
+
+
+def _radial_columns(a: np.ndarray, sat: SaturationConfig) -> np.ndarray:
+    """Rescale each column of the 2-D array ``a`` onto the ball of radius ``sat.bound``.
+
+    Columns in the ball keep their bits (``a`` itself if all do); under a finite bound one with a
+    non-finite entry becomes all NaN; rescaled ones are nudged until projecting twice is stable.
+    """
+    if sat.unconstrained:
+        return a
+    norms = _column_norms(a, sat.norm)
+    over = ~(norms <= sat.bound)  # NaN norms too: their scale is NaN
+    if not over.any():
+        return a
+    if np.isinf(norms).any():  # over its largest entry a finite column has a finite norm
+        with np.errstate(invalid="ignore"):  # and an inf entry becomes NaN
+            a = a / np.where(np.isinf(norms), _column_norms(a, "max"), 1.0)
+        norms = _column_norms(a, sat.norm)
+    for _ in range(NUDGE_PASSES + 1):  # the rescale, then the nudges
+        a = a * np.divide(sat.bound, norms, out=np.ones_like(norms), where=over)
+        norms = _column_norms(a, sat.norm)
+        over = norms > sat.bound
+        if not over.any():
+            return a
+    raise FloatingPointError(f"rescaled norms still exceed {sat.bound!r} after {NUDGE_PASSES} nudges")
 
 
 def radial_project(v: np.ndarray, sat: SaturationConfig) -> np.ndarray:
-    """Rescale v onto the ball of radius ``sat.bound``; identity inside.
-
-    The bound-attained tie case returns v unscaled.  bound = 0 maps
-    everything to zero, bound = inf is the identity.
-    """
+    """Rescale v onto the ball of radius ``sat.bound``: :func:`_radial_columns` of one column, bit for bit."""
     v = np.asarray(v, dtype=float)
-    if sat.unconstrained:
+    if sat.unconstrained or (n := control_norm(v, sat.norm)) <= sat.bound:
         return v
-    n = control_norm(v, sat.norm)
-    if n <= sat.bound:
-        return v
-    out = (sat.bound / n) * v
-    # one-ulp overshoot of the rescaled norm would break bitwise
-    # idempotence; nudge down until feasible (at most two passes unless
-    # squares of the entries underflow, where the norm may never settle)
-    m = control_norm(out, sat.norm)
-    for _ in range(NUDGE_PASSES):
-        if m <= sat.bound:
+    if n < math.inf:  # the column projection's usual outcome, with plain-float norms
+        out = (sat.bound / n) * v
+        if control_norm(out, sat.norm) <= sat.bound:
             return out
-        out = (sat.bound / m) * out
-        m = control_norm(out, sat.norm)
-    if m > sat.bound:
-        raise FloatingPointError(f"rescaled norm {m!r} still exceeds the bound {sat.bound!r} "
-                                 f"after {NUDGE_PASSES} passes")
-    return out
+    return _radial_columns(v.reshape(-1, 1), sat).reshape(v.shape)
 
 
 @dataclass(frozen=True)
@@ -120,13 +149,10 @@ def feedback_dissipation(z: np.ndarray, u: np.ndarray, coupling: CouplingMatrix)
 
 def _feedback_control(law: FeedbackLaw, coupling: CouplingMatrix):
     """Plant-loop control policy: the saturated law on the step's error, bound-checked."""
-    bound = law.saturation.bound
-
     def control(k: int, z: np.ndarray) -> np.ndarray:
         u = saturated_feedback(z, law, coupling)
-        u_norm = control_norm(u, law.saturation.norm)
-        if u_norm > bound + SATURATION_SLACK:
-            raise AssertionError(f"saturation bound violated on step {k}: {u_norm} > {bound}")
+        if (u_norm := control_norm(u, law.saturation.norm)) > law.saturation.bound:
+            raise AssertionError(f"saturation bound violated on step {k}: {u_norm} > {law.saturation.bound}")
         return u
 
     return control

@@ -6,7 +6,7 @@ Each window minimizes the discrete cost
 
 (trapezoid weights tau_n on the state term, exact integral of the
 piecewise-constant control) subject to the forward CN/AB2 recursion,
-over amplitude trajectories with per-step norm bound.  Gradients are
+over amplitude trajectories in the feedback law's per-step ball.  Gradients are
 exact discrete adjoints (transpose of the linearized forward step), so
 finite-difference checks are hard pass/fail.  The optimizer is a
 projected gradient method with BB1 stepsizes and a nonmonotone Armijo
@@ -43,7 +43,7 @@ from .dynamics import (
     _TargetSource,
     cubic_reaction_derivative,
 )
-from .feedback import NUDGE_PASSES, FeedbackLaw, SaturationConfig, _feedback_control
+from .feedback import FeedbackLaw, SaturationConfig, _feedback_control, _radial_columns
 from .geometry import FemOperators
 
 __all__ = [
@@ -165,37 +165,10 @@ def reduced_gradient(u: np.ndarray, states: np.ndarray, adjoint: np.ndarray, pro
 def project_admissible(u: np.ndarray, sat: SaturationConfig) -> np.ndarray:
     """Columnwise radial projection onto the per-step amplitude ball.
 
-    For the Euclidean norm this is the exact metric projection onto the
-    closed convex admissible set.
+    The feedback law's saturation on every column; for the Euclidean norm
+    this is the exact metric projection onto the closed convex admissible set.
     """
-    u = np.asarray(u, dtype=float)
-    if sat.unconstrained:
-        return u.copy()
-
-    def col_norms(a):
-        if sat.norm == "euclidean":
-            return np.sqrt(np.sum(a * a, axis=0))
-        return np.max(np.abs(a), axis=0) if a.size else np.zeros(a.shape[1])
-
-    norms = col_norms(u)
-    scale = np.ones_like(norms)
-    over = norms > sat.bound
-    scale[over] = sat.bound / norms[over]
-    out = u * scale
-    # nudge away one-ulp overshoots so projecting twice is bitwise stable
-    norms = col_norms(out)
-    for _ in range(NUDGE_PASSES):
-        over = norms > sat.bound
-        if not np.any(over):
-            return out
-        scale = np.ones_like(norms)
-        scale[over] = sat.bound / norms[over]
-        out = out * scale
-        norms = col_norms(out)
-    if np.any(norms > sat.bound):
-        raise FloatingPointError(f"rescaled column norms still exceed the bound {sat.bound!r} "
-                                 f"after {NUDGE_PASSES} passes")
-    return out
+    return _radial_columns(np.asarray(u, dtype=float), sat)
 
 
 @dataclass

@@ -146,6 +146,24 @@ class TestRunScenario:
         assert sum(int(r[2]) for r in rows) == art.summary["rhc_iterations_total"]
         assert all(int(r[3]) >= 1 and r[5] in ("True", "False") and r[6] for r in rows)
 
+    def test_rhc_warm_start_uses_the_configured_gain(self, tmp_path, monkeypatch):
+        from schloegl import rhc
+
+        gains = []
+        original = rhc.saturated_control_on_window
+
+        def recording(prob, gain):
+            gains.append(gain)
+            return original(prob, gain)
+
+        monkeypatch.setattr(rhc, "saturated_control_on_window", recording)
+        cfg = parse_config("[mesh]\nnx = 6\nny = 6\n[time]\ndt = 0.01\nt_final = 0.2\n"
+                           + "[run]\ncontroller = rhc\n[rhc]\nt = 0.2\ndelta = 0.1\ntol = 1e-3\n"
+                           + "[initial]\nyhat0 = constant:2\ny0 = constant:1\n[feedback]\nlambda = 50\ncu = e^2\n")
+        art = run_scenario(cfg, tmp_path / "run")
+        assert art.summary["status"] == "completed"
+        assert gains == [50.0]
+
     def test_free_run_applies_no_control(self, tmp_path, monkeypatch):
         # controller none runs the plant loop without a control policy and
         # reproduces the zero-gain, zero-bound feedback loop bit for bit
@@ -244,6 +262,21 @@ class TestCli:
         assert out.returncode == 0, out.stderr
         assert "nodes = 289" in out.stdout  # 17*17 coarse preset
         assert (tmp_path / "o" / "series.csv").exists()
+
+    def test_threads_only_on_multi_run_commands(self, tmp_path, capsys):
+        from schloegl.cli import build_parser, main
+
+        for command in ("simulate-free", "simulate-feedback", "run-rhc"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "o"),
+                      "--threads", "2"])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert build_parser().parse_args(["table1", "--out", "t", "--threads", "3"]).threads == 3
+        assert build_parser().parse_args(["table1", "--out", "t"]).threads == 1
+        sweep = build_parser().parse_args(["sweep", "--axis", "cu", "--values", "1", "--out", "s", "--threads", "2"])
+        assert sweep.threads == 2
+        assert not (tmp_path / "o").exists()
 
     def test_constants_report(self):
         out = self.run_cli("constants", "--mu", "0.1")

@@ -1,6 +1,7 @@
 """Saturation, the box-average feedback law, and closed-loop tracking."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from schloegl import (
     control_norm,
     discretize_actuators,
     feedback_dissipation,
+    project_admissible,
     project_onto_actuator_span,
     projection_norm_sq,
     radial_project,
@@ -67,12 +69,15 @@ class TestRadialProjection:
                         assert control_norm(out, norm) <= bound
                         assert np.array_equal(radial_project(out, sat), out)
 
-    def test_unsettled_norm_raises_instead_of_spinning(self):
-        # squares of the rescaled entry underflow, so the computed norm
-        # never drops to the bound; the nudge passes are capped
+    def test_underflowing_squares_settle_on_the_sphere(self):
+        # the squares of the rescaled entry underflow; the scaled norm
+        # still settles, so the result is nonzero, feasible and idempotent
         sat = SaturationConfig(bound=1.8193942323567405e-161)
-        with pytest.raises(FloatingPointError):
-            radial_project(np.array([6.643061751921988e40]), sat)
+        out = radial_project(np.array([6.643061751921988e40]), sat)
+        assert out[0] > 0.0
+        assert control_norm(out) <= sat.bound
+        assert control_norm(out) == pytest.approx(sat.bound, rel=1e-15)
+        assert np.array_equal(radial_project(out, sat), out)
 
     def test_max_norm(self):
         out = radial_project(np.array([2.0, -4.0]), SaturationConfig(bound=2.0, norm="max"))
@@ -83,6 +88,76 @@ class TestRadialProjection:
             SaturationConfig(bound=-1.0)
         with pytest.raises(ValueError):
             SaturationConfig(norm="l1")
+
+
+EXTREME_BOUNDS = (5e-324, 1.8193942323567405e-161, 1e308)
+
+
+class TestOneSaturationOperator:
+    """The feedback law's sat and the RHC admissible set are one projection."""
+
+    def test_vector_is_the_one_column_case_bitwise(self, rng):
+        vectors = [rng.normal(size=rng.integers(1, 12)) * 10.0 ** float(rng.integers(-8, 9))
+                   for _ in range(400)]
+        vectors += [np.array([1e308, -1.7e308, 9e307]), np.array([6.643061751921988e40]),
+                    np.array([1e200, 1e200]), np.array([1e-200, -3e-170]), np.array([5e-324, 0.0]),
+                    np.zeros(3), np.array([3.0, 4.0])]
+        bounds = EXTREME_BOUNDS + (0.0, 1.0, 5.0, 2.5e-3, 7.3e4)
+        for norm in ("euclidean", "max"):
+            for v in vectors:
+                for bound in bounds + (float(abs(rng.normal())) * 5,):
+                    sat = SaturationConfig(bound=bound, norm=norm)
+                    single = radial_project(v, sat)
+                    column = project_admissible(v[:, None], sat)[:, 0]
+                    assert np.array_equal(single, column), (norm, bound, v)
+                    assert np.array_equal(np.signbit(single), np.signbit(column))
+                    assert control_norm(single, norm) == control_norm(column, norm)
+
+    def test_huge_entries_land_on_the_sphere(self):
+        sat = SaturationConfig(bound=2.0)
+        for v in (np.array([1e200, 1e200]), np.array([1.7e308, 1.7e308])):
+            for out in (radial_project(v, sat), project_admissible(np.stack([v, v], axis=1), sat)[:, 1]):
+                assert out[0] == out[1] > 0.0
+                assert abs(control_norm(out) - 2.0) <= 4 * np.spacing(2.0)
+                assert control_norm(out) <= 2.0
+
+    def test_tiny_entries_land_on_the_sphere(self):
+        v = np.array([3e-170, -4e-170])
+        sat = SaturationConfig(bound=1e-170)
+        out = radial_project(v, sat)
+        assert out[0] > 0.0 > out[1]
+        assert abs(control_norm(out) - 1e-170) <= 4 * np.spacing(1e-170)
+        assert control_norm(v) == pytest.approx(5e-170, rel=1e-15)
+
+    def test_non_finite_entry_gives_an_all_nan_column(self):
+        bad = (np.array([math.inf, 1.0]), np.array([-math.inf, math.inf]), np.array([math.nan, 1.0]),
+               np.array([math.inf, math.nan]), np.array([1.0, math.nan]))
+        for norm in ("euclidean", "max"):
+            for bound in (0.0, 2.0, 1e308):
+                sat = SaturationConfig(bound=bound, norm=norm)
+                for v in bad:
+                    assert np.all(np.isnan(radial_project(v, sat))), (norm, bound, v)
+                u = np.stack([np.array([3.0, 4.0]) * 1e-3, *bad], axis=1)
+                out = project_admissible(u, sat)
+                assert np.all(np.isnan(out[:, 1:]))
+                assert np.array_equal(out[:, 0], radial_project(u[:, 0], sat))
+            # no bound: the identity, non-finite entries included
+            v = np.array([math.inf, math.nan])
+            assert radial_project(v, SaturationConfig(norm=norm)) is v
+
+    def test_no_floating_point_warning_escapes(self):
+        vectors = (np.array([1e200, 1e200]), np.array([1.7e308, -1.7e308]), np.array([5e-324, 1e-320]),
+                   np.array([math.inf, 1.0]), np.array([math.nan, -math.inf]), np.array([1e-160, 0.0]),
+                   np.array([6.643061751921988e40]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for norm in ("euclidean", "max"):
+                for bound in EXTREME_BOUNDS + (0.0, 2.0):
+                    sat = SaturationConfig(bound=bound, norm=norm)
+                    for v in vectors:
+                        control_norm(v, norm)
+                        radial_project(v, sat)
+                    project_admissible(np.stack([np.resize(v, 2) for v in vectors], axis=1), sat)
 
 
 class TestSaturatedFeedback:

@@ -18,6 +18,7 @@ from schloegl import (
     bb_projected_gradient,
     build_actuator_grid,
     build_fem,
+    control_norm,
     cubic_reaction,
     discretize_actuators,
     evaluate_cost,
@@ -173,17 +174,17 @@ class TestProjectAdmissible:
                 sat = SaturationConfig(bound=bound, norm=norm)
                 with np.errstate(over="ignore"):
                     once = project_admissible(u, sat)
-                    if norm == "euclidean":
-                        norms = np.sqrt(np.sum(once * once, axis=0))
-                    else:
-                        norms = np.max(np.abs(once), axis=0)
                     assert np.array_equal(project_admissible(once, sat), once)
-                assert np.all(norms <= bound)
+                assert all(control_norm(col, norm) <= bound for col in once.T)
 
-    def test_unsettled_norm_raises_instead_of_spinning(self):
+    def test_underflowing_squares_settle_on_the_sphere(self):
         u = np.array([[6.643061751921988e40, 1.0]])
-        with pytest.raises(FloatingPointError):
-            project_admissible(u, SaturationConfig(bound=1.8193942323567405e-161))
+        sat = SaturationConfig(bound=1.8193942323567405e-161)
+        once = project_admissible(u, sat)
+        assert np.all(once > 0.0)
+        assert all(control_norm(col) <= sat.bound for col in once.T)
+        assert all(control_norm(col) == pytest.approx(sat.bound, rel=1e-15) for col in once.T)
+        assert np.array_equal(project_admissible(once, sat), once)
 
 
 class TestBBSolver:
