@@ -47,7 +47,6 @@ from .dynamics import (
 from .feedback import (
     FeedbackLaw,
     SaturationConfig,
-    closed_loop_simulate,
     control_norm,
     feedback_dissipation,
     radial_project,

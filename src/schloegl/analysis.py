@@ -32,7 +32,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .actuators import ActuatorGrid, CouplingMatrix, control_operator_inverse_norm
-from .dynamics import _BandedCholesky
+from .dynamics import SchloeglParams, _BandedCholesky
 from .geometry import FemOperators
 
 __all__ = [
@@ -47,6 +47,8 @@ __all__ = [
 
 NORM_FLOOR = 1e-14
 FIT_FLOOR = 1e-12
+MARGIN_TOL = 1e-8  # relative pencil residual accepted by stabilizability_margin
+TOY_DT = 1e-4  # RK4 step of ode_toy_simulate
 
 
 @dataclass(frozen=True)
@@ -73,10 +75,7 @@ def compute_theory_constants(mu: float, roots: tuple[float, float, float], area:
     """Evaluate all closed-form constants for rate mu on a domain of given area."""
     if not mu > 0:
         raise ValueError(f"decay rate must be positive, got {mu}")
-    z1, z2, z3 = roots
-    s2 = z1 + z2 + z3
-    s1 = -(z1 * z2 + z1 * z3 + z2 * z3)
-    s0 = z1 * z2 * z3
+    s2, s1, s0 = SchloeglParams(roots=roots).elementary_sums
     quad_max = (50.0 / 11.0) * s2 * s2 - 2.0 * s1
     growth = (128.0 / 15.0) * s2 * s2 + quad_max + 2.0
     inv_area = 1.0 / area
@@ -111,7 +110,7 @@ class MarginReport:
 
 
 def stabilizability_margin(gain: float, coupling: CouplingMatrix, fe: FemOperators,
-                           required_margin: float = 0.0, tol: float = 1e-8) -> MarginReport:
+                           required_margin: float = 0.0) -> MarginReport:
     """Smallest theta with (K + M + 2 gain B G^-1 B^T) w = theta M w.
 
     With A = K + M (banded Cholesky, once per call) and C = 2 gain G^-1,
@@ -124,7 +123,8 @@ def stabilizability_margin(gain: float, coupling: CouplingMatrix, fe: FemOperato
     a fixed pseudo-random vector.  theta >= 1 always (V-norm dominates
     the L2 norm); gain = 0 gives exactly 1 with the constant eigenvector.
     Raises on Lanczos nonconvergence or if the pencil residual, with the
-    pencil applied in factored form, exceeds the tolerance.
+    pencil applied in factored form, exceeds ``MARGIN_TOL`` relative to
+    max(1, theta).
     """
     if gain < 0:
         raise ValueError(f"gain must be >= 0, got {gain}")
@@ -151,15 +151,15 @@ def stabilizability_margin(gain: float, coupling: CouplingMatrix, fe: FemOperato
     op_inv = LinearOperator((n, n), matvec=solve_pencil, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        vals, vecs = eigsh(pencil, k=1, M=mass, sigma=0.0, which="LM", v0=v0, tol=tol * 1e-2,
+        vals, vecs = eigsh(pencil, k=1, M=mass, sigma=0.0, which="LM", v0=v0, tol=MARGIN_TOL * 1e-2,
                            OPinv=op_inv)
     except ArpackNoConvergence as exc:
         raise RuntimeError(f"shift-invert Lanczos did not converge: {exc}") from exc
     theta = float(vals[0])
     w = vecs[:, 0]
     resid = np.linalg.norm(apply_pencil(w) - theta * (mass @ w)) / np.linalg.norm(w)
-    if resid > tol * max(1.0, abs(theta)):
-        raise RuntimeError(f"pencil residual {resid:.3e} exceeds tolerance {tol:.1e}")
+    if resid > MARGIN_TOL * max(1.0, abs(theta)):
+        raise RuntimeError(f"pencil residual {resid:.3e} exceeds tolerance {MARGIN_TOL:.1e}")
     return MarginReport(
         m=coupling.grid.m,
         gain=gain,
@@ -233,8 +233,8 @@ def check_gen_poly(beta0: float, beta1: float, beta2: float, p: float, kappa: fl
 
 
 def ode_toy_simulate(r: float, bound: float, mu: float, z0: float, horizon: float,
-                     law: str = "feedback", dt: float = 1e-4) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar toy  dz/dt + r z = u  with clamped linear feedback, by RK4.
+                     law: str = "feedback") -> tuple[np.ndarray, np.ndarray]:
+    """Scalar toy  dz/dt + r z = u  with clamped linear feedback, by RK4 with step ``TOY_DT``.
 
     The feedback u = clamp((r - mu) z, +-bound) yields the closed loop
     dz/dt = -mu z while the clamp is inactive, i.e. z(t)^2 =
@@ -254,6 +254,7 @@ def ode_toy_simulate(r: float, bound: float, mu: float, z0: float, horizon: floa
             u = min(max(gain * z, -bound), bound)
         return -r * z + u
 
+    dt = TOY_DT
     n = int(round(horizon / dt))
     times = np.arange(n + 1) * dt
     out = np.empty(n + 1)

@@ -257,6 +257,8 @@ class CrankNicolsonAB2:
     def __init__(self, fe: FemOperators, params: SchloeglParams, dt: float):
         if not dt > 0:
             raise ValueError(f"time step must be positive, got {dt}")
+        if params.nu != fe.nu:  # the stiffness carries fe.nu; params.nu is never read
+            raise ValueError(f"params.nu = {params.nu!r} differs from the operators' nu = {fe.nu!r}")
         self.fe = fe
         self.params = params
         self.dt = dt
@@ -390,14 +392,6 @@ def _n_steps_for(horizon: float, dt: float) -> int:
     return n
 
 
-def _check_target_record(record: TrajectoryRecord, dt: float) -> None:
-    """Refuse a target record on another time grid or without every level stored."""
-    if abs(record.times[1] - record.times[0] - dt) > 1e-12:
-        raise ValueError("target time grid does not match the integrator step size")
-    if len(record.state_levels) != record.n_steps + 1:
-        raise ValueError("target record must store every time level (state_stride=1)")
-
-
 class _TargetSource:
     """Target states by time level: rows of a stored record, or a rolling co-simulation.
 
@@ -414,13 +408,23 @@ class _TargetSource:
         self._load = load
 
     @classmethod
-    def of(cls, target, stepper: CrankNicolsonAB2, load: ForcingLoad) -> "_TargetSource":
-        """A full-state :class:`TrajectoryRecord` on the stepper's grid, or the free run from the state ``target``."""
-        if isinstance(target, TrajectoryRecord):
-            _check_target_record(target, stepper.dt)
-            return cls(target.states)
-        cursor = _Cursor(stepper, target)
-        return cls(cursor.y[None], cursor, load)
+    def of(cls, target, stepper: CrankNicolsonAB2, load: ForcingLoad, n_steps: int) -> "_TargetSource":
+        """The free run from the state ``target``, or a full-state :class:`TrajectoryRecord`.
+
+        A record is refused unless it is on the stepper's grid, stores every
+        level and covers the ``n_steps`` steps the run needs.
+        """
+        if not isinstance(target, TrajectoryRecord):
+            cursor = _Cursor(stepper, target)
+            return cls(cursor.y[None], cursor, load)
+        if abs(target.times[1] - target.times[0] - stepper.dt) > 1e-12:
+            raise ValueError(f"target record time grid step {target.times[1] - target.times[0]!r} "
+                             f"does not match the integrator step size {stepper.dt!r}")
+        if len(target.state_levels) != target.n_steps + 1:
+            raise ValueError("target record must store every time level (state_stride=1)")
+        if target.n_steps < n_steps:
+            raise ValueError(f"target record covers {target.n_steps} steps, the run needs {n_steps}")
+        return cls(target.states)
 
     def window(self, n0: int, n_steps: int) -> np.ndarray:
         if n0 < self._base:
@@ -486,7 +490,7 @@ def _simulate(y0: np.ndarray, n_steps: int, fe: FemOperators, params: SchloeglPa
     stepper = CrankNicolsonAB2(fe, params, cfg.dt)
     load = ForcingLoad(forcing or ForcingSpec.zero(), fe)
     if target is not None:
-        target = _TargetSource.of(target, stepper, load)
+        target = _TargetSource.of(target, stepper, load, n_steps)
     b, count = (None, None) if coupling is None else (coupling.b, coupling.count)
     rec = _Recorder(fe, n_steps, cfg.dt, cfg.state_stride, beta, count, track_error=target is not None)
     _run_plant(_Cursor(stepper, y0), n_steps, lambda n: load(n * cfg.dt), b, control, target, rec)

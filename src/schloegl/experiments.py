@@ -277,8 +277,9 @@ def _write_windows_csv(path: Path, reports: list, times: np.ndarray):
     n_delta = (len(times) - 1) // len(reports)
     with open(path, "w") as fh:
         fh.write("window,t0,iterations,evaluations,cost,converged,stop_reason\n")
-        for w, (iters, cost, converged, evals, reason) in enumerate(reports):
-            fh.write(",".join(_fmt(v) for v in (w, times[w * n_delta], iters, evals, cost, converged, reason)) + "\n")
+        for w, r in enumerate(reports):
+            row = (w, times[w * n_delta], r.iterations, r.n_evaluations, r.cost, r.converged, r.message)
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _write_summary(path: Path, summary: dict):
@@ -366,11 +367,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunArtifact:
         summary["mu_fit_note"] = str(exc)
     if rhc_result is not None:
         _write_windows_csv(out / "windows.csv", rhc_result.window_reports, record.times)
-        iters = [r[0] for r in rhc_result.window_reports]
+        iters = [r.iterations for r in rhc_result.window_reports]
         summary["rhc_windows"] = len(iters)
         summary["rhc_iterations_total"] = int(sum(iters))
         summary["rhc_iterations_max"] = int(max(iters))
-        summary["rhc_converged_all"] = rhc_result.converged_all
+        summary["rhc_converged_all"] = all(r.converged for r in rhc_result.window_reports)
     summary["wall_time_s"] = time.perf_counter() - wall0
     _write_summary(out / "summary.txt", summary)
     return RunArtifact(directory=out, summary=summary, series_csv=series, record=record)
@@ -386,7 +387,7 @@ def _map(fn, payloads: list, workers: int) -> list:
 
 def _table1_cell(payload: dict) -> dict:
     """One Table-1 cell: saturated feedback and RHC costs (worker-safe)."""
-    base = ScenarioConfig(**payload["base"])
+    base = payload["base"]
     cu_tag, t_inf, beta = payload["cu_tag"], payload["t_inf"], payload["beta"]
     out = {"cu": cu_tag, "t_inf": t_inf, "beta": beta}
     for kind, controller in (("satcon", "saturated"), ("rhc", "rhc")):
@@ -414,9 +415,8 @@ def run_table1(out_dir: str | Path, base: ScenarioConfig | None = None,
     out.mkdir(parents=True, exist_ok=True)
     if base is None:
         base = ScenarioConfig(yhat0="constant:2", y0="constant:-1", forcing="periodic")
-    base_fields = {k: v for k, v in base.__dict__.items() if k not in ("provenance", "source_text")}
     payloads = [
-        {"base": base_fields, "cu_tag": cu_tag, "t_inf": t_inf, "beta": beta, "out_dir": str(out)}
+        {"base": base, "cu_tag": cu_tag, "t_inf": t_inf, "beta": beta, "out_dir": str(out)}
         for beta in betas
         for (cu_tag, t_inf) in cells
     ]
@@ -473,8 +473,7 @@ def run_sweep(axis: str, values: list, base: ScenarioConfig, out_dir: str | Path
             if m * m != int(v):
                 raise ValueError(f"actuator count {v} is not a perfect square")
             cfg = replace(cfg, m=m)
-        payloads.append({"cfg": {k: w for k, w in cfg.__dict__.items() if k not in ("provenance", "source_text")},
-                         "value": str(v), "out_dir": str(out / f"{axis}_{str(v).replace('^', '')}")})
+        payloads.append({"cfg": cfg, "value": str(v), "out_dir": str(out / f"{axis}_{str(v).replace('^', '')}")})
     rows = _map(_sweep_one, payloads, workers)
     with open(out / f"sweep_{axis}.csv", "w") as fh:
         fh.write("value,mu_est,final_err_l2,status\n")
@@ -484,9 +483,8 @@ def run_sweep(axis: str, values: list, base: ScenarioConfig, out_dir: str | Path
 
 
 def _sweep_one(payload: dict) -> dict:
-    cfg = ScenarioConfig(**payload["cfg"])
     try:
-        art = run_scenario(cfg, payload["out_dir"])
+        art = run_scenario(payload["cfg"], payload["out_dir"])
         return {
             "value": payload["value"],
             "mu_est": art.summary.get("mu_est", math.nan),

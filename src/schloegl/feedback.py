@@ -7,10 +7,11 @@ of radius ``bound`` whenever the amplitude norm exceeds it.  The same
 sat is the per-step projection of ``rhc.project_admissible``; its norm
 is overflow-safe, and a non-finite input comes out all NaN.  The control
 enters the plant lagged (evaluated at the step start), matching the
-Adams-Bashforth treatment of the non-diffusive terms.  Closed-loop runs
-drive the plant loop of :mod:`.dynamics` with this law as its control
-policy, against the shared target source (lockstep co-simulation or a
-stored record); plant and target share one stepper.
+Adams-Bashforth treatment of the non-diffusive terms.  The closed-loop
+run :func:`track_target` drives the plant loop of :mod:`.dynamics` with
+this law as its control policy against one ``target`` argument: an
+initial state, whose free run is co-simulated in lockstep, or a stored
+full-state record; plant and target share one stepper.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "saturated_feedback",
     "feedback_dissipation",
     "track_target",
-    "closed_loop_simulate",
 ]
 
 NUDGE_PASSES = 8  # cap on the feasibility nudges after a radial rescale
@@ -158,28 +158,17 @@ def _feedback_control(law: FeedbackLaw, coupling: CouplingMatrix):
     return control
 
 
-def track_target(y0: np.ndarray, target_y0: np.ndarray, law: FeedbackLaw, coupling: CouplingMatrix,
+def track_target(y0: np.ndarray, target, law: FeedbackLaw, coupling: CouplingMatrix,
                  fe: FemOperators, params: SchloeglParams, forcing: ForcingSpec | None = None,
                  cfg: IntegratorConfig | None = None, horizon: float = 1.0) -> TrajectoryRecord:
-    """Closed-loop run against the free trajectory started from target_y0.
+    """Closed-loop run over [0, horizon] against ``target``.
 
-    Target and plant advance in lockstep on the same grid; memory use is
-    independent of the horizon.
+    ``target`` is either the target initial state, whose free trajectory
+    advances in lockstep with the plant (memory use independent of the
+    horizon), or a full-state :class:`TrajectoryRecord` on the same time
+    grid with every level stored (state_stride 1) covering the horizon;
+    any other record is refused before the first step.
     """
     cfg = cfg or IntegratorConfig()
     return _simulate(y0, _n_steps_for(horizon, cfg.dt), fe, params, forcing, cfg, cfg.cost_beta,
-                     target_y0, coupling, _feedback_control(law, coupling))
-
-
-def closed_loop_simulate(y0: np.ndarray, target: TrajectoryRecord, law: FeedbackLaw,
-                         coupling: CouplingMatrix, fe: FemOperators, params: SchloeglParams,
-                         forcing: ForcingSpec | None = None,
-                         cfg: IntegratorConfig | None = None) -> TrajectoryRecord:
-    """Closed-loop run against a precomputed target trajectory.
-
-    The target record must cover the horizon on the identical time grid
-    with every level stored (state_stride 1); interpolation is refused.
-    """
-    cfg = cfg or IntegratorConfig()
-    return _simulate(y0, target.n_steps, fe, params, forcing, cfg, cfg.cost_beta,
                      target, coupling, _feedback_control(law, coupling))

@@ -83,18 +83,11 @@ def build_mesh(nx: int, ny: int, domain: RectangleDomain | None = None) -> Struc
     xg, yg = np.meshgrid(xs, ys)
     nodes = np.column_stack([xg.ravel(), yg.ravel()])
 
-    tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    k = 0
-    for j in range(ny):
-        base = j * (nx + 1)
-        for i in range(nx):
-            n00 = base + i
-            n10 = n00 + 1
-            n01 = n00 + (nx + 1)
-            n11 = n01 + 1
-            tris[k] = (n00, n10, n11)
-            tris[k + 1] = (n00, n11, n01)
-            k += 2
+    # lower-left node of each cell, row-major; its two triangles follow each other
+    n00 = (np.arange(ny, dtype=np.int64)[:, None] * (nx + 1) + np.arange(nx, dtype=np.int64)).ravel()
+    n10, n01 = n00 + 1, n00 + (nx + 1)
+    n11 = n01 + 1
+    tris = np.column_stack([n00, n10, n11, n00, n11, n01]).reshape(-1, 3)
     return StructuredTriangulation(nodes=nodes, triangles=tris, nx=nx, ny=ny, domain=domain)
 
 

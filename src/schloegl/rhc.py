@@ -15,7 +15,9 @@ Forward windows, the warm start, the receding-horizon plant and the
 replay all run the plant loop of :mod:`.dynamics` against its target
 source, with one stepper per run.  Windows after the first continue the
 AB2 history of the plant, so the concatenated receding-horizon
-trajectory re-simulates bitwise from the logged control.
+trajectory re-simulates bitwise from the logged control.  A run returns
+its plant record, whose ``controls`` rows are the applied amplitudes, and
+the :class:`OptimizeResult` of every window.
 """
 
 from __future__ import annotations
@@ -61,11 +63,20 @@ __all__ = [
     "run_rhc",
 ]
 
+# Line search of bb_projected_gradient: costs remembered by the nonmonotone
+# reference, sufficient-decrease slope, step shrink factor per rejected
+# trial, and the range a BB step must fall in (else the first step is reused).
+NONMONOTONE_MEMORY = 10
+ARMIJO_SLOPE = 1e-4
+BACKTRACK_FACTOR = 0.5
+BB_STEP_BOUNDS = (1e-8, 1e8)
+
 
 @dataclass
 class OcpProblem:
     """One tracking window: initial data, target slice, weights, solver grid.
 
+    The operators and reaction parameters are those of ``stepper``.
     ``y_prev`` carries the AB2 history level (state one step before the
     window start); ``None`` means the window opens with the startup step.
     ``target`` holds the target states at every window level,
@@ -73,8 +84,6 @@ class OcpProblem:
     (or None) per step, already paired with the mass matrix.
     """
 
-    fe: FemOperators
-    params: SchloeglParams
     coupling: CouplingMatrix
     stepper: CrankNicolsonAB2
     y0: np.ndarray
@@ -117,7 +126,7 @@ def evaluate_cost(u: np.ndarray, prob: OcpProblem) -> tuple[float, np.ndarray]:
     _run_plant(_Cursor(prob.stepper, prob.y0, prob.y_prev, prob.t0), prob.n_steps,
                prob.forcing_loads.__getitem__, prob.coupling.b, lambda k, z: u[:, k], states=states)
     z = states - prob.target
-    mz = (prob.fe.mass @ z.T).T
+    mz = (prob.stepper.fe.mass @ z.T).T
     err_sq = np.einsum("ij,ij->i", z, mz)
     j_state = float(prob.trapezoid_weights() @ err_sq)
     j_ctrl = prob.beta * prob.dt * float(np.sum(u * u))
@@ -133,18 +142,18 @@ def solve_adjoint(states: np.ndarray, prob: OcpProblem) -> np.ndarray:
     window opened with the startup step.
     """
     n = prob.n_steps
-    mass = prob.fe.mass
+    stepper = prob.stepper
+    mass = stepper.fe.mass
     tau = prob.trapezoid_weights()
     z = states - prob.target
     p = np.empty((n, states.shape[1]))
     startup = prob.y_prev is None
-    stepper = prob.stepper
 
     mp_ahead = None  # mass @ p[m+1], carried between backward steps
     for m in range(n, 0, -1):
         rhs = 2.0 * tau[m] * (mass @ z[m])
         if m <= n - 1:
-            fprime = cubic_reaction_derivative(states[m], prob.params)
+            fprime = cubic_reaction_derivative(states[m], stepper.params)
             mp = mass @ p[m]
             rhs += stepper.apply_cn_explicit(p[m]) - 1.5 * fprime * mp
             if m <= n - 2:
@@ -173,6 +182,9 @@ def project_admissible(u: np.ndarray, sat: SaturationConfig) -> np.ndarray:
 
 @dataclass
 class OptimizeResult:
+    """How one window's optimizer ended: best iterate and its cost, iterations, forward
+    evaluations and the stop message; one per window in :attr:`RhcResult.window_reports`."""
+
     u: np.ndarray
     cost: float
     iterations: int
@@ -182,15 +194,14 @@ class OptimizeResult:
 
 
 def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-4,
-                          j_max: int = 500, memory: int = 10, armijo: float = 1e-4,
-                          backtrack: float = 0.5, alpha_bounds: tuple = (1e-8, 1e8)) -> OptimizeResult:
+                          j_max: int = 500) -> OptimizeResult:
     """Projected gradient with BB1 steps and nonmonotone Armijo line search.
 
     Stops when the L2-in-time norm of the iterate difference drops below
     ``tol`` or the iteration cap is reached (then the best iterate is
     returned with ``converged=False``).
     """
-    a_min, a_max = alpha_bounds
+    a_min, a_max = BB_STEP_BOUNDS
     u = project_admissible(u_init, prob.saturation)
     cost, states = evaluate_cost(u, prob)
     grad = reduced_gradient(u, states, solve_adjoint(states, prob), prob)
@@ -198,7 +209,7 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
     g_scale = float(np.max(np.abs(grad)))
     alpha0 = min(max(1.0 / g_scale if g_scale > 0 else 1.0, a_min), a_max)
     alpha = alpha0
-    history = deque([cost], maxlen=memory)
+    history = deque([cost], maxlen=NONMONOTONE_MEMORY)
     best_u, best_cost = u, cost
     sqrt_dt = math.sqrt(prob.dt)
 
@@ -216,9 +227,9 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
                 cost_new, states_new = evaluate_cost(u_new, prob)
             except BlowUpError:
                 cost_new = math.inf  # rejected: backtrack towards the finite iterate
-            if cost_new <= ref + armijo * float(np.sum(grad * d)):
+            if cost_new <= ref + ARMIJO_SLOPE * float(np.sum(grad * d)):
                 break
-            step *= backtrack
+            step *= BACKTRACK_FACTOR
         else:
             return OptimizeResult(best_u, best_cost, it, False, evals, "line search failed")
 
@@ -282,11 +293,8 @@ class RhcConfig:
 
 @dataclass
 class RhcResult:
-    controls: np.ndarray          # (count, n_total) concatenated first-interval controls
-    record: TrajectoryRecord      # plant trajectory diagnostics
-    total_cost: float
-    window_reports: list          # (iterations, cost, converged, evaluations, stop reason) per window
-    converged_all: bool
+    record: TrajectoryRecord      # plant trajectory; record.controls[n] is the amplitude of step n
+    window_reports: list          # the OptimizeResult of each window, in order
 
 
 def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, coupling: CouplingMatrix, fe: FemOperators,
@@ -297,7 +305,7 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, coupling: CouplingMatrix, fe
 
     ``target`` is either the target initial state (rolling co-simulation)
     or a full-state :class:`TrajectoryRecord` covering t_final - delta +
-    horizon, which is checked before the first window.
+    horizon, which is checked before the first step.
     The first window starts from the saturated feedback control with the
     configured warm-start gain; later windows shift the previous optimum
     and pad the tail with its last column.
@@ -314,10 +322,7 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, coupling: CouplingMatrix, fe
 
     stepper = CrankNicolsonAB2(fe, params, dt)
     fload = ForcingLoad(forcing or ForcingSpec.zero(), fe)
-    source = _TargetSource.of(target, stepper, fload)
-    if isinstance(target, TrajectoryRecord) and target.n_steps < n_total - n_delta + n_horizon:
-        raise ValueError(f"target record covers {target.n_steps} steps, the last window "
-                         f"needs {n_total - n_delta + n_horizon}")
+    source = _TargetSource.of(target, stepper, fload, n_total - n_delta + n_horizon)
     plant = _Cursor(stepper, y0)
     rec = _Recorder(fe, n_total, dt, integ.state_stride, cfg.beta, coupling.count, track_error=True)
     reports = []
@@ -326,7 +331,7 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, coupling: CouplingMatrix, fe
     for w in range(n_windows):
         n0 = w * n_delta
         prob = OcpProblem(
-            fe=fe, params=params, coupling=coupling, stepper=stepper,
+            coupling=coupling, stepper=stepper,
             y0=plant.y, y_prev=plant.y_prev, target=source.window(n0, n_horizon), beta=cfg.beta,
             saturation=saturation, t0=n0 * dt,
             forcing_loads=[fload((n0 + k) * dt) for k in range(n_horizon)],
@@ -338,31 +343,26 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, coupling: CouplingMatrix, fe
             u_init[:, : n_horizon - n_delta] = warm[:, n_delta:]
             u_init[:, n_horizon - n_delta:] = warm[:, -1:]
         res = bb_projected_gradient(prob, u_init, tol=cfg.tol, j_max=cfg.j_max)
-        reports.append((res.iterations, res.cost, res.converged, res.n_evaluations, res.message))
+        reports.append(res)
         warm = res.u
         _run_plant(plant, n_delta, prob.forcing_loads.__getitem__, coupling.b,
                    lambda k, z: warm[:, k], source, rec)
 
-    record = rec.finish()
-    return RhcResult(
-        controls=record.controls.T.copy(),
-        record=record,
-        total_cost=float(record.running_cost[-1]),
-        window_reports=reports,
-        converged_all=all(r[2] for r in reports),
-    )
+    return RhcResult(record=rec.finish(), window_reports=reports)
 
 
 def simulate_controlled(y0: np.ndarray, controls: np.ndarray, coupling: CouplingMatrix,
                         fe: FemOperators, params: SchloeglParams,
                         forcing: ForcingSpec | None = None, integ: IntegratorConfig | None = None,
-                        target_y0: np.ndarray | None = None, beta: float = 0.0) -> TrajectoryRecord:
+                        target_y0=None, beta: float = 0.0) -> TrajectoryRecord:
     """Open-loop replay of a logged control sequence (one column per step).
 
-    With ``target_y0`` given, the target free dynamics is co-simulated so
-    error norms and the running cost are logged; plant loop and target
-    source are those of the receding-horizon plant, so replaying the
-    logged receding-horizon control reproduces its trajectory bitwise.
+    With ``target_y0`` given, error norms and the running cost are logged
+    against it: a target initial state, whose free dynamics is
+    co-simulated, or a full-state :class:`TrajectoryRecord` covering the
+    replay on the same grid.  Plant loop and target source are those of
+    the receding-horizon plant, so replaying the logged receding-horizon
+    control reproduces its trajectory bitwise.
     """
     integ = integ or IntegratorConfig()
     controls = np.asarray(controls, dtype=float)

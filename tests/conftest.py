@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from schloegl import (
+    CrankNicolsonAB2,
     SchloeglParams,
     build_actuator_grid,
     build_fem,
@@ -28,3 +29,14 @@ def coupling16(fe16):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def stepper_calls(monkeypatch):
+    """A list that grows by one on every startup or AB2 step of any stepper."""
+    calls = []
+    for name in ("startup_step", "ab2_step"):
+        original = getattr(CrankNicolsonAB2, name)
+        monkeypatch.setattr(CrankNicolsonAB2, name,
+                            lambda self, *a, _f=original: calls.append(1) or _f(self, *a))
+    return calls

@@ -140,7 +140,7 @@ def test_criterion_2_gradient_check():
             tp, tc = tc, tn
             tgt[k + 1] = tc
         y0 = fe.mesh.interpolate(lambda x, y: 0.5 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
-        prob = OcpProblem(fe=fe, params=params, coupling=cm, stepper=stepper, y0=y0,
+        prob = OcpProblem(coupling=cm, stepper=stepper, y0=y0,
                           y_prev=None, target=tgt, beta=beta, saturation=SaturationConfig())
         u = 0.5 * rng.normal(size=(cm.count, n_steps))
         _, states = evaluate_cost(u, prob)

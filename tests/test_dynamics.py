@@ -206,6 +206,12 @@ class TestBandedSolver:
         for a in self.shifted_operators(fe, 1e-3):
             assert (a != a.T).nnz == 0
 
+    def test_mismatched_diffusion_coefficient_refused(self, fe16):
+        # the stiffness carries fe.nu, so a different params.nu would be ignored
+        with pytest.raises(ValueError, match=r"params.nu = 0.2 differs from the operators' nu = 0.1"):
+            CrankNicolsonAB2(fe16, SchloeglParams(nu=0.2), 1e-3)
+        CrankNicolsonAB2(fe16, SchloeglParams(nu=0.1), 1e-3)
+
     def test_not_positive_definite_raises(self):
         indefinite = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
         with pytest.raises(LinAlgError):

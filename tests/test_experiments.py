@@ -1,5 +1,6 @@
 """Configuration parsing, scenario runs, persistence, and the CLI."""
 
+import importlib
 import math
 import subprocess
 import sys
@@ -232,6 +233,27 @@ class TestTable1AndSweep:
         assert [r["status"] for r in rows] == ["completed", "completed"]
         assert (tmp_path / "sweep_lambda.csv").exists()
 
+    def test_process_pool_gives_the_serial_rows(self, tmp_path):
+        # workers receive ScenarioConfig objects; every cell's files and row
+        # must match a serial run
+        base = ScenarioConfig(nx=8, ny=8, dt=0.01, yhat0="constant:2", y0="constant:-1",
+                              forcing="periodic", rhc_horizon=0.3, rhc_delta=0.1, rhc_tol=1e-3)
+        sweep_base = parse_config(COARSE + "[run]\ncontroller = saturated\n"
+                                  + "[initial]\nyhat0 = constant:0\ny0 = constant:1\n")
+        rows = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            rows[workers] = (run_table1(out / "table1", base=base, cells=(("e^2", 0.5),), betas=(1e-3,),
+                                        workers=workers),
+                             run_sweep("lambda", [5.0, 50.0], sweep_base, out / "sweep", workers=workers))
+        assert rows[1] == rows[2]
+        assert all(r["rhc_status"] == r["satcon_status"] == "completed" for r in rows[2][0])
+        assert [r["status"] for r in rows[2][1]] == ["completed", "completed"]
+        for serial in sorted((tmp_path / "w1").rglob("*")):
+            if serial.name in ("series.csv", "windows.csv", "config_snapshot.txt", "table1.csv", "sweep_lambda.csv"):
+                pooled = tmp_path / "w2" / serial.relative_to(tmp_path / "w1")
+                assert pooled.read_bytes() == serial.read_bytes(), serial.name
+
     def test_sweep_validation(self, tmp_path):
         base = parse_config(COARSE)
         with pytest.raises(ValueError):
@@ -301,3 +323,11 @@ class TestCli:
         out = self.run_cli("simulate-free", "--config", str(cfgf), "--out", str(tmp_path / "o"))
         assert out.returncode == 3
         assert "completed-unstable" in out.stdout
+
+
+@pytest.mark.parametrize("module", ["geometry", "actuators", "dynamics", "feedback", "rhc", "analysis",
+                                    "experiments"])
+def test_every_exported_name_resolves(module):
+    # tracing and star imports look up each __all__ entry on the module
+    mod = importlib.import_module(f"schloegl.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []

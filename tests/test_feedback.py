@@ -13,7 +13,6 @@ from schloegl import (
     SchloeglParams,
     build_actuator_grid,
     build_fem,
-    closed_loop_simulate,
     compute_theory_constants,
     control_norm,
     discretize_actuators,
@@ -258,9 +257,11 @@ class TestClosedLoop:
         law = FeedbackLaw(gain=100.0, saturation=SaturationConfig(bound=5.0))
         forcing = ForcingSpec.periodic_indicator()
         cfg = IntegratorConfig(dt=1e-3, state_stride=1)
-        target = simulate_free(yhat0, 0.25, fe16, params, forcing, cfg)
-        a = closed_loop_simulate(y0, target, law, coupling16, fe16, params, forcing, cfg)
+        # a stored record may run past the horizon; only its first levels are read
+        target = simulate_free(yhat0, 0.3, fe16, params, forcing, cfg)
+        a = track_target(y0, target, law, coupling16, fe16, params, forcing, cfg, horizon=0.25)
         b = track_target(y0, yhat0, law, coupling16, fe16, params, forcing, cfg, horizon=0.25)
+        assert a.n_steps == b.n_steps == 250
         assert np.array_equal(a.final_state, b.final_state)
         assert np.array_equal(a.err_norm, b.err_norm)
         assert np.array_equal(a.controls, b.controls)
@@ -269,9 +270,21 @@ class TestClosedLoop:
         y0 = np.zeros(fe16.mesh.n_nodes)
         target = simulate_free(np.full(fe16.mesh.n_nodes, 2.0), 0.1, fe16, params,
                                cfg=IntegratorConfig(dt=1e-3, state_stride=10))
-        with pytest.raises(ValueError):
-            closed_loop_simulate(y0, target, FeedbackLaw(gain=1.0), coupling16, fe16, params,
-                                 cfg=IntegratorConfig(dt=1e-3))
+        with pytest.raises(ValueError, match="target record must store every time level"):
+            track_target(y0, target, FeedbackLaw(gain=1.0), coupling16, fe16, params,
+                         cfg=IntegratorConfig(dt=1e-3), horizon=0.1)
+
+    def test_target_record_refused_before_the_first_step(self, fe16, params, coupling16, stepper_calls):
+        y0 = np.zeros(fe16.mesh.n_nodes)
+        target = simulate_free(np.full(fe16.mesh.n_nodes, 2.0), 0.1, fe16, params,
+                               cfg=IntegratorConfig(dt=1e-3, state_stride=1))
+        del stepper_calls[:]
+        law = FeedbackLaw(gain=1.0)
+        with pytest.raises(ValueError, match="target record covers 100 steps, the run needs 101"):
+            track_target(y0, target, law, coupling16, fe16, params, cfg=IntegratorConfig(dt=1e-3), horizon=0.101)
+        with pytest.raises(ValueError, match="target record time grid"):
+            track_target(y0, target, law, coupling16, fe16, params, cfg=IntegratorConfig(dt=5e-4), horizon=0.05)
+        assert stepper_calls == []
 
     def test_decay_above_absorbing_radius_nonvacuous(self, params):
         # doubled trajectory-comparison initial error so the run starts

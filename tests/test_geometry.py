@@ -48,6 +48,29 @@ class TestBuildMesh:
         assert mesh.nodes[1, 0] > mesh.nodes[0, 0]
         assert mesh.nodes[6, 1] > mesh.nodes[0, 1]
 
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (3, 5), (7, 2), (16, 16), (57, 57), (100, 100)])
+    def test_triangles_match_the_cell_loop(self, nx, ny):
+        mesh = build_mesh(nx, ny)
+        assert mesh.triangles.dtype == np.int64
+        assert np.array_equal(mesh.triangles, self.loop_triangles(nx, ny))
+
+    @staticmethod
+    def loop_triangles(nx, ny):
+        """Reference: cells row by row, each split into (n00, n10, n11) and (n00, n11, n01)."""
+        tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
+        k = 0
+        for j in range(ny):
+            base = j * (nx + 1)
+            for i in range(nx):
+                n00 = base + i
+                n10 = n00 + 1
+                n01 = n00 + (nx + 1)
+                n11 = n01 + 1
+                tris[k] = (n00, n10, n11)
+                tris[k + 1] = (n00, n11, n01)
+                k += 2
+        return tris
+
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
             build_mesh(0, 3)

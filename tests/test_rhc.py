@@ -31,7 +31,6 @@ from schloegl import (
     solve_adjoint,
     track_target,
 )
-import schloegl.rhc as rhc_module
 from schloegl.dynamics import CrankNicolsonAB2
 
 
@@ -51,7 +50,7 @@ def make_problem(nx=8, n_steps=20, beta=1e-3, dt=1e-2, bound=math.inf, m=2,
         tgt[k + 1] = tc
     y0 = fe.mesh.interpolate(lambda x, y: 0.5 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
     y_prev = y0 + 0.01 * fe.mesh.interpolate(lambda x, y: np.cos(np.pi * y)) if with_history else None
-    prob = OcpProblem(fe=fe, params=params, coupling=cm, stepper=stepper, y0=y0, y_prev=y_prev,
+    prob = OcpProblem(coupling=cm, stepper=stepper, y0=y0, y_prev=y_prev,
                       target=tgt, beta=beta, saturation=SaturationConfig(bound=bound))
     return prob
 
@@ -79,7 +78,7 @@ class TestEvaluateCost:
         u = 0.4 * rng.normal(size=(prob.coupling.count, prob.n_steps))
         j, _ = evaluate_cost(u, prob)
 
-        fe, params, dt = prob.fe, prob.params, prob.dt
+        fe, params, dt = prob.stepper.fe, prob.stepper.params, prob.dt
         mass, stiff = fe.mass, fe.stiffness
         a_cn = (mass / dt + 0.5 * stiff).tocsc()
         a_eu = (mass / dt + stiff).tocsc()
@@ -201,7 +200,7 @@ class TestBBSolver:
         from schloegl.rhc import saturated_control_on_window
 
         prob = make_problem(nx=8, n_steps=30, bound=math.exp(1.0), target_start=2.0)
-        prob.y0 = np.full(prob.fe.mesh.n_nodes, -1.0)
+        prob.y0 = np.full(prob.stepper.fe.mesh.n_nodes, -1.0)
         u0 = saturated_control_on_window(prob, 175.0)
         j0, _ = evaluate_cost(u0, prob)
         out = bb_projected_gradient(prob, u0, tol=1e-5, j_max=100)
@@ -234,7 +233,7 @@ class TestBBSolver:
 
     def test_warm_start_checks_for_blow_up(self):
         prob = make_problem(nx=6, n_steps=20, dt=0.1)
-        prob.y0 = np.full(prob.fe.mesh.n_nodes, 100.0)
+        prob.y0 = np.full(prob.stepper.fe.mesh.n_nodes, 100.0)
         from schloegl.rhc import saturated_control_on_window
 
         with pytest.raises(BlowUpError), np.errstate(over="ignore", invalid="ignore"):
@@ -253,8 +252,8 @@ class TestRunRhc:
         cfg = RhcConfig(horizon=0.3, delta=0.1, t_final=0.4, beta=1e-3)
         res = run_rhc(cfg, y0, y0.copy(), cm, fe16, params,
                       integ=IntegratorConfig(dt=1e-2, state_stride=10))
-        assert res.total_cost <= 1e-10
-        assert np.max(np.abs(res.controls)) <= 1e-6
+        assert res.record.running_cost[-1] <= 1e-10
+        assert np.max(np.abs(res.record.controls)) <= 1e-6
 
     def test_window_grid_validation(self, fe16, params):
         cm = self.setup_case(fe16, params)
@@ -274,22 +273,22 @@ class TestRunRhc:
         integ = IntegratorConfig(dt=5e-3, state_stride=20)
         cfg = RhcConfig(horizon=0.5, delta=0.25, t_final=1.0, beta=1e-3, tol=1e-3)
         res = run_rhc(cfg, y0, yhat0, cm, fe16, params, forcing, integ, sat)
-        replay = simulate_controlled(y0, res.controls, cm, fe16, params, forcing, integ,
+        replay = simulate_controlled(y0, res.record.controls.T, cm, fe16, params, forcing, integ,
                                      target_y0=yhat0, beta=cfg.beta)
         assert np.array_equal(replay.final_state, res.record.final_state)
         assert np.array_equal(replay.states, res.record.states)
         assert np.array_equal(replay.err_norm, res.record.err_norm)
-        assert replay.running_cost[-1] == res.total_cost
+        assert replay.running_cost[-1] == res.record.running_cost[-1]
 
         # suboptimality ordering against the saturated feedback
         law = FeedbackLaw(gain=175.0, saturation=sat)
         sat_rec = track_target(y0, yhat0, law, cm, fe16, params, forcing,
                                IntegratorConfig(dt=5e-3, state_stride=20, cost_beta=cfg.beta),
                                horizon=cfg.t_final)
-        assert res.total_cost <= sat_rec.running_cost[-1] + 1e-9
+        assert res.record.running_cost[-1] <= sat_rec.running_cost[-1] + 1e-9
 
         # feasibility of the concatenated control
-        norms = np.sqrt(np.sum(res.controls ** 2, axis=0))
+        norms = np.sqrt(np.sum(res.record.controls ** 2, axis=1))
         assert np.all(norms <= sat.bound + 1e-12)
 
     def test_stored_target_record_matches_rolling_target(self, fe16, params):
@@ -304,9 +303,13 @@ class TestRunRhc:
         target = simulate_free(yhat0, cfg.t_final + cfg.horizon, fe16, params, forcing,
                                IntegratorConfig(dt=integ.dt, state_stride=1))
         stored = run_rhc(cfg, y0, target, cm, fe16, params, forcing, integ, sat)
-        assert np.array_equal(stored.controls, rolling.controls)
+        assert np.array_equal(stored.record.controls, rolling.record.controls)
         assert np.array_equal(stored.record.states, rolling.record.states)
         assert np.array_equal(stored.record.err_norm, rolling.record.err_norm)
+        replay = simulate_controlled(y0, stored.record.controls.T, cm, fe16, params, forcing, integ,
+                                     target_y0=target, beta=cfg.beta)
+        assert np.array_equal(replay.err_norm, stored.record.err_norm)
+        assert replay.running_cost[-1] == stored.record.running_cost[-1]
 
         # a record on a finer grid covers every window but is refused
         fine = simulate_free(yhat0, cfg.t_final + cfg.horizon, fe16, params, forcing,
@@ -314,40 +317,32 @@ class TestRunRhc:
         with pytest.raises(ValueError, match="time grid"):
             run_rhc(cfg, y0, fine, cm, fe16, params, forcing, integ, sat)
 
-    def test_short_target_record_refused_before_the_first_window(self, params, monkeypatch):
+    def test_short_target_record_refused_before_the_first_window(self, params, stepper_calls):
         # the last window needs t_final - delta + horizon = 0.7 > 0.6: refuse
-        # the record before any window is optimized
+        # the record before the warm start or the plant takes a step
         fe = build_fem(8, 8, 0.1)
         cm = discretize_actuators(build_actuator_grid(2, 0.5), fe.mesh)
         integ = IntegratorConfig(dt=0.01)
         target = simulate_free(np.full(fe.mesh.n_nodes, 2.0), 0.6, fe, params,
                                cfg=IntegratorConfig(dt=integ.dt, state_stride=1))
-        solves = []
-        original = rhc_module.bb_projected_gradient
-        monkeypatch.setattr(rhc_module, "bb_projected_gradient",
-                            lambda *a, **k: solves.append(1) or original(*a, **k))
+        del stepper_calls[:]
         cfg = RhcConfig(horizon=0.3, delta=0.1, t_final=0.5)
-        with pytest.raises(ValueError, match="target record"):
+        with pytest.raises(ValueError, match="target record covers 60 steps, the run needs 70"):
             run_rhc(cfg, np.full(fe.mesh.n_nodes, 1.0), target, cm, fe, params, integ=integ)
-        assert solves == []
+        assert stepper_calls == []
 
-    def test_rolling_target_steps_each_level_once(self, fe16, params, monkeypatch):
+    def test_rolling_target_steps_each_level_once(self, fe16, params, stepper_calls):
         # every stepper call is a plant step, a target step, a warm-start
         # step or a step of a forward window; the target must not re-step
         # the levels its windows share
         cm = self.setup_case(fe16, params)
-        calls = []
-        for name in ("startup_step", "ab2_step"):
-            original = getattr(CrankNicolsonAB2, name)
-            monkeypatch.setattr(CrankNicolsonAB2, name,
-                                lambda self, *a, _f=original: calls.append(1) or _f(self, *a))
         cfg = RhcConfig(horizon=0.3, delta=0.1, t_final=0.3, beta=1e-3, tol=1e-3)
         res = run_rhc(cfg, np.full(fe16.mesh.n_nodes, 1.0), np.full(fe16.mesh.n_nodes, 2.0), cm, fe16, params,
                       ForcingSpec.periodic_indicator(), IntegratorConfig(dt=1e-2))
         n_total, n_horizon = 30, 30
         target_levels = 20 + n_horizon  # last window starts at level 20
-        forward = sum(r[3] for r in res.window_reports) * n_horizon
-        assert len(calls) == n_total + target_levels + n_horizon + forward
+        forward = sum(r.n_evaluations for r in res.window_reports) * n_horizon
+        assert len(stepper_calls) == n_total + target_levels + n_horizon + forward
 
     def test_window_reports_keep_stop_reason(self, fe16, params):
         cm = self.setup_case(fe16, params)
@@ -357,7 +352,7 @@ class TestRunRhc:
                       integ=IntegratorConfig(dt=1e-2))
         assert len(res.window_reports) == 2
         for report in res.window_reports:
-            assert isinstance(report[4], str) and report[4]
+            assert isinstance(report.message, str) and report.message
 
     def test_replay_checks_the_target_for_blow_up(self):
         fe = build_fem(8, 8, 0.1)
