@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .actuators import build_actuator_grid, discretize_actuators
@@ -20,6 +19,7 @@ from .dynamics import BlowUpError
 from .experiments import (
     ConfigError,
     ScenarioConfig,
+    _override,
     parse_bound,
     parse_config,
     run_scenario,
@@ -32,17 +32,14 @@ CI_MESH = 16
 
 
 def _load_config(args) -> ScenarioConfig:
-    if args.config:
-        cfg = parse_config(Path(args.config).read_text())
-    else:
-        cfg = parse_config("")
-    if getattr(args, "ci", False):
-        cfg = replace(cfg, nx=CI_MESH, ny=CI_MESH)
+    cfg = parse_config(Path(args.config).read_text() if args.config else "")
+    if args.ci:
+        cfg = _override(cfg, "--ci", nx=CI_MESH, ny=CI_MESH)
     return cfg
 
 
 def _scenario_command(args, controller: str) -> int:
-    cfg = replace(_load_config(args), controller=controller)
+    cfg = _override(_load_config(args), args.command, controller=controller)
     artifact = run_scenario(cfg, args.out)
     for key, val in artifact.summary.items():
         print(f"{key} = {val}")

@@ -1,23 +1,27 @@
 """Scenario configuration, run orchestration, and experiment harnesses.
 
 Configurations are flat ``key = value`` text with optional ``[section]``
-headers (grammar documented in the README); every default applied during
-parsing is recorded with its provenance.  A run writes a directory with
-the config snapshot, a per-step CSV series
+headers (grammar documented in the README).  One key table holds each
+key's field, parser and range check; a :class:`ScenarioConfig` is checked
+against it however it is built and records where each value came from.
+A run writes a directory with the config snapshot, a per-step CSV series
 (t, err_l2, log_err_l2, u_norm, J_running; 17 significant digits), a
 key-value summary and, for receding-horizon runs, a per-window CSV of the
-optimizer statistics.  The Table-1 harness compares the saturated feedback
-with the receding-horizon control cell by cell; sweeps consolidate decay
-rates across one parameter axis.
+optimizer statistics.  The Table-1 harness (saturated feedback against
+receding-horizon control) and the sweeps (decay rates along one parameter
+axis) hand their single runs to one job runner.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -44,6 +48,8 @@ __all__ = [
 # Table-1 grid: (bound tag, total time) cells and the two cost weights.
 TABLE1_CELLS = (("e^0.5", 25.0), ("e^1", 20.0), ("e^1.5", 10.0), ("e^2", 7.0), ("inf", 5.0))
 TABLE1_BETAS = (1e-3, 1e-5)
+# The two runs of a Table-1 cell, in job order: (row key, controller).
+_TABLE1_RUNS = (("satcon", "saturated"), ("rhc", "rhc"))
 
 
 class ConfigError(ValueError):
@@ -55,9 +61,15 @@ class ConfigError(ValueError):
         super().__init__(f"{where}{message}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully resolved scenario; ``provenance`` maps keys to their origin."""
+    """Fully resolved scenario; ``provenance`` maps keys to their origin.
+
+    Every value is range-checked on construction, ``replace`` included.
+    ``cu_tag`` is the one source of the saturation bound: ``cu`` is derived
+    from it, and a ``cu`` passed in must equal that bound (``replace`` with
+    a new ``cu_tag`` needs ``cu=None``).
+    """
 
     lx: float = 1.0
     ly: float = 1.0
@@ -69,7 +81,7 @@ class ScenarioConfig:
     r: float = 0.5
     norm: str = "euclidean"
     gain: float = 175.0
-    cu: float = math.inf
+    cu: float | None = None
     cu_tag: str = "inf"
     forcing: str = "none"
     yhat0: str = "constant:0"
@@ -87,6 +99,18 @@ class ScenarioConfig:
     provenance: dict = field(default_factory=dict)
     source_text: str = ""
 
+    def __post_init__(self):
+        for name, key in _KEYS.items():
+            _checked(name, getattr(self, key.attr))
+        if not self.rhc_horizon > self.rhc_delta:
+            raise ConfigError(None, "need rhc.t > rhc.delta > 0")
+        bound = parse_bound(self.cu_tag)
+        if self.cu is None:
+            object.__setattr__(self, "cu", bound)
+        elif self.cu != bound:
+            raise ConfigError(None, f"cu = {self.cu!r} disagrees with feedback.cu = {self.cu_tag!r} "
+                                    f"({bound!r}); leave cu None, it is derived from cu_tag")
+
 
 def parse_bound(text: str) -> float:
     """Saturation bound notation: 'inf', 'e^X', or a plain float."""
@@ -98,54 +122,86 @@ def parse_bound(text: str) -> float:
     return float(t)
 
 
+class _Key(NamedTuple):
+    """A configuration key: its field, text parser, range check and expected values."""
+
+    attr: str
+    parse: Callable[[str], Any]
+    check: Callable[[Any], bool]
+    expect: str
+
+
+def _is_initial_tag(tag: str) -> bool:
+    if tag.startswith("constant:"):
+        float(tag.split(":", 1)[1])  # a bad constant raises
+        return True
+    return tag in ("bilinear", "linear")
+
+
+# Key values reach the parsers stripped.
+_POSITIVE_FLOAT = (float, lambda v: v > 0, "positive float")
+_POSITIVE_INT = (int, lambda v: v >= 1, "positive int")
+_INITIAL_TAG = (str, _is_initial_tag, "constant:<c>, bilinear, or linear")
+
 _KEYS = {
-    "domain.lx": ("lx", "positive float"),
-    "domain.ly": ("ly", "positive float"),
-    "mesh.nx": ("nx", "positive int"),
-    "mesh.ny": ("ny", "positive int"),
-    "params.nu": ("nu", "positive float"),
-    "params.zeta": ("zeta", "three comma-separated floats"),
-    "actuators.m": ("m", "positive int"),
-    "actuators.r": ("r", "float in (0, 1)"),
-    "actuators.norm": ("norm", "euclidean or max"),
-    "feedback.lambda": ("gain", "nonnegative float"),
-    "feedback.cu": ("cu", "inf, e^X, or nonnegative float"),
-    "forcing.kind": ("forcing", "none or periodic"),
-    "initial.yhat0": ("yhat0", "constant:<c>, bilinear, or linear"),
-    "initial.y0": ("y0", "constant:<c>, bilinear, or linear"),
-    "time.dt": ("dt", "positive float"),
-    "time.t_final": ("t_final", "positive float"),
-    "run.controller": ("controller", "none, saturated, or rhc"),
-    "run.csv_stride": ("csv_stride", "positive int"),
-    "run.state_stride": ("state_stride", "positive int"),
-    "rhc.t": ("rhc_horizon", "positive float"),
-    "rhc.delta": ("rhc_delta", "positive float"),
-    "rhc.beta": ("rhc_beta", "positive float"),
-    "rhc.tol": ("rhc_tol", "positive float"),
-    "rhc.j_max": ("rhc_j_max", "positive int"),
+    "domain.lx": _Key("lx", *_POSITIVE_FLOAT),
+    "domain.ly": _Key("ly", *_POSITIVE_FLOAT),
+    "mesh.nx": _Key("nx", *_POSITIVE_INT),
+    "mesh.ny": _Key("ny", *_POSITIVE_INT),
+    "params.nu": _Key("nu", *_POSITIVE_FLOAT),
+    "params.zeta": _Key("zeta", lambda t: tuple(float(p) for p in t.split(",")), lambda v: len(v) == 3,
+                        "three comma-separated floats"),
+    "actuators.m": _Key("m", *_POSITIVE_INT),
+    "actuators.r": _Key("r", float, lambda v: 0 < v < 1, "float in (0, 1)"),
+    "actuators.norm": _Key("norm", str.lower, lambda v: v in ("euclidean", "max"), "euclidean or max"),
+    "feedback.lambda": _Key("gain", float, lambda v: v >= 0, "nonnegative float"),
+    "feedback.cu": _Key("cu_tag", str, lambda v: parse_bound(v) >= 0, "inf, e^X, or nonnegative float"),
+    "forcing.kind": _Key("forcing", str.lower, lambda v: v in ("none", "periodic"), "none or periodic"),
+    "initial.yhat0": _Key("yhat0", *_INITIAL_TAG),
+    "initial.y0": _Key("y0", *_INITIAL_TAG),
+    "time.dt": _Key("dt", *_POSITIVE_FLOAT),
+    "time.t_final": _Key("t_final", *_POSITIVE_FLOAT),
+    "run.controller": _Key("controller", str.lower, lambda v: v in ("none", "saturated", "rhc"),
+                           "none, saturated, or rhc"),
+    "run.csv_stride": _Key("csv_stride", *_POSITIVE_INT),
+    "run.state_stride": _Key("state_stride", *_POSITIVE_INT),
+    "rhc.t": _Key("rhc_horizon", *_POSITIVE_FLOAT),
+    "rhc.delta": _Key("rhc_delta", *_POSITIVE_FLOAT),
+    "rhc.beta": _Key("rhc_beta", *_POSITIVE_FLOAT),
+    "rhc.tol": _Key("rhc_tol", *_POSITIVE_FLOAT),
+    "rhc.j_max": _Key("rhc_j_max", *_POSITIVE_INT),
 }
 
-_INITIAL_TAGS = ("bilinear", "linear")
+
+def _checked(name: str, value: Any = None, *, text: str | None = None, line: int | None = None):
+    """The value of key ``name``, parsed from ``text`` when that is given;
+    raises :class:`ConfigError` unless it passes the key's range check."""
+    key = _KEYS[name]
+    try:
+        if text is not None:
+            value = key.parse(text)
+        ok = key.check(value)
+    except (TypeError, ValueError, AttributeError):
+        ok = False
+    if not ok:
+        raise ConfigError(line, f"bad value {value if text is None else text!r} for {name} (expected {key.expect})")
+    return value
 
 
-def _parse_initial_tag(text: str, line: int) -> str:
-    t = text.strip()
-    if t in _INITIAL_TAGS:
-        return t
-    if t.startswith("constant:"):
-        try:
-            float(t.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(line, f"bad constant value in initial state {text!r}") from None
-        return t
-    raise ConfigError(line, f"unknown initial-state tag {text!r} (use constant:<c>, bilinear, or linear)")
+def _override(cfg: ScenarioConfig, origin: str, **changes) -> ScenarioConfig:
+    """``cfg`` with the given fields changed and ``origin`` recorded as
+    their provenance; a new ``cu_tag`` brings its own bound."""
+    provenance = dict(cfg.provenance, **{name: origin for name, key in _KEYS.items() if key.attr in changes})
+    if "cu_tag" in changes:
+        changes["cu"] = None
+    return replace(cfg, provenance=provenance, **changes)
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse configuration text; unknown keys and range violations raise
-    :class:`ConfigError` with the offending line number."""
-    cfg = ScenarioConfig(source_text=text)
-    prov = {f: "default" for f in _KEYS}
+    """Parse configuration text; unknown keys, bad values and range
+    violations raise :class:`ConfigError` with the offending line number."""
+    values = {}
+    provenance = dict.fromkeys(_KEYS, "default")
     section = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
@@ -160,59 +216,9 @@ def parse_config(text: str) -> ScenarioConfig:
         full = f"{section}.{key.lower()}" if section else key.lower()
         if full not in _KEYS:
             raise ConfigError(lineno, f"unknown key {full!r}")
-        attr, expect = _KEYS[full]
-        try:
-            _assign(cfg, attr, value, lineno)
-        except ConfigError:
-            raise
-        except (ValueError, TypeError):
-            raise ConfigError(lineno, f"bad value {value!r} for {full} (expected {expect})") from None
-        prov[full] = f"line {lineno}"
-    _validate(cfg)
-    cfg.provenance = prov
-    return cfg
-
-
-def _assign(cfg: ScenarioConfig, attr: str, value: str, lineno: int):
-    if attr in ("nx", "ny", "m", "csv_stride", "state_stride", "rhc_j_max"):
-        setattr(cfg, attr, int(value))
-    elif attr == "zeta":
-        parts = [float(p) for p in value.split(",")]
-        if len(parts) != 3:
-            raise ConfigError(lineno, f"zeta needs exactly three values, got {len(parts)}")
-        cfg.zeta = tuple(parts)
-    elif attr == "cu":
-        cfg.cu = parse_bound(value)
-        cfg.cu_tag = value.strip()
-    elif attr in ("norm", "forcing", "controller"):
-        setattr(cfg, attr, value.strip().lower())
-    elif attr in ("yhat0", "y0"):
-        setattr(cfg, attr, _parse_initial_tag(value, lineno))
-    else:
-        setattr(cfg, attr, float(value))
-
-
-def _validate(cfg: ScenarioConfig):
-    checks = [
-        (cfg.lx > 0 and cfg.ly > 0, "domain lengths must be positive"),
-        (cfg.nx >= 1 and cfg.ny >= 1, "mesh subdivisions must be >= 1"),
-        (cfg.nu > 0, "params.nu must be positive"),
-        (cfg.m >= 1, "actuators.m must be >= 1"),
-        (0 < cfg.r < 1, "actuators.r must lie in (0, 1)"),
-        (cfg.norm in ("euclidean", "max"), f"unknown norm {cfg.norm!r}"),
-        (cfg.gain >= 0, "feedback.lambda must be >= 0"),
-        (cfg.cu >= 0, "feedback.cu must be >= 0"),
-        (cfg.forcing in ("none", "periodic"), f"unknown forcing kind {cfg.forcing!r}"),
-        (cfg.dt > 0, "time.dt must be positive"),
-        (cfg.t_final > 0, "time.t_final must be positive"),
-        (cfg.controller in ("none", "saturated", "rhc"), f"unknown controller {cfg.controller!r}"),
-        (cfg.csv_stride >= 1 and cfg.state_stride >= 1, "strides must be >= 1"),
-        (cfg.rhc_horizon > cfg.rhc_delta > 0, "need rhc.t > rhc.delta > 0"),
-        (cfg.rhc_beta > 0 and cfg.rhc_tol > 0 and cfg.rhc_j_max >= 1, "bad rhc solver settings"),
-    ]
-    for ok, msg in checks:
-        if not ok:
-            raise ConfigError(None, msg)
+        values[_KEYS[full].attr] = _checked(full, text=value, line=lineno)
+        provenance[full] = f"line {lineno}"
+    return ScenarioConfig(**values, provenance=provenance, source_text=text)
 
 
 def initial_field(tag: str, mesh) -> np.ndarray:
@@ -248,9 +254,12 @@ def _fmt(x) -> str:
 
 
 def _fmt_readable(x) -> str:
-    """Shortest exact round-trip representation (snapshots, summaries)."""
+    """Shortest exact round-trip representation (snapshots, summaries); a
+    tuple as its comma-separated items, which the key parsers read back."""
     if isinstance(x, float):
         return repr(x)
+    if isinstance(x, tuple):
+        return ", ".join(_fmt_readable(v) for v in x)
     return str(x)
 
 
@@ -294,16 +303,12 @@ def _write_snapshot(path: Path, cfg: ScenarioConfig):
         if cfg.source_text and not cfg.source_text.endswith("\n"):
             fh.write("\n")
         fh.write("\n# resolved values (provenance)\n")
-        for key in sorted(_KEYS):
-            attr = _KEYS[key][0]
-            val = getattr(cfg, attr)
-            if attr == "cu":
-                val = cfg.cu_tag
-            elif attr == "zeta":
-                val = ", ".join(_fmt_readable(z) for z in val)
-            else:
-                val = _fmt_readable(val)
-            fh.write(f"# {key} = {val}  [{cfg.provenance.get(key, 'default')}]\n")
+        defaults = ScenarioConfig()
+        for name in sorted(_KEYS):
+            attr = _KEYS[name].attr
+            value = getattr(cfg, attr)
+            origin = cfg.provenance.get(name, "default" if value == getattr(defaults, attr) else "set in code")
+            fh.write(f"# {name} = {_fmt_readable(value)}  [{origin}]\n")
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunArtifact:
@@ -377,30 +382,32 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunArtifact:
     return RunArtifact(directory=out, summary=summary, series_csv=series, record=record)
 
 
-def _map(fn, payloads: list, workers: int) -> list:
-    """fn over the payloads, in order; in a process pool when workers > 1."""
+def _run_job(job: tuple[ScenarioConfig, Path]) -> dict:
+    """One run's summary, a run that raises giving a ``failed: …`` status;
+    prints a start and a finish line to stderr (worker-safe)."""
+    cfg, out_dir = job
+    _progress(f"[start] {out_dir}")
+    wall0 = time.perf_counter()
+    try:
+        summary = run_scenario(cfg, out_dir).summary
+    except Exception as exc:  # a failed run is reported, the other jobs still run
+        traceback.print_exc()
+        summary = {"status": f"failed: {exc}"}
+    _progress(f"[done] {out_dir}: {summary['status']}, {time.perf_counter() - wall0:.2f} s")
+    return summary
+
+
+def _progress(line: str):
+    # the newline goes in the same write, so the lines of parallel workers do not interleave
+    print(line + "\n", end="", file=sys.stderr, flush=True)
+
+
+def _run_jobs(jobs: list[tuple[ScenarioConfig, Path]], workers: int) -> list[dict]:
+    """Each (config, run directory) job's summary, in order; in a process pool when workers > 1."""
     if workers <= 1:
-        return [fn(p) for p in payloads]
+        return [_run_job(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, payloads))
-
-
-def _table1_cell(payload: dict) -> dict:
-    """One Table-1 cell: saturated feedback and RHC costs (worker-safe)."""
-    base = payload["base"]
-    cu_tag, t_inf, beta = payload["cu_tag"], payload["t_inf"], payload["beta"]
-    out = {"cu": cu_tag, "t_inf": t_inf, "beta": beta}
-    for kind, controller in (("satcon", "saturated"), ("rhc", "rhc")):
-        try:
-            cfg = replace(base, controller=controller, cu=parse_bound(cu_tag), cu_tag=cu_tag,
-                          t_final=t_inf, rhc_beta=beta, provenance={}, source_text="")
-            art = run_scenario(cfg, Path(payload["out_dir"]) / f"{kind}_b{beta:g}_{cu_tag.replace('^', '')}_T{t_inf:g}")
-            out[kind] = art.summary.get("J_total", math.nan)
-            out[f"{kind}_status"] = art.summary["status"]
-        except Exception as exc:  # per-cell failures recorded, table still emitted
-            out[kind] = math.nan
-            out[f"{kind}_status"] = f"failed: {exc}"
-    return out
+        return list(pool.map(_run_job, jobs))
 
 
 def run_table1(out_dir: str | Path, base: ScenarioConfig | None = None,
@@ -409,18 +416,25 @@ def run_table1(out_dir: str | Path, base: ScenarioConfig | None = None,
 
     The base scenario is the trajectory-comparison example: constant
     initial states at the outer stable roots, periodic forcing, gain 175.
-    Returns one row dict per cell; writes table1.txt and table1.csv.
+    Each cell is two runs, saturated feedback and RHC, and each run is one
+    job.  Returns one row dict per cell; writes table1.txt and table1.csv.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if base is None:
-        base = ScenarioConfig(yhat0="constant:2", y0="constant:-1", forcing="periodic")
-    payloads = [
-        {"base": base, "cu_tag": cu_tag, "t_inf": t_inf, "beta": beta, "out_dir": str(out)}
-        for beta in betas
-        for (cu_tag, t_inf) in cells
-    ]
-    rows = _map(_table1_cell, payloads, workers)
+        base = _override(ScenarioConfig(), "table1 base", yhat0="constant:2", y0="constant:-1", forcing="periodic")
+    base = replace(base, source_text="")
+    grid = [(beta, cu_tag, t_inf) for beta in betas for (cu_tag, t_inf) in cells]
+    jobs = [(_override(base, "table1 cell", controller=controller, cu_tag=cu_tag, t_final=t_inf, rhc_beta=beta),
+             out / f"{kind}_b{beta:g}_{cu_tag.replace('^', '')}_T{t_inf:g}")
+            for beta, cu_tag, t_inf in grid for kind, controller in _TABLE1_RUNS]
+    out.mkdir(parents=True, exist_ok=True)
+    summaries = iter(_run_jobs(jobs, workers))
+    rows = []
+    for beta, cu_tag, t_inf in grid:
+        row = {"cu": cu_tag, "t_inf": t_inf, "beta": beta}
+        for (kind, _), summary in zip(_TABLE1_RUNS, summaries):  # takes this cell's two summaries
+            row.update({kind: summary.get("J_total", math.nan), f"{kind}_status": summary["status"]})
+        rows.append(row)
 
     with open(out / "table1.csv", "w") as fh:
         fh.write("beta,cu,t_inf,rhc,satcon,rhc_status,satcon_status\n")
@@ -436,16 +450,24 @@ def _format_table(rows: list[dict], cells, betas) -> str:
     header = ["control"] + [f"({cu}, {t_inf:g})" for cu, t_inf in cells]
     widths = [max(14, len(h) + 2) for h in header]
     lines = ["".join(h.ljust(w) for h, w in zip(header, widths))]
-    by_key = {(r["beta"], r["cu"]): r for r in rows}
-    for beta in betas:
+    for i, beta in enumerate(betas):
+        beta_rows = rows[i * len(cells):(i + 1) * len(cells)]  # rows run over the cells for each beta
         for kind in ("rhc", "satcon"):
             label = f"{'RHC' if kind == 'rhc' else 'SatCon'} beta={beta:g}"
-            vals = []
-            for cu_tag, t_inf in cells:
-                r = by_key.get((beta, cu_tag))
-                vals.append("-" if r is None or math.isnan(r[kind]) else f"{r[kind]:.4f}")
+            vals = ["-" if math.isnan(r[kind]) else f"{r[kind]:.4f}" for r in beta_rows]
             lines.append("".join(s.ljust(w) for s, w in zip([label] + vals, widths)))
     return "\n".join(lines) + "\n"
+
+
+def _grid_side(count) -> int:
+    m = int(round(math.sqrt(int(count))))
+    if m * m != int(count):
+        raise ValueError(f"actuator count {count} is not a perfect square")
+    return m
+
+
+# Sweep axis -> (field it sets, conversion of a sweep value).
+_SWEEP_AXES = {"cu": ("cu_tag", str), "lambda": ("gain", float), "msigma": ("m", _grid_side)}
 
 
 def run_sweep(axis: str, values: list, base: ScenarioConfig, out_dir: str | Path,
@@ -453,44 +475,23 @@ def run_sweep(axis: str, values: list, base: ScenarioConfig, out_dir: str | Path
     """One run per value along the axis; consolidates decay-rate estimates.
 
     axis: 'cu' (bound tags), 'lambda' (gains), or 'msigma' (actuator
-    counts, perfect squares).
+    counts, perfect squares).  Every value is checked before any run.
     """
-    if axis not in ("cu", "lambda", "msigma"):
+    if axis not in _SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
     if not values:
         raise ValueError("sweep needs at least one value")
     out = Path(out_dir)
+    base = replace(base, source_text="")
+    attr, convert = _SWEEP_AXES[axis]
+    jobs = [(_override(base, "sweep value", **{attr: convert(v)}), out / f"{axis}_{str(v).replace('^', '')}")
+            for v in values]
     out.mkdir(parents=True, exist_ok=True)
-    payloads = []
-    for v in values:
-        cfg = replace(base, provenance={}, source_text="")
-        if axis == "cu":
-            cfg = replace(cfg, cu=parse_bound(str(v)), cu_tag=str(v))
-        elif axis == "lambda":
-            cfg = replace(cfg, gain=float(v))
-        else:
-            m = int(round(math.sqrt(int(v))))
-            if m * m != int(v):
-                raise ValueError(f"actuator count {v} is not a perfect square")
-            cfg = replace(cfg, m=m)
-        payloads.append({"cfg": cfg, "value": str(v), "out_dir": str(out / f"{axis}_{str(v).replace('^', '')}")})
-    rows = _map(_sweep_one, payloads, workers)
+    rows = [{"value": str(v), "mu_est": s.get("mu_est", math.nan), "final_err": s.get("final_err_l2", math.nan),
+             "status": s["status"]}
+            for v, s in zip(values, _run_jobs(jobs, workers))]
     with open(out / f"sweep_{axis}.csv", "w") as fh:
         fh.write("value,mu_est,final_err_l2,status\n")
         for r in rows:
             fh.write(f"{r['value']},{_fmt(r['mu_est'])},{_fmt(r['final_err'])},{r['status']}\n")
     return rows
-
-
-def _sweep_one(payload: dict) -> dict:
-    try:
-        art = run_scenario(payload["cfg"], payload["out_dir"])
-        return {
-            "value": payload["value"],
-            "mu_est": art.summary.get("mu_est", math.nan),
-            "final_err": art.summary.get("final_err_l2", math.nan),
-            "status": art.summary["status"],
-        }
-    except Exception as exc:
-        return {"value": payload["value"], "mu_est": math.nan, "final_err": math.nan,
-                "status": f"failed: {exc}"}

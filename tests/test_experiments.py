@@ -1,7 +1,9 @@
 """Configuration parsing, scenario runs, persistence, and the CLI."""
 
+import dataclasses
 import importlib
 import math
+import re
 import subprocess
 import sys
 
@@ -9,8 +11,10 @@ import numpy as np
 import pytest
 
 from schloegl.experiments import (
+    _KEYS,
     ConfigError,
     ScenarioConfig,
+    _fmt_readable,
     parse_bound,
     parse_config,
     run_scenario,
@@ -55,8 +59,9 @@ class TestParseConfig:
         assert err.value.line == 2
 
     def test_range_violation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             parse_config("[actuators]\nr = 1.2\n")
+        assert err.value.line == 2
 
     def test_zeta_and_initial_tags(self):
         cfg = parse_config("[params]\nzeta = 0.5, 1, 1.5\n[initial]\ny0 = bilinear\nyhat0 = constant:-3\n")
@@ -70,9 +75,60 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2: unknown key 'run.seed'"):
             parse_config("[run]\nseed = 0\n")
 
+    @pytest.mark.parametrize("text", ["", "[domain]\nlx = 2.5\nly = 0.75\n[mesh]\nnx = 7\nny = 9\n"
+                                      "[params]\nnu = 0.03\nzeta = -1.5, 0.25, 3\n"
+                                      "[actuators]\nm = 4\nr = 0.33\nnorm = MAX\n"
+                                      "[feedback]\nlambda = 12.5\ncu = e^1.5\n[forcing]\nkind = periodic\n"
+                                      "[initial]\nyhat0 = bilinear\ny0 = constant:-0.1\n"
+                                      "[time]\ndt = 1e-5\nt_final = 0.3\n"
+                                      "[run]\ncontroller = rhc\ncsv_stride = 3\nstate_stride = 7\n"
+                                      "[rhc]\nt = 0.7\ndelta = 0.1\nbeta = 1e-5\ntol = 3e-6\nj_max = 42\n"])
+    def test_snapshot_values_parse_back(self, text):
+        # each key's parser reads back the value the snapshot writes
+        cfg = parse_config(text)
+        for name, key in _KEYS.items():
+            value = getattr(cfg, key.attr)
+            assert key.parse(_fmt_readable(value)) == value, name
+
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# comment\n\n[mesh]\nnx = 3  # trailing\n; другой\nny = 4\n")
         assert (cfg.nx, cfg.ny) == (3, 4)
+
+
+class TestConfigInCode:
+    def test_bound_from_the_tag_alone(self, tmp_path):
+        cfg = ScenarioConfig(nx=4, ny=4, dt=0.01, t_final=0.05, controller="saturated", cu_tag="e^0.5")
+        assert cfg.cu == math.exp(0.5)
+        art = run_scenario(cfg, tmp_path / "run")
+        peak = float(np.max(art.record.control_norms))
+        # saturated on the bound; the logged np.linalg.norm may exceed the
+        # saturation's own column norm in the last bit
+        assert math.exp(0.5) * (1 - 1e-12) <= peak <= math.exp(0.5) * (1 + 4 * np.finfo(float).eps)
+        snap = (art.directory / "config_snapshot.txt").read_text()
+        assert "# feedback.cu = e^0.5  [set in code]" in snap and "# mesh.nx = 4  [set in code]" in snap
+        assert "# params.nu = 0.1  [default]" in snap
+
+    def test_bound_that_disagrees_with_its_tag_refused(self):
+        with pytest.raises(ConfigError, match="cu = 2.0 disagrees"):
+            ScenarioConfig(cu=2.0)
+        cfg = ScenarioConfig(cu_tag="e^1.5")
+        assert dataclasses.replace(cfg, cu=parse_bound(cfg.cu_tag)).cu == cfg.cu
+        with pytest.raises(ConfigError):
+            dataclasses.replace(cfg, cu_tag="e^2")
+
+    def test_range_and_cross_field_checks(self):
+        with pytest.raises(ConfigError, match="actuators.r") as err:
+            ScenarioConfig(r=1.5)
+        assert err.value.line is None
+        for bad in ({"norm": "taxicab"}, {"zeta": (1.0, 2.0)}, {"y0": "constant:x"}, {"cu_tag": "-1"},
+                    {"nx": 0}, {"rhc_horizon": 0.5, "rhc_delta": 0.5}):
+            with pytest.raises(ConfigError):
+                ScenarioConfig(**bad)
+        cfg = ScenarioConfig()
+        with pytest.raises(ConfigError, match="time.dt"):
+            dataclasses.replace(cfg, dt=0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.nx = 3
 
 
 class TestRunScenario:
@@ -213,9 +269,10 @@ class TestRunScenario:
 
 
 class TestTable1AndSweep:
-    def test_tiny_table_ordering(self, tmp_path):
-        base = ScenarioConfig(nx=8, ny=8, dt=0.01, yhat0="constant:2", y0="constant:-1",
-                              forcing="periodic", rhc_horizon=0.3, rhc_delta=0.1, rhc_tol=1e-3)
+    def test_tiny_table_ordering(self, tmp_path, capsys):
+        base = parse_config("[mesh]\nnx = 8\nny = 8\n[time]\ndt = 0.01\n[initial]\nyhat0 = constant:2\n"
+                            "y0 = constant:-1\n[forcing]\nkind = periodic\n"
+                            "[rhc]\nt = 0.3\ndelta = 0.1\ntol = 1e-3\n")
         rows = run_table1(tmp_path, base=base, cells=(("e^2", 0.5),), betas=(1e-3,))
         assert len(rows) == 1
         row = rows[0]
@@ -225,6 +282,22 @@ class TestTable1AndSweep:
         csv = (tmp_path / "table1.csv").read_text().splitlines()
         assert csv[0] == "beta,cu,t_inf,rhc,satcon,rhc_status,satcon_status"
         assert len(csv) == 2
+        # each job snapshot tags the cell's values and keeps the base's origins
+        snap = (tmp_path / "rhc_b0.001_e2_T0.5" / "config_snapshot.txt").read_text()
+        assert snap.startswith("\n# resolved values (provenance)\n")
+        for line in ("# feedback.cu = e^2  [table1 cell]", "# run.controller = rhc  [table1 cell]",
+                     "# time.t_final = 0.5  [table1 cell]", "# rhc.beta = 0.001  [table1 cell]",
+                     "# mesh.nx = 8  [line 2]", "# params.nu = 0.1  [default]"):
+            assert line in snap
+        # one start and one finish line per run on stderr, nothing on stdout
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 4
+        for i, kind in enumerate(("satcon", "rhc")):
+            job = tmp_path / f"{kind}_b0.001_e2_T0.5"
+            assert lines[2 * i] == f"[start] {job}"
+            assert re.fullmatch(rf"\[done\] {re.escape(str(job))}: completed, \d+\.\d\d s", lines[2 * i + 1])
 
     def test_sweep_lambda(self, tmp_path):
         base = parse_config(COARSE + "[run]\ncontroller = saturated\n"
@@ -232,6 +305,28 @@ class TestTable1AndSweep:
         rows = run_sweep("lambda", [5.0, 50.0], base, tmp_path)
         assert [r["status"] for r in rows] == ["completed", "completed"]
         assert (tmp_path / "sweep_lambda.csv").exists()
+        snap = (tmp_path / "lambda_50.0" / "config_snapshot.txt").read_text()
+        assert "# feedback.lambda = 50.0  [sweep value]" in snap
+        assert "# run.controller = saturated  [line 9]" in snap
+
+    def test_failed_run_recorded_and_the_others_still_run(self, tmp_path, monkeypatch, capsys):
+        from schloegl import experiments
+
+        original = experiments.run_scenario
+
+        def failing_for_small_gains(cfg, out_dir):
+            if cfg.gain < 10:
+                raise RuntimeError("solver exploded")
+            return original(cfg, out_dir)
+
+        monkeypatch.setattr(experiments, "run_scenario", failing_for_small_gains)
+        base = parse_config(COARSE + "[run]\ncontroller = saturated\n")
+        rows = run_sweep("lambda", [5.0, 50.0], base, tmp_path)
+        assert rows[0]["status"] == "failed: solver exploded" and math.isnan(rows[0]["mu_est"])
+        assert rows[1]["status"] == "completed"
+        err = capsys.readouterr().err
+        assert "RuntimeError: solver exploded" in err
+        assert f"[done] {tmp_path / 'lambda_5.0'}: failed: solver exploded, " in err
 
     def test_process_pool_gives_the_serial_rows(self, tmp_path):
         # workers receive ScenarioConfig objects; every cell's files and row
@@ -262,6 +357,12 @@ class TestTable1AndSweep:
             run_sweep("gamma", [1], base, tmp_path)
         with pytest.raises(ValueError):
             run_sweep("msigma", [5], base, tmp_path)
+        # a bad value is refused before any run directory is written
+        with pytest.raises(ConfigError, match="feedback.cu"):
+            run_sweep("cu", ["inf", "e^x"], base, tmp_path / "cu")
+        with pytest.raises(ConfigError, match="feedback.lambda"):
+            run_sweep("lambda", [1.0, -1.0], base, tmp_path / "lambda")
+        assert not (tmp_path / "cu").exists() and not (tmp_path / "lambda").exists()
 
 
 class TestCli:
@@ -299,6 +400,17 @@ class TestCli:
         sweep = build_parser().parse_args(["sweep", "--axis", "cu", "--values", "1", "--out", "s", "--threads", "2"])
         assert sweep.threads == 2
         assert not (tmp_path / "o").exists()
+
+    def test_snapshot_names_the_origin_of_overrides(self, tmp_path):
+        from schloegl.cli import main
+
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("[run]\ncontroller = rhc\n[time]\ndt = 0.01\nt_final = 0.05\n")
+        assert main(["simulate-free", "--config", str(cfgf), "--out", str(tmp_path / "o"), "--ci"]) == 0
+        snap = (tmp_path / "o" / "config_snapshot.txt").read_text()
+        assert "# mesh.nx = 16  [--ci]" in snap and "# mesh.ny = 16  [--ci]" in snap
+        assert "# run.controller = none  [simulate-free]" in snap
+        assert "# time.dt = 0.01  [line 4]" in snap
 
     def test_constants_report(self):
         out = self.run_cli("constants", "--mu", "0.1")
