@@ -21,7 +21,7 @@ Every trajectory of the package advances through one private plant loop
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -172,7 +172,7 @@ class ForcingLoad:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Time step, state-snapshot stride, and cost weight for diagnostics."""
+    """Time step, state-snapshot stride, and the one control-cost weight of every controller's J."""
 
     dt: float = 1e-3
     state_stride: int = 10
@@ -203,11 +203,15 @@ class TrajectoryRecord:
     controls: np.ndarray | None
     states: np.ndarray
     state_levels: np.ndarray
-    final_state: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
+
+    @property
+    def final_state(self) -> np.ndarray:
+        """State at the last level, which is always stored."""
+        return self.states[-1]
 
     def state_at_level(self, n: int) -> np.ndarray:
         """Stored state at time level n; raises unless n falls on the stride."""
@@ -381,7 +385,6 @@ class _Recorder:
             controls=self.controls,
             states=np.array(self._snaps),
             state_levels=np.array(self._snap_levels),
-            final_state=self._snaps[-1],
         )
 
 
@@ -483,16 +486,16 @@ def _run_plant(cursor: _Cursor, n_steps: int, forcing, b=None, control=None,
 
 
 def _simulate(y0: np.ndarray, n_steps: int, fe: FemOperators, params: SchloeglParams,
-              forcing: ForcingSpec | None, cfg: IntegratorConfig, beta: float = 0.0, target=None,
+              forcing: ForcingSpec | None, cfg: IntegratorConfig, target=None,
               coupling=None, control=None) -> TrajectoryRecord:
     """Record of a run from level 0 against ``target`` (initial state, full-state record
-    or None); plant and target share one stepper."""
+    or None), its control cost weighed by ``cfg.cost_beta``; plant and target share one stepper."""
     stepper = CrankNicolsonAB2(fe, params, cfg.dt)
     load = ForcingLoad(forcing or ForcingSpec.zero(), fe)
     if target is not None:
         target = _TargetSource.of(target, stepper, load, n_steps)
     b, count = (None, None) if coupling is None else (coupling.b, coupling.count)
-    rec = _Recorder(fe, n_steps, cfg.dt, cfg.state_stride, beta, count, track_error=target is not None)
+    rec = _Recorder(fe, n_steps, cfg.dt, cfg.state_stride, cfg.cost_beta, count, track_error=target is not None)
     _run_plant(_Cursor(stepper, y0), n_steps, lambda n: load(n * cfg.dt), b, control, target, rec)
     return rec.finish()
 

@@ -327,8 +327,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunArtifact:
     forcing = forcing_spec(cfg.forcing)
     yhat0 = initial_field(cfg.yhat0, fe.mesh)
     y0 = initial_field(cfg.y0, fe.mesh)
-    beta = cfg.rhc_beta
-    integ = IntegratorConfig(dt=cfg.dt, state_stride=cfg.state_stride, cost_beta=beta)
+    law = FeedbackLaw(gain=cfg.gain, saturation=SaturationConfig(bound=cfg.cu, norm=cfg.norm))
+    integ = IntegratorConfig(dt=cfg.dt, state_stride=cfg.state_stride, cost_beta=cfg.rhc_beta)
 
     summary = {
         "controller": cfg.controller,
@@ -340,14 +340,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunArtifact:
     try:
         if cfg.controller == "rhc":
             rcfg = RhcConfig(horizon=cfg.rhc_horizon, delta=cfg.rhc_delta, t_final=cfg.t_final,
-                             beta=beta, tol=cfg.rhc_tol, j_max=cfg.rhc_j_max, warm_start_gain=cfg.gain)
-            rhc_result = run_rhc(rcfg, y0, yhat0, coupling, fe, params, forcing, integ,
-                                 SaturationConfig(bound=cfg.cu, norm=cfg.norm))
+                             tol=cfg.rhc_tol, j_max=cfg.rhc_j_max)
+            rhc_result = run_rhc(rcfg, y0, yhat0, law, coupling, fe, params, forcing, integ)
             record = rhc_result.record
         elif cfg.controller == "none":
             record = _simulate(y0, _n_steps_for(cfg.t_final, cfg.dt), fe, params, forcing, integ, target=yhat0)
         else:
-            law = FeedbackLaw(gain=cfg.gain, saturation=SaturationConfig(bound=cfg.cu, norm=cfg.norm))
             record = track_target(y0, yhat0, law, coupling, fe, params, forcing, integ, horizon=cfg.t_final)
     except BlowUpError as exc:
         summary["status"] = "completed-unstable"
@@ -422,7 +420,6 @@ def run_table1(out_dir: str | Path, base: ScenarioConfig | None = None,
     out = Path(out_dir)
     if base is None:
         base = _override(ScenarioConfig(), "table1 base", yhat0="constant:2", y0="constant:-1", forcing="periodic")
-    base = replace(base, source_text="")
     grid = [(beta, cu_tag, t_inf) for beta in betas for (cu_tag, t_inf) in cells]
     jobs = [(_override(base, "table1 cell", controller=controller, cu_tag=cu_tag, t_final=t_inf, rhc_beta=beta),
              out / f"{kind}_b{beta:g}_{cu_tag.replace('^', '')}_T{t_inf:g}")
@@ -482,7 +479,6 @@ def run_sweep(axis: str, values: list, base: ScenarioConfig, out_dir: str | Path
     if not values:
         raise ValueError("sweep needs at least one value")
     out = Path(out_dir)
-    base = replace(base, source_text="")
     attr, convert = _SWEEP_AXES[axis]
     jobs = [(_override(base, "sweep value", **{attr: convert(v)}), out / f"{axis}_{str(v).replace('^', '')}")
             for v in values]

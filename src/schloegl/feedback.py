@@ -170,5 +170,5 @@ def track_target(y0: np.ndarray, target, law: FeedbackLaw, coupling: CouplingMat
     any other record is refused before the first step.
     """
     cfg = cfg or IntegratorConfig()
-    return _simulate(y0, _n_steps_for(horizon, cfg.dt), fe, params, forcing, cfg, cfg.cost_beta,
-                     target, coupling, _feedback_control(law, coupling))
+    return _simulate(y0, _n_steps_for(horizon, cfg.dt), fe, params, forcing, cfg, target, coupling,
+                     _feedback_control(law, coupling))

@@ -47,14 +47,12 @@ class StructuredTriangulation:
         grid (x varies fastest).
     triangles : (n_tris, 3) int array of node indices, counterclockwise.
     nx, ny : cell subdivisions along each axis.
-    domain : the underlying rectangle.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     nx: int
     ny: int
-    domain: RectangleDomain
 
     @property
     def n_nodes(self) -> int:
@@ -88,7 +86,7 @@ def build_mesh(nx: int, ny: int, domain: RectangleDomain | None = None) -> Struc
     n10, n01 = n00 + 1, n00 + (nx + 1)
     n11 = n01 + 1
     tris = np.column_stack([n00, n10, n11, n00, n11, n01]).reshape(-1, 3)
-    return StructuredTriangulation(nodes=nodes, triangles=tris, nx=nx, ny=ny, domain=domain)
+    return StructuredTriangulation(nodes=nodes, triangles=tris, nx=nx, ny=ny)
 
 
 def triangle_areas(mesh: StructuredTriangulation) -> np.ndarray:

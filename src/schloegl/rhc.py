@@ -6,7 +6,8 @@ Each window minimizes the discrete cost
 
 (trapezoid weights tau_n on the state term, exact integral of the
 piecewise-constant control) subject to the forward CN/AB2 recursion,
-over amplitude trajectories in the feedback law's per-step ball.  Gradients are
+over amplitude trajectories in the feedback law's per-step ball, with beta
+the run's ``IntegratorConfig.cost_beta``.  Gradients are
 exact discrete adjoints (transpose of the linearized forward step), so
 finite-difference checks are hard pass/fail.  The optimizer is a
 projected gradient method with BB1 stepsizes and a nonmonotone Armijo
@@ -279,10 +280,8 @@ class RhcConfig:
     horizon: float
     delta: float
     t_final: float
-    beta: float = 1e-3
     tol: float = 1e-4
     j_max: int = 500
-    warm_start_gain: float = 175.0
 
     def __post_init__(self):
         if not (self.horizon > self.delta > 0):
@@ -297,21 +296,21 @@ class RhcResult:
     window_reports: list          # the OptimizeResult of each window, in order
 
 
-def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, coupling: CouplingMatrix, fe: FemOperators,
-            params: SchloeglParams, forcing: ForcingSpec | None = None,
-            integ: IntegratorConfig | None = None, saturation: SaturationConfig | None = None) -> RhcResult:
+def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, law: FeedbackLaw, coupling: CouplingMatrix,
+            fe: FemOperators, params: SchloeglParams, forcing: ForcingSpec | None = None,
+            integ: IntegratorConfig | None = None) -> RhcResult:
     """Receding-horizon loop: solve each window OCP, keep the first
     sampling interval of its optimal control, advance the plant, slide.
 
-    ``target`` is either the target initial state (rolling co-simulation)
-    or a full-state :class:`TrajectoryRecord` covering t_final - delta +
-    horizon, which is checked before the first step.
-    The first window starts from the saturated feedback control with the
-    configured warm-start gain; later windows shift the previous optimum
-    and pad the tail with its last column.
+    Arguments as for :func:`.feedback.track_target`; ``law.saturation`` is
+    every window's admissible set, ``integ.cost_beta`` the control weight of
+    the window costs and the record.  ``target`` (an initial state, rolled
+    forward, or a full-state record covering t_final - delta + horizon) is
+    checked before the first step.  The first window starts from the closed
+    loop of ``law``; later windows shift the previous optimum and pad the
+    tail with its last column.
     """
     integ = integ or IntegratorConfig()
-    saturation = saturation or SaturationConfig()
     dt = integ.dt
     n_delta = _n_steps_for(cfg.delta, dt)
     n_horizon = _n_steps_for(cfg.horizon, dt)
@@ -324,7 +323,7 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, coupling: CouplingMatrix, fe
     fload = ForcingLoad(forcing or ForcingSpec.zero(), fe)
     source = _TargetSource.of(target, stepper, fload, n_total - n_delta + n_horizon)
     plant = _Cursor(stepper, y0)
-    rec = _Recorder(fe, n_total, dt, integ.state_stride, cfg.beta, coupling.count, track_error=True)
+    rec = _Recorder(fe, n_total, dt, integ.state_stride, integ.cost_beta, coupling.count, track_error=True)
     reports = []
     warm = None
 
@@ -332,12 +331,12 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, coupling: CouplingMatrix, fe
         n0 = w * n_delta
         prob = OcpProblem(
             coupling=coupling, stepper=stepper,
-            y0=plant.y, y_prev=plant.y_prev, target=source.window(n0, n_horizon), beta=cfg.beta,
-            saturation=saturation, t0=n0 * dt,
+            y0=plant.y, y_prev=plant.y_prev, target=source.window(n0, n_horizon), beta=integ.cost_beta,
+            saturation=law.saturation, t0=n0 * dt,
             forcing_loads=[fload((n0 + k) * dt) for k in range(n_horizon)],
         )
         if warm is None:
-            u_init = saturated_control_on_window(prob, cfg.warm_start_gain)
+            u_init = saturated_control_on_window(prob, law.gain)
         else:
             u_init = np.empty_like(warm)
             u_init[:, : n_horizon - n_delta] = warm[:, n_delta:]
@@ -354,7 +353,7 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, coupling: CouplingMatrix, fe
 def simulate_controlled(y0: np.ndarray, controls: np.ndarray, coupling: CouplingMatrix,
                         fe: FemOperators, params: SchloeglParams,
                         forcing: ForcingSpec | None = None, integ: IntegratorConfig | None = None,
-                        target_y0=None, beta: float = 0.0) -> TrajectoryRecord:
+                        target_y0=None, beta: float | None = None) -> TrajectoryRecord:
     """Open-loop replay of a logged control sequence (one column per step).
 
     With ``target_y0`` given, error norms and the running cost are logged
@@ -362,9 +361,12 @@ def simulate_controlled(y0: np.ndarray, controls: np.ndarray, coupling: Coupling
     co-simulated, or a full-state :class:`TrajectoryRecord` covering the
     replay on the same grid.  Plant loop and target source are those of
     the receding-horizon plant, so replaying the logged receding-horizon
-    control reproduces its trajectory bitwise.
+    control with the run's own ``integ`` reproduces its record bitwise.
+    ``integ.cost_beta`` weighs the control; another ``beta`` is refused.
     """
     integ = integ or IntegratorConfig()
+    if beta is not None and beta != integ.cost_beta:
+        raise ValueError(f"beta = {beta!r} differs from the cost weight integ.cost_beta = {integ.cost_beta!r}")
     controls = np.asarray(controls, dtype=float)
-    return _simulate(y0, controls.shape[1], fe, params, forcing, integ, beta, target_y0, coupling,
+    return _simulate(y0, controls.shape[1], fe, params, forcing, integ, target_y0, coupling,
                      lambda k, z: controls[:, k])

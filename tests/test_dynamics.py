@@ -172,6 +172,9 @@ class TestIntegrator:
         rec = simulate_free(np.full(fe16.mesh.n_nodes, 2.0), 0.02, fe16, params, cfg=cfg)
         assert rec.n_steps == 20
         assert rec.state_levels[0] == 0 and rec.state_levels[-1] == 20
+        # the final state is the last stored level, not a second copy of it
+        assert np.shares_memory(rec.final_state, rec.states)
+        assert np.array_equal(rec.final_state, rec.state_at_level(20))
         assert np.all(np.diff(rec.times) > 0)
         assert rec.state_at_level(14).shape == (fe16.mesh.n_nodes,)
         with pytest.raises(KeyError):

@@ -204,22 +204,30 @@ class TestRunScenario:
         assert all(int(r[3]) >= 1 and r[5] in ("True", "False") and r[6] for r in rows)
 
     def test_rhc_warm_start_uses_the_configured_gain(self, tmp_path, monkeypatch):
-        from schloegl import rhc
+        # the RHC gets the feedback law of the scenario and warm-starts with its gain
+        from schloegl import FeedbackLaw, SaturationConfig, experiments, rhc
 
-        gains = []
+        gains, laws = [], []
         original = rhc.saturated_control_on_window
+        original_run = experiments.run_rhc
 
         def recording(prob, gain):
             gains.append(gain)
             return original(prob, gain)
 
+        def recording_run(cfg, y0, target, law, *args):
+            laws.append(law)
+            return original_run(cfg, y0, target, law, *args)
+
         monkeypatch.setattr(rhc, "saturated_control_on_window", recording)
+        monkeypatch.setattr(experiments, "run_rhc", recording_run)
         cfg = parse_config("[mesh]\nnx = 6\nny = 6\n[time]\ndt = 0.01\nt_final = 0.2\n"
                            + "[run]\ncontroller = rhc\n[rhc]\nt = 0.2\ndelta = 0.1\ntol = 1e-3\n"
                            + "[initial]\nyhat0 = constant:2\ny0 = constant:1\n[feedback]\nlambda = 50\ncu = e^2\n")
         art = run_scenario(cfg, tmp_path / "run")
         assert art.summary["status"] == "completed"
-        assert gains == [50.0]
+        assert laws == [FeedbackLaw(gain=50.0, saturation=SaturationConfig(bound=math.exp(2.0)))]
+        assert gains == [laws[0].gain]
 
     def test_free_run_applies_no_control(self, tmp_path, monkeypatch):
         # controller none runs the plant loop without a control policy and
@@ -282,9 +290,11 @@ class TestTable1AndSweep:
         csv = (tmp_path / "table1.csv").read_text().splitlines()
         assert csv[0] == "beta,cu,t_inf,rhc,satcon,rhc_status,satcon_status"
         assert len(csv) == 2
-        # each job snapshot tags the cell's values and keeps the base's origins
+        # each job snapshot holds the base text its line tags point at, tags
+        # the cell's values and keeps the base's origins
         snap = (tmp_path / "rhc_b0.001_e2_T0.5" / "config_snapshot.txt").read_text()
-        assert snap.startswith("\n# resolved values (provenance)\n")
+        assert snap.startswith(base.source_text + "\n# resolved values (provenance)\n")
+        assert snap.splitlines()[1] == "nx = 8"
         for line in ("# feedback.cu = e^2  [table1 cell]", "# run.controller = rhc  [table1 cell]",
                      "# time.t_final = 0.5  [table1 cell]", "# rhc.beta = 0.001  [table1 cell]",
                      "# mesh.nx = 8  [line 2]", "# params.nu = 0.1  [default]"):

@@ -1,6 +1,7 @@
 """Window optimal-control problems, adjoint gradients, and the RHC loop."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -241,6 +242,9 @@ class TestBBSolver:
 
 
 class TestRunRhc:
+    # the warm-start gain and the unbounded admissible set of every run below
+    LAW = FeedbackLaw(gain=175.0)
+
     def setup_case(self, fe, params):
         grid = build_actuator_grid(3, 0.5)
         cm = discretize_actuators(grid, fe.mesh)
@@ -249,9 +253,9 @@ class TestRunRhc:
     def test_zero_initial_error(self, fe16, params):
         cm = self.setup_case(fe16, params)
         y0 = np.full(fe16.mesh.n_nodes, 2.0)
-        cfg = RhcConfig(horizon=0.3, delta=0.1, t_final=0.4, beta=1e-3)
-        res = run_rhc(cfg, y0, y0.copy(), cm, fe16, params,
-                      integ=IntegratorConfig(dt=1e-2, state_stride=10))
+        cfg = RhcConfig(horizon=0.3, delta=0.1, t_final=0.4)
+        res = run_rhc(cfg, y0, y0.copy(), self.LAW, cm, fe16, params,
+                      integ=IntegratorConfig(dt=1e-2, state_stride=10, cost_beta=1e-3))
         assert res.record.running_cost[-1] <= 1e-10
         assert np.max(np.abs(res.record.controls)) <= 1e-6
 
@@ -259,8 +263,8 @@ class TestRunRhc:
         cm = self.setup_case(fe16, params)
         y0 = np.zeros(fe16.mesh.n_nodes)
         with pytest.raises(ValueError):
-            run_rhc(RhcConfig(horizon=0.3, delta=0.1, t_final=0.35), y0, y0, cm, fe16, params,
-                    integ=IntegratorConfig(dt=1e-2))
+            run_rhc(RhcConfig(horizon=0.3, delta=0.1, t_final=0.35), y0, y0, self.LAW, cm, fe16, params,
+                    integ=IntegratorConfig(dt=1e-2, cost_beta=1e-3))
         with pytest.raises(ValueError):
             RhcConfig(horizon=0.1, delta=0.2, t_final=1.0)
 
@@ -270,21 +274,19 @@ class TestRunRhc:
         sat = SaturationConfig(bound=math.exp(2.0))
         y0 = np.full(fe16.mesh.n_nodes, -1.0)
         yhat0 = np.full(fe16.mesh.n_nodes, 2.0)
-        integ = IntegratorConfig(dt=5e-3, state_stride=20)
-        cfg = RhcConfig(horizon=0.5, delta=0.25, t_final=1.0, beta=1e-3, tol=1e-3)
-        res = run_rhc(cfg, y0, yhat0, cm, fe16, params, forcing, integ, sat)
+        integ = IntegratorConfig(dt=5e-3, state_stride=20, cost_beta=1e-3)
+        cfg = RhcConfig(horizon=0.5, delta=0.25, t_final=1.0, tol=1e-3)
+        law = FeedbackLaw(gain=175.0, saturation=sat)
+        res = run_rhc(cfg, y0, yhat0, law, cm, fe16, params, forcing, integ)
         replay = simulate_controlled(y0, res.record.controls.T, cm, fe16, params, forcing, integ,
-                                     target_y0=yhat0, beta=cfg.beta)
+                                     target_y0=yhat0)
         assert np.array_equal(replay.final_state, res.record.final_state)
         assert np.array_equal(replay.states, res.record.states)
         assert np.array_equal(replay.err_norm, res.record.err_norm)
         assert replay.running_cost[-1] == res.record.running_cost[-1]
 
         # suboptimality ordering against the saturated feedback
-        law = FeedbackLaw(gain=175.0, saturation=sat)
-        sat_rec = track_target(y0, yhat0, law, cm, fe16, params, forcing,
-                               IntegratorConfig(dt=5e-3, state_stride=20, cost_beta=cfg.beta),
-                               horizon=cfg.t_final)
+        sat_rec = track_target(y0, yhat0, law, cm, fe16, params, forcing, integ, horizon=cfg.t_final)
         assert res.record.running_cost[-1] <= sat_rec.running_cost[-1] + 1e-9
 
         # feasibility of the concatenated control
@@ -297,17 +299,18 @@ class TestRunRhc:
         sat = SaturationConfig(bound=math.exp(1.5), norm="max")
         y0 = np.full(fe16.mesh.n_nodes, -1.0)
         yhat0 = np.full(fe16.mesh.n_nodes, 2.0)
-        integ = IntegratorConfig(dt=1e-2, state_stride=5)
-        cfg = RhcConfig(horizon=0.3, delta=0.1, t_final=0.3, beta=1e-3, tol=1e-3)
-        rolling = run_rhc(cfg, y0, yhat0, cm, fe16, params, forcing, integ, sat)
+        integ = IntegratorConfig(dt=1e-2, state_stride=5, cost_beta=1e-3)
+        cfg = RhcConfig(horizon=0.3, delta=0.1, t_final=0.3, tol=1e-3)
+        law = FeedbackLaw(gain=175.0, saturation=sat)
+        rolling = run_rhc(cfg, y0, yhat0, law, cm, fe16, params, forcing, integ)
         target = simulate_free(yhat0, cfg.t_final + cfg.horizon, fe16, params, forcing,
                                IntegratorConfig(dt=integ.dt, state_stride=1))
-        stored = run_rhc(cfg, y0, target, cm, fe16, params, forcing, integ, sat)
+        stored = run_rhc(cfg, y0, target, law, cm, fe16, params, forcing, integ)
         assert np.array_equal(stored.record.controls, rolling.record.controls)
         assert np.array_equal(stored.record.states, rolling.record.states)
         assert np.array_equal(stored.record.err_norm, rolling.record.err_norm)
         replay = simulate_controlled(y0, stored.record.controls.T, cm, fe16, params, forcing, integ,
-                                     target_y0=target, beta=cfg.beta)
+                                     target_y0=target)
         assert np.array_equal(replay.err_norm, stored.record.err_norm)
         assert replay.running_cost[-1] == stored.record.running_cost[-1]
 
@@ -315,20 +318,20 @@ class TestRunRhc:
         fine = simulate_free(yhat0, cfg.t_final + cfg.horizon, fe16, params, forcing,
                              IntegratorConfig(dt=integ.dt / 2, state_stride=1))
         with pytest.raises(ValueError, match="time grid"):
-            run_rhc(cfg, y0, fine, cm, fe16, params, forcing, integ, sat)
+            run_rhc(cfg, y0, fine, law, cm, fe16, params, forcing, integ)
 
     def test_short_target_record_refused_before_the_first_window(self, params, stepper_calls):
         # the last window needs t_final - delta + horizon = 0.7 > 0.6: refuse
         # the record before the warm start or the plant takes a step
         fe = build_fem(8, 8, 0.1)
         cm = discretize_actuators(build_actuator_grid(2, 0.5), fe.mesh)
-        integ = IntegratorConfig(dt=0.01)
+        integ = IntegratorConfig(dt=0.01, cost_beta=1e-3)
         target = simulate_free(np.full(fe.mesh.n_nodes, 2.0), 0.6, fe, params,
                                cfg=IntegratorConfig(dt=integ.dt, state_stride=1))
         del stepper_calls[:]
         cfg = RhcConfig(horizon=0.3, delta=0.1, t_final=0.5)
         with pytest.raises(ValueError, match="target record covers 60 steps, the run needs 70"):
-            run_rhc(cfg, np.full(fe.mesh.n_nodes, 1.0), target, cm, fe, params, integ=integ)
+            run_rhc(cfg, np.full(fe.mesh.n_nodes, 1.0), target, self.LAW, cm, fe, params, integ=integ)
         assert stepper_calls == []
 
     def test_rolling_target_steps_each_level_once(self, fe16, params, stepper_calls):
@@ -336,9 +339,9 @@ class TestRunRhc:
         # step or a step of a forward window; the target must not re-step
         # the levels its windows share
         cm = self.setup_case(fe16, params)
-        cfg = RhcConfig(horizon=0.3, delta=0.1, t_final=0.3, beta=1e-3, tol=1e-3)
-        res = run_rhc(cfg, np.full(fe16.mesh.n_nodes, 1.0), np.full(fe16.mesh.n_nodes, 2.0), cm, fe16, params,
-                      ForcingSpec.periodic_indicator(), IntegratorConfig(dt=1e-2))
+        cfg = RhcConfig(horizon=0.3, delta=0.1, t_final=0.3, tol=1e-3)
+        res = run_rhc(cfg, np.full(fe16.mesh.n_nodes, 1.0), np.full(fe16.mesh.n_nodes, 2.0), self.LAW, cm, fe16,
+                      params, ForcingSpec.periodic_indicator(), IntegratorConfig(dt=1e-2, cost_beta=1e-3))
         n_total, n_horizon = 30, 30
         target_levels = 20 + n_horizon  # last window starts at level 20
         forward = sum(r.n_evaluations for r in res.window_reports) * n_horizon
@@ -347,9 +350,9 @@ class TestRunRhc:
     def test_window_reports_keep_stop_reason(self, fe16, params):
         cm = self.setup_case(fe16, params)
         y0 = np.full(fe16.mesh.n_nodes, 1.0)
-        cfg = RhcConfig(horizon=0.2, delta=0.1, t_final=0.2, beta=1e-3, tol=1e-3)
-        res = run_rhc(cfg, y0, np.full(fe16.mesh.n_nodes, 2.0), cm, fe16, params,
-                      integ=IntegratorConfig(dt=1e-2))
+        cfg = RhcConfig(horizon=0.2, delta=0.1, t_final=0.2, tol=1e-3)
+        res = run_rhc(cfg, y0, np.full(fe16.mesh.n_nodes, 2.0), self.LAW, cm, fe16, params,
+                      integ=IntegratorConfig(dt=1e-2, cost_beta=1e-3))
         assert len(res.window_reports) == 2
         for report in res.window_reports:
             assert isinstance(report.message, str) and report.message
@@ -360,12 +363,12 @@ class TestRunRhc:
         cm = discretize_actuators(build_actuator_grid(2, 0.5), fe.mesh)
         y0 = np.zeros(fe.mesh.n_nodes)
         target_y0 = np.full(fe.mesh.n_nodes, 50.0)
-        integ = IntegratorConfig(dt=0.1)
+        integ = IntegratorConfig(dt=0.1, cost_beta=1e-3)
         with pytest.raises(BlowUpError):
             simulate_free(target_y0, 1.0, fe, params, cfg=integ)
         with pytest.raises(BlowUpError):
             simulate_controlled(y0, np.zeros((cm.count, 10)), cm, fe, params, integ=integ,
-                                target_y0=target_y0, beta=1e-3)
+                                target_y0=target_y0)
 
     def test_error_dynamics_formulation_equivalent(self, fe16, params):
         # simulating the error system with the shifted reaction reproduces
@@ -379,8 +382,8 @@ class TestRunRhc:
         u = 0.5 * rng.normal(size=(cm.count, n))
         y0 = fe16.mesh.interpolate(lambda x, y: 1.0 + 0.5 * np.cos(np.pi * x))
         yhat0 = np.full(fe16.mesh.n_nodes, 2.0)
-        integ = IntegratorConfig(dt=dt, state_stride=1)
-        rec = simulate_controlled(y0, u, cm, fe16, params, None, integ, target_y0=yhat0, beta=1e-3)
+        integ = IntegratorConfig(dt=dt, state_stride=1, cost_beta=1e-3)
+        rec = simulate_controlled(y0, u, cm, fe16, params, None, integ, target_y0=yhat0)
         from schloegl import simulate_free
 
         tgt = simulate_free(yhat0, n * dt, fe16, params, cfg=integ)
@@ -405,3 +408,43 @@ class TestRunRhc:
         j_err_form = dt * (0.5 * errs[0] ** 2 + np.sum(errs[1:-1] ** 2) + 0.5 * errs[-1] ** 2) \
             + 1e-3 * dt * float(np.sum(u * u))
         assert j_err_form == pytest.approx(rec.running_cost[-1], rel=1e-9)
+
+
+class TestOneCostWeight:
+    """``IntegratorConfig.cost_beta`` weighs the control in every run, the RHC and its replay included."""
+
+    @staticmethod
+    def probe(cost_beta):
+        fe = build_fem(8, 8, 0.1)
+        params = SchloeglParams()
+        cm = discretize_actuators(build_actuator_grid(2, 0.5), fe.mesh)
+        law = FeedbackLaw(gain=175.0, saturation=SaturationConfig(bound=math.exp(1.5), norm="max"))
+        forcing = ForcingSpec.periodic_indicator()
+        integ = IntegratorConfig(dt=0.01, cost_beta=cost_beta)
+        y0, yhat0 = np.full(fe.mesh.n_nodes, -1.0), np.full(fe.mesh.n_nodes, 2.0)
+        res = run_rhc(RhcConfig(horizon=0.3, delta=0.1, t_final=0.3), y0, yhat0, law, cm, fe, params,
+                      forcing, integ)
+        replay = partial(simulate_controlled, y0, res.record.controls.T, cm, fe, params, forcing, integ,
+                         target_y0=yhat0)
+        return res, replay
+
+    def test_run_rhc_reads_the_cost_weight(self):
+        small, _ = self.probe(1e-3)
+        large, _ = self.probe(0.5)
+        assert small.record.running_cost[-1] != large.record.running_cost[-1]
+        assert small.window_reports[0].cost != large.window_reports[0].cost
+
+    def test_replay_with_the_runs_integrator_reproduces_the_cost(self):
+        res, replay = self.probe(1e-3)
+        rec = replay()
+        assert rec.running_cost[-1] == res.record.running_cost[-1]
+        assert np.array_equal(rec.states, res.record.states)
+
+    def test_replay_refuses_another_beta(self):
+        res, replay = self.probe(1e-3)
+        with pytest.raises(ValueError, match="cost_beta"):
+            replay(beta=0.5)
+        with pytest.raises(ValueError, match="cost_beta"):
+            replay(beta=0.0)
+        # the weight itself is accepted: the call shape of the benchmark's replay check
+        assert replay(beta=1e-3).running_cost[-1] == res.record.running_cost[-1]
