@@ -1,15 +1,16 @@
 """Actuator grid geometry and the exact coupling integrals.
 
-The clipping-based integrals are checked three ways: column sums equal
+The clipping-based integrals are checked four ways: column sums equal
 box volumes (partition of unity), an aligned-box case computable by
-summing whole elements, and a fine tensor quadrature oracle on a
-misaligned case.
+summing whole elements, a fine tensor quadrature oracle on a misaligned
+case, and bitwise equality with a scalar clip of one triangle at a time.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from schloegl import (
     RectangleDomain,
@@ -22,6 +23,94 @@ from schloegl import (
     l2_norm,
     project_onto_actuator_span,
     projection_norm_sq,
+)
+
+
+def _clip_axis(poly: list, axis: int, bound: float, keep_below: bool) -> list:
+    """Sutherland-Hodgman clip against an axis-aligned half-plane."""
+    out = []
+    n = len(poly)
+    for i in range(n):
+        p, q = poly[i], poly[(i + 1) % n]
+        pin = (p[axis] <= bound) if keep_below else (p[axis] >= bound)
+        qin = (q[axis] <= bound) if keep_below else (q[axis] >= bound)
+        if pin:
+            out.append(p)
+            if not qin:
+                t = (bound - p[axis]) / (q[axis] - p[axis])
+                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        elif qin:
+            t = (bound - p[axis]) / (q[axis] - p[axis])
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def _clip_triangle_to_box(tri_pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list:
+    poly = [tuple(pt) for pt in tri_pts]
+    for axis, bound, keep_below in ((0, lo[0], False), (0, hi[0], True), (1, lo[1], False), (1, hi[1], True)):
+        if not poly:
+            return []
+        poly = _clip_axis(poly, axis, bound, keep_below)
+    return poly
+
+
+def scalar_coupling(grid, mesh) -> sp.csr_matrix:
+    """Reference B: clip one triangle at a time and integrate each
+    clipped polygon by a fan of triangles, skipping zero-area fans."""
+    lo_all, hi_all = grid.boxes()
+    pts = mesh.nodes[mesh.triangles]
+    tmin = pts.min(axis=1)
+    tmax = pts.max(axis=1)
+    rows, cols, vals = [], [], []
+    for j in range(grid.count):
+        lo, hi = lo_all[j], hi_all[j]
+        cand = np.flatnonzero(
+            (tmin[:, 0] < hi[0]) & (tmax[:, 0] > lo[0]) & (tmin[:, 1] < hi[1]) & (tmax[:, 1] > lo[1])
+        )
+        for e in cand:
+            tri = pts[e]
+            poly = _clip_triangle_to_box(tri, lo, hi)
+            if len(poly) < 3:
+                continue
+            v0 = tri[0]
+            d1 = tri[1] - v0
+            d2 = tri[2] - v0
+            det = d1[0] * d2[1] - d1[1] * d2[0]
+            shape_at = np.empty((len(poly), 3))
+            for k, (px, py) in enumerate(poly):
+                rx, ry = px - v0[0], py - v0[1]
+                lam1 = (rx * d2[1] - ry * d2[0]) / det
+                lam2 = (d1[0] * ry - d1[1] * rx) / det
+                shape_at[k] = (1.0 - lam1 - lam2, lam1, lam2)
+            acc = np.zeros(3)
+            p0 = poly[0]
+            for k in range(1, len(poly) - 1):
+                p1, p2 = poly[k], poly[k + 1]
+                area = 0.5 * ((p1[0] - p0[0]) * (p2[1] - p0[1]) - (p1[1] - p0[1]) * (p2[0] - p0[0]))
+                if area == 0.0:
+                    continue
+                acc += area * (shape_at[0] + shape_at[k] + shape_at[k + 1]) / 3.0
+            for loc in range(3):
+                if acc[loc] != 0.0:
+                    rows.append(mesh.triangles[e, loc])
+                    cols.append(j)
+                    vals.append(acc[loc])
+    return sp.csr_matrix(
+        (np.array(vals), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
+        shape=(mesh.n_nodes, grid.count),
+    )
+
+
+# (nx, ny, m, r, domain sides or None for the unit square)
+_ORACLE_CASES = (
+    [(nx, nx, m, r, None) for nx in (16, 57) for m in (1, 2, 3, 4) for r in (0.25, 0.33, 0.5)]
+    + [(100, 100, m, 0.5, None) for m in (1, 2, 3, 4)]
+    + [
+        (13, 11, 3, 0.47, None),  # box edges never on mesh lines
+        (16, 8, 3, 0.5, (2.0, 0.5)),  # non-square rectangle
+        (8, 8, 2, 0.5, None),  # box edges on mesh lines
+        (1, 1, 2, 0.1, None),  # a box inside one triangle
+    ]
 )
 
 
@@ -62,6 +151,14 @@ class TestGrid:
             build_actuator_grid(2, 1.0)
         with pytest.raises(ValueError):
             build_actuator_grid(2, 0.0)
+
+    def test_grid_parameter_must_be_an_integer(self):
+        for m in (2.5, 2.0, True, np.True_):
+            with pytest.raises(ValueError, match="integer"):
+                build_actuator_grid(m, 0.5)
+        grid = build_actuator_grid(np.int64(3), 0.5)
+        assert grid.count == 9 and grid.centers.shape == (9, 2)
+        assert np.array_equal(grid.centers, build_actuator_grid(3, 0.5).centers)
 
 
 class TestCoupling:
@@ -131,6 +228,31 @@ class TestCoupling:
                 np.add.at(quad, node[mask], cell * lam[mask])
         got = cm.b[:, 0].toarray().ravel()
         assert np.allclose(got, quad, atol=2e-5 * grid.box_volume)
+
+
+    @pytest.mark.parametrize("nx, ny, m, r, sides", _ORACLE_CASES)
+    def test_bitwise_equal_to_scalar_clip(self, nx, ny, m, r, sides):
+        domain = RectangleDomain(*sides) if sides else None
+        mesh = build_mesh(nx, ny, domain)
+        grid = build_actuator_grid(m, r, domain)
+        got = discretize_actuators(grid, mesh).b
+        ref = scalar_coupling(grid, mesh)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.data, ref.data)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.indptr, ref.indptr)
+
+    def test_grid_leaving_the_mesh_is_refused(self):
+        # boxes on a 2x2 domain over the unit mesh: without the check the
+        # column sum is 0.25 against a box volume of 1.0
+        mesh = build_mesh(16, 16)
+        with pytest.raises(ValueError, match="leave the mesh"):
+            discretize_actuators(build_actuator_grid(1, 0.5, RectangleDomain(2.0, 2.0)), mesh)
+        with pytest.raises(ValueError, match="leave the mesh"):
+            discretize_actuators(build_actuator_grid(2, 0.5, RectangleDomain(1.0, 1.5)), mesh)
+        # a grid on a smaller rectangle lies inside the mesh and is accepted
+        cm = discretize_actuators(build_actuator_grid(2, 0.5, RectangleDomain(0.5, 0.5)), mesh)
+        assert np.allclose(np.asarray(cm.b.sum(axis=0)).ravel(), cm.volumes, rtol=1e-13)
 
 
 class TestControlOperator:

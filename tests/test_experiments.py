@@ -170,6 +170,18 @@ class TestRunScenario:
         assert "blowup_time" in art.summary
         assert art.series_csv is None
 
+    @pytest.mark.parametrize("controller", ["none", "saturated"])
+    def test_setup_phase_times(self, tmp_path, controller):
+        cfg = parse_config(COARSE + f"[run]\ncontroller = {controller}\n")
+        art = run_scenario(cfg, tmp_path / "run")
+        lines = (art.directory / "summary.txt").read_text().splitlines()
+        keys = [line.split(" = ")[0] for line in lines]
+        assert keys[-3:] == ["assembly_s", "clipping_s", "wall_time_s"]
+        times = {key: art.summary[key] for key in keys[-3:]}
+        assert times["assembly_s"] > 0.0
+        assert (times["clipping_s"] == 0.0) == (controller == "none")
+        assert times["assembly_s"] + times["clipping_s"] <= times["wall_time_s"]
+
     def test_snapshot_contains_source_and_provenance(self, tmp_path):
         text = COARSE + "[feedback]\nlambda = 20\n"
         cfg = parse_config(text)
