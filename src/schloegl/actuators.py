@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,15 +88,29 @@ def build_actuator_grid(m: int, width_fraction: float, domain: RectangleDomain |
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Discrete control operator data: B (n_nodes x count) and box volumes."""
+    """Discrete control operator data: B (n_nodes x count, float64 CSR) and box volumes."""
 
     b: sp.csr_matrix
     volumes: np.ndarray
     grid: ActuatorGrid
 
+    def __post_init__(self):
+        # the plant loop applies b through scipy's unchecked CSR kernel
+        if not (sp.issparse(self.b) and self.b.format == "csr" and self.b.dtype == np.float64):
+            raise ValueError(f"coupling matrix must be a float64 CSR matrix, got {self.b!r}")
+
     @property
     def count(self) -> int:
         return self.b.shape[1]
+
+    @cached_property
+    def bt(self) -> sp.csr_matrix:
+        """B^T as a CSR matrix, built once.
+
+        ``bt @ z`` sums each row's entries in the order ``b.T @ z`` does, so
+        it is bitwise equal, without building a CSC transpose per call.
+        """
+        return self.b.T.tocsr()
 
 
 def _clip_half_plane(x: np.ndarray, y: np.ndarray, n: np.ndarray, axis: int, bound: np.ndarray,
@@ -213,12 +228,12 @@ def project_onto_actuator_span(coupling: CouplingMatrix, z: np.ndarray) -> np.nd
     z = np.asarray(z, dtype=float)
     if z.shape != (coupling.b.shape[0],):
         raise ValueError(f"field length {z.shape} does not match mesh node count {coupling.b.shape[0]}")
-    return (coupling.b.T @ z) / coupling.volumes
+    return (coupling.bt @ z) / coupling.volumes
 
 
 def projection_norm_sq(coupling: CouplingMatrix, z: np.ndarray) -> float:
     """Squared L2 norm of the projection onto the actuator span."""
-    pair = coupling.b.T @ np.asarray(z, dtype=float)
+    pair = coupling.bt @ np.asarray(z, dtype=float)
     return float(np.sum(pair * pair / coupling.volumes))
 
 

@@ -132,18 +132,18 @@ def stabilizability_margin(gain: float, coupling: CouplingMatrix, fe: FemOperato
     base = (fe.stiffness + mass).tocsr()
     chol = _BandedCholesky(base)
     n = mass.shape[0]
-    b = coupling.b
+    b, bt = coupling.b, coupling.bt
     if gain > 0:
         weights = 2.0 * gain / coupling.volumes  # the diagonal of C
         w_mat = chol.solve(b.toarray())
-        cap = cho_factor(np.diag(1.0 / weights) + b.T @ w_mat)
+        cap = cho_factor(np.diag(1.0 / weights) + bt @ w_mat)
 
         def apply_pencil(v):
-            return base @ v + b @ (weights * (b.T @ v))
+            return base @ v + b @ (weights * (bt @ v))
 
         def solve_pencil(x):
             y = chol.solve(x)
-            return y - w_mat @ cho_solve(cap, b.T @ y)
+            return y - w_mat @ cho_solve(cap, bt @ y)
     else:
         apply_pencil, solve_pencil = base.dot, chol.solve
 

@@ -144,7 +144,7 @@ def feedback_dissipation(z: np.ndarray, u: np.ndarray, coupling: CouplingMatrix)
     For u produced by :func:`saturated_feedback` this equals
     -gain * min{1, bound/|v|} * |P z|^2 <= 0 (v the unsaturated amplitudes).
     """
-    return float(np.asarray(u, dtype=float) @ (coupling.b.T @ np.asarray(z, dtype=float)))
+    return float(np.asarray(u, dtype=float) @ (coupling.bt @ np.asarray(z, dtype=float)))
 
 
 def _feedback_control(law: FeedbackLaw, coupling: CouplingMatrix):

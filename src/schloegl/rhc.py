@@ -18,12 +18,21 @@ source, with one stepper per run.  Windows after the first continue the
 AB2 history of the plant, so the concatenated receding-horizon
 trajectory re-simulates bitwise from the logged control.  A run returns
 its plant record, whose ``controls`` rows are the applied amplitudes, and
-the :class:`OptimizeResult` of every window.
+the :class:`OptimizeResult` of every window, with its wall time.
+
+The adjoint sweep forms its p-independent work -- the M z rows, the
+sources 2 tau_m M z_m and the reaction factors 1.5 f' and 0.5 f' -- a
+block of ``ADJOINT_BLOCK`` levels at a time, so its scratch memory is
+O(block x nodes) whatever the window length.  Each backward step is then
+left with the two direct mat-vecs of p (:mod:`.dynamics`' CSR kernel) and
+one banded solve.  Every product is formed with the operands and in the
+order of the level-by-level sweep, so the adjoints are bitwise those of it.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -71,6 +80,8 @@ NONMONOTONE_MEMORY = 10
 ARMIJO_SLOPE = 1e-4
 BACKTRACK_FACTOR = 0.5
 BB_STEP_BOUNDS = (1e-8, 1e8)
+# Levels per block of the adjoint sweep's p-independent work.
+ADJOINT_BLOCK = 32
 
 
 @dataclass
@@ -82,7 +93,9 @@ class OcpProblem:
     window start); ``None`` means the window opens with the startup step.
     ``target`` holds the target states at every window level,
     shape (n_steps + 1, n_nodes).  ``forcing_loads`` is one load vector
-    (or None) per step, already paired with the mass matrix.
+    (or None) per step, already paired with the mass matrix; an empty list
+    means no forcing.  Mis-shaped states, target rows, loads or a coupling
+    on another mesh are refused here, before a step reads them.
     """
 
     coupling: CouplingMatrix
@@ -100,8 +113,20 @@ class OcpProblem:
             raise ValueError(f"cost weight must be >= 0, got {self.beta}")
         if self.target.ndim != 2 or self.target.shape[0] < 2:
             raise ValueError("target must cover the window at every level")
+        nodes = self.stepper.fe.mesh.n_nodes
+        shapes = {"target rows": self.target.shape[1:], "y0": np.shape(self.y0),
+                  "coupling rows": self.coupling.b.shape[:1]}
+        if self.y_prev is not None:
+            shapes["y_prev"] = np.shape(self.y_prev)
+        for name, shape in shapes.items():
+            if shape != (nodes,):
+                raise ValueError(f"{name}: shape {shape}, but the mesh has {nodes} nodes")
         if not self.forcing_loads:
             self.forcing_loads = [None] * self.n_steps
+        if len(self.forcing_loads) != self.n_steps:
+            raise ValueError(f"{len(self.forcing_loads)} forcing loads for a window of {self.n_steps} steps")
+        if any(load is not None and np.shape(load) != (nodes,) for load in self.forcing_loads):
+            raise ValueError(f"every forcing load must have shape ({nodes},)")
 
     @property
     def n_steps(self) -> int:
@@ -140,28 +165,34 @@ def solve_adjoint(states: np.ndarray, prob: OcpProblem) -> np.ndarray:
     The source is 2 * tau_m * M (y_m - target_m); the reaction
     linearization is the nodal derivative of the cubic at the stored
     states.  The last backward solve uses the startup operator when the
-    window opened with the startup step.
+    window opened with the startup step.  Sources and reaction factors are
+    formed ``ADJOINT_BLOCK`` levels at a time (see the module docstring).
     """
     n = prob.n_steps
     stepper = prob.stepper
-    mass = stepper.fe.mass
-    tau = prob.trapezoid_weights()
-    z = states - prob.target
+    tau2 = 2.0 * prob.trapezoid_weights()
     p = np.empty((n, states.shape[1]))
     startup = prob.y_prev is None
 
     mp_ahead = None  # mass @ p[m+1], carried between backward steps
-    for m in range(n, 0, -1):
-        rhs = 2.0 * tau[m] * (mass @ z[m])
-        if m <= n - 1:
-            fprime = cubic_reaction_derivative(states[m], stepper.params)
-            mp = mass @ p[m]
-            rhs += stepper.apply_cn_explicit(p[m]) - 1.5 * fprime * mp
-            if m <= n - 2:
-                rhs += 0.5 * fprime * mp_ahead
-            mp_ahead = mp
-        solve = stepper.solve_startup if (startup and m == 1) else stepper.solve_cn
-        p[m - 1] = solve(rhs)
+    for hi in range(n, 0, -ADJOINT_BLOCK):
+        lo = max(hi - ADJOINT_BLOCK, 0) + 1  # this block holds levels lo..hi
+        rows = slice(lo, hi + 1)
+        source = tau2[rows, None] * (stepper.fe.mass @ (states[rows] - prob.target[rows]).T).T
+        fprime_05 = cubic_reaction_derivative(states[rows], stepper.params)
+        fprime_15 = 1.5 * fprime_05
+        fprime_05 *= 0.5
+        for m in range(hi, lo - 1, -1):
+            i = m - lo
+            rhs = source[i]
+            if m <= n - 1:
+                mp = stepper.apply_mass(p[m])
+                rhs += stepper.apply_cn_explicit(p[m]) - fprime_15[i] * mp
+                if m <= n - 2:
+                    rhs += fprime_05[i] * mp_ahead
+                mp_ahead = mp
+            solve = stepper.solve_startup if (startup and m == 1) else stepper.solve_cn
+            p[m - 1] = solve(rhs)
     return p
 
 
@@ -169,7 +200,7 @@ def reduced_gradient(u: np.ndarray, states: np.ndarray, adjoint: np.ndarray, pro
     """Gradient of the discrete cost: 2 beta dt u + B^T p per step."""
     if adjoint.shape[0] != prob.n_steps:
         raise ValueError("adjoint/step count mismatch")
-    return 2.0 * prob.beta * prob.dt * u + (prob.coupling.b.T @ adjoint.T)
+    return 2.0 * prob.beta * prob.dt * u + (prob.coupling.bt @ adjoint.T)
 
 
 def project_admissible(u: np.ndarray, sat: SaturationConfig) -> np.ndarray:
@@ -184,7 +215,8 @@ def project_admissible(u: np.ndarray, sat: SaturationConfig) -> np.ndarray:
 @dataclass
 class OptimizeResult:
     """How one window's optimizer ended: best iterate and its cost, iterations, forward
-    evaluations and the stop message; one per window in :attr:`RhcResult.window_reports`."""
+    evaluations and the stop message; one per window in :attr:`RhcResult.window_reports`,
+    where ``wall_s`` is the wall time of the window's solve (NaN outside :func:`run_rhc`)."""
 
     u: np.ndarray
     cost: float
@@ -192,6 +224,7 @@ class OptimizeResult:
     converged: bool
     n_evaluations: int
     message: str = ""
+    wall_s: float = math.nan
 
 
 def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-4,
@@ -341,7 +374,9 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, law: FeedbackLaw, coupling: 
             u_init = np.empty_like(warm)
             u_init[:, : n_horizon - n_delta] = warm[:, n_delta:]
             u_init[:, n_horizon - n_delta:] = warm[:, -1:]
+        solve0 = time.perf_counter()
         res = bb_projected_gradient(prob, u_init, tol=cfg.tol, j_max=cfg.j_max)
+        res.wall_s = time.perf_counter() - solve0
         reports.append(res)
         warm = res.u
         _run_plant(plant, n_delta, prob.forcing_loads.__getitem__, coupling.b,

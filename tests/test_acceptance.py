@@ -133,11 +133,11 @@ def test_criterion_2_gradient_check():
         cm = discretize_actuators(build_actuator_grid(2, 0.5), fe.mesh)
         stepper = CrankNicolsonAB2(fe, params, 1e-2)
         tgt = np.empty((n_steps + 1, fe.mesh.n_nodes))
-        tp, tc = None, np.full(fe.mesh.n_nodes, 0.2)
+        tc, fc_prev = np.full(fe.mesh.n_nodes, 0.2), None  # the carried reaction f(y_prev)
         tgt[0] = tc
         for k in range(n_steps):
-            tn = stepper.startup_step(tc, None) if tp is None else stepper.ab2_step(tp, tc, None)
-            tp, tc = tc, tn
+            tc, fc_prev = (stepper.startup_step(tc, None) if fc_prev is None
+                           else stepper.ab2_step(tc, fc_prev, None))
             tgt[k + 1] = tc
         y0 = fe.mesh.interpolate(lambda x, y: 0.5 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
         prob = OcpProblem(coupling=cm, stepper=stepper, y0=y0,

@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 from schloegl import (
+    CouplingMatrix,
     RectangleDomain,
     apply_control_operator,
     build_actuator_grid,
@@ -310,6 +311,27 @@ class TestProjection:
             recon_pair = coeffs * coupling16.volumes
             coeffs2 = recon_pair / coupling16.volumes
             assert np.array_equal(coeffs2, coeffs)
+
+
+class TestCachedTranspose:
+    """``CouplingMatrix.bt`` is B^T built once, as CSR, and bitwise equal to ``b.T`` products."""
+
+    @pytest.mark.parametrize("nx", [16, 57])
+    def test_bitwise_equal_to_the_transpose_products(self, rng, nx):
+        fe = build_fem(nx, nx, 0.1)
+        cm = discretize_actuators(build_actuator_grid(3, 0.33), fe.mesh)
+        assert cm.bt.format == "csr" and cm.bt is cm.bt
+        z = rng.normal(size=fe.mesh.n_nodes)
+        assert np.array_equal(cm.bt @ z, cm.b.T @ z)
+        adjoint = rng.normal(size=(40, fe.mesh.n_nodes))
+        assert np.array_equal(cm.bt @ adjoint.T, cm.b.T @ adjoint.T)
+        assert np.array_equal(project_onto_actuator_span(cm, z), (cm.b.T @ z) / cm.volumes)
+
+    def test_coupling_must_be_a_float64_csr_matrix(self, coupling16):
+        # the plant loop applies B through an unchecked compiled kernel
+        for bad in (coupling16.b.tocsc(), coupling16.b.astype(np.float32), coupling16.b.toarray()):
+            with pytest.raises(ValueError, match="float64 CSR"):
+                CouplingMatrix(b=bad, volumes=coupling16.volumes, grid=coupling16.grid)
 
 
 class TestInverseNorm:

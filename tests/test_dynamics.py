@@ -18,16 +18,19 @@ from schloegl import (
     ForcingSpec,
     IntegratorConfig,
     SchloeglParams,
+    build_actuator_grid,
     build_fem,
     cubic_reaction,
     cubic_reaction_derivative,
+    discretize_actuators,
     eval_forcing,
     scalar_cnab_trajectory,
     shifted_reaction,
     shifted_reaction_derivative,
     simulate_free,
 )
-from schloegl.dynamics import CrankNicolsonAB2, ForcingLoad, _BandedCholesky
+from schloegl import dynamics
+from schloegl.dynamics import CrankNicolsonAB2, ForcingLoad, _BandedCholesky, _csr_matvec, _Cursor
 
 
 class TestReaction:
@@ -47,6 +50,14 @@ class TestReaction:
         eps = 1e-6
         fd = (cubic_reaction(w + eps, params) - cubic_reaction(w - eps, params)) / (2 * eps)
         assert np.allclose(cubic_reaction_derivative(w, params), fd, rtol=1e-7, atol=1e-6)
+
+
+    def test_derivative_bitwise_equal_to_the_six_subtraction_form(self, params, rng):
+        # each factor w - z_i is formed once; the sums and products are unchanged
+        z1, z2, z3 = params.roots
+        w = np.concatenate([rng.normal(scale=3.0, size=500), [-1e8, 1e8, 0.0, *params.roots]])
+        six = (w - z2) * (w - z3) + (w - z1) * (w - z3) + (w - z1) * (w - z2)
+        assert np.array_equal(cubic_reaction_derivative(w, params), six)
 
 
 class TestShiftedReaction:
@@ -219,3 +230,77 @@ class TestBandedSolver:
         indefinite = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
         with pytest.raises(LinAlgError):
             _BandedCholesky(indefinite)
+
+
+class TestDirectMatVec:
+    """``_csr_matvec`` calls scipy's compiled CSR kernel directly: it must equal ``a @ x``
+    bit for bit, so a scipy upgrade that changes that kernel fails here."""
+
+    @staticmethod
+    def operators(fe, params):
+        stepper = CrankNicolsonAB2(fe, params, 1e-3)
+        cm = discretize_actuators(build_actuator_grid(3, 0.33), fe.mesh)
+        return {"cn_rhs": stepper._cn_rhs, "mass": stepper._mass, "mass_over_dt": stepper._mass_over_dt,
+                "b": cm.b, "bt": cm.bt}
+
+    @pytest.mark.parametrize("nx", [12, 57])
+    def test_bitwise_equal_to_the_sparse_product(self, params, rng, nx):
+        fe = build_fem(nx, nx, 0.1)
+        for name, a in self.operators(fe, params).items():
+            for x in (rng.normal(size=a.shape[1]), rng.normal(size=(a.shape[1], 3))[:, 1]):
+                assert np.array_equal(_csr_matvec(a, x), a @ x), name
+
+    def test_stepper_methods_use_it_bitwise(self, fe16, params, rng):
+        stepper = CrankNicolsonAB2(fe16, params, 1e-3)
+        v = rng.normal(size=fe16.mesh.n_nodes)
+        assert np.array_equal(stepper.apply_mass(v), fe16.mass @ v)
+        assert np.array_equal(stepper.apply_cn_explicit(v), (fe16.mass / 1e-3 - 0.5 * fe16.stiffness) @ v)
+
+    def test_refuses_wrong_length_dtype_or_dimension(self, fe16, params):
+        a = self.operators(fe16, params)["mass"]
+        n = a.shape[1]
+        for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros(n, dtype=np.float32), np.zeros(n, dtype=np.int64),
+                    np.zeros(n, dtype=complex), np.zeros((n, 1)), np.zeros((1, n)), np.float64(1.0),
+                    [0.0] * n):
+            with pytest.raises(ValueError, match="1-D float64 vector"):
+                _csr_matvec(a, bad)
+
+    def test_stepper_refuses_a_wrong_length_state(self, fe16, params):
+        stepper = CrankNicolsonAB2(fe16, params, 1e-3)
+        with pytest.raises(ValueError, match="1-D float64 vector"):
+            stepper.startup_step(np.zeros(fe16.mesh.n_nodes - 1), None)
+
+
+class TestCarriedReaction:
+    """The cursor carries f(y) between steps: one cubic per step, and the check on every step."""
+
+    @staticmethod
+    def counted(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _f=original: calls.append(1) or _f(*a))
+        return calls
+
+    @pytest.mark.parametrize("with_history", [False, True])
+    def test_one_cubic_and_one_check_per_step(self, fe16, params, monkeypatch, with_history):
+        stepper = CrankNicolsonAB2(fe16, params, 1e-2)
+        y = fe16.mesh.interpolate(lambda x, y: 0.5 + 0.3 * np.cos(np.pi * x))
+        cubics = self.counted(monkeypatch, dynamics, "cubic_reaction")
+        checks = self.counted(monkeypatch, CrankNicolsonAB2, "check_finite")
+        cursor = _Cursor(stepper, y, y - 0.01 if with_history else None)
+        for _ in range(7):
+            cursor.step(None)
+        assert len(cubics) == 7 + with_history  # f(y_prev) once, when the cursor is built
+        assert len(checks) == 7
+
+    def test_steps_return_the_carried_reaction(self, fe16, params):
+        stepper = CrankNicolsonAB2(fe16, params, 1e-2)
+        y0 = fe16.mesh.interpolate(lambda x, y: 0.5 + 0.3 * np.cos(np.pi * y))
+        y1, f0 = stepper.startup_step(y0, None)
+        assert np.array_equal(f0, cubic_reaction(y0, params))
+        y2, f1 = stepper.ab2_step(y1, f0, None)
+        assert np.array_equal(f1, cubic_reaction(y1, params))
+        mass, stiff, dt = fe16.mass, fe16.stiffness, 1e-2
+        rhs = (mass / dt - 0.5 * stiff) @ y1 - mass @ (1.5 * cubic_reaction(y1, params)
+                                                      - 0.5 * cubic_reaction(y0, params))
+        assert np.array_equal(y2, stepper.solve_cn(rhs))

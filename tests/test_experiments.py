@@ -207,13 +207,16 @@ class TestRunScenario:
                            + "[initial]\nyhat0 = constant:2\ny0 = constant:1\n[feedback]\ncu = e^2\n")
         art = run_scenario(cfg, tmp_path / "run")
         lines = (art.directory / "windows.csv").read_text().splitlines()
-        assert lines[0] == "window,t0,iterations,evaluations,cost,converged,stop_reason"
+        assert lines[0] == "window,t0,iterations,evaluations,cost,converged,stop_reason,wall_s"
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == art.summary["rhc_windows"] == 4
         assert [int(r[0]) for r in rows] == [0, 1, 2, 3]
         assert [float(r[1]) for r in rows] == pytest.approx([0.0, 0.1, 0.2, 0.3], abs=1e-12)
         assert sum(int(r[2]) for r in rows) == art.summary["rhc_iterations_total"]
         assert all(int(r[3]) >= 1 and r[5] in ("True", "False") and r[6] for r in rows)
+        # each window's solve time, all of them inside the run's wall time
+        walls = [float(r[7]) for r in rows]
+        assert all(w > 0.0 for w in walls) and sum(walls) <= art.summary["wall_time_s"]
 
     def test_rhc_warm_start_uses_the_configured_gain(self, tmp_path, monkeypatch):
         # the RHC gets the feedback law of the scenario and warm-starts with its gain
@@ -366,10 +369,16 @@ class TestTable1AndSweep:
         assert rows[1] == rows[2]
         assert all(r["rhc_status"] == r["satcon_status"] == "completed" for r in rows[2][0])
         assert [r["status"] for r in rows[2][1]] == ["completed", "completed"]
+
+        def without_wall_time(text):  # windows.csv ends each row with its timer, wall_s
+            return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
         for serial in sorted((tmp_path / "w1").rglob("*")):
-            if serial.name in ("series.csv", "windows.csv", "config_snapshot.txt", "table1.csv", "sweep_lambda.csv"):
-                pooled = tmp_path / "w2" / serial.relative_to(tmp_path / "w1")
+            pooled = tmp_path / "w2" / serial.relative_to(tmp_path / "w1")
+            if serial.name in ("series.csv", "config_snapshot.txt", "table1.csv", "sweep_lambda.csv"):
                 assert pooled.read_bytes() == serial.read_bytes(), serial.name
+            elif serial.name == "windows.csv":
+                assert without_wall_time(pooled.read_text()) == without_wall_time(serial.read_text())
 
     def test_sweep_validation(self, tmp_path):
         base = parse_config(COARSE)

@@ -1,6 +1,8 @@
 """Window optimal-control problems, adjoint gradients, and the RHC loop."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -33,6 +35,7 @@ from schloegl import (
     track_target,
 )
 from schloegl.dynamics import CrankNicolsonAB2
+from schloegl.rhc import ADJOINT_BLOCK
 
 
 def make_problem(nx=8, n_steps=20, beta=1e-3, dt=1e-2, bound=math.inf, m=2,
@@ -43,11 +46,11 @@ def make_problem(nx=8, n_steps=20, beta=1e-3, dt=1e-2, bound=math.inf, m=2,
     cm = discretize_actuators(grid, fe.mesh)
     stepper = CrankNicolsonAB2(fe, params, dt)
     tgt = np.empty((n_steps + 1, fe.mesh.n_nodes))
-    tp, tc = None, np.full(fe.mesh.n_nodes, target_start)
+    tc, fc_prev = np.full(fe.mesh.n_nodes, target_start), None  # the carried reaction f(y_prev)
     tgt[0] = tc
     for k in range(n_steps):
-        tn = stepper.startup_step(tc, None) if tp is None else stepper.ab2_step(tp, tc, None)
-        tp, tc = tc, tn
+        tc, fc_prev = (stepper.startup_step(tc, None) if fc_prev is None
+                       else stepper.ab2_step(tc, fc_prev, None))
         tgt[k + 1] = tc
     y0 = fe.mesh.interpolate(lambda x, y: 0.5 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
     y_prev = y0 + 0.01 * fe.mesh.interpolate(lambda x, y: np.cos(np.pi * y)) if with_history else None
@@ -146,6 +149,124 @@ class TestAdjoint:
         out = bb_projected_gradient(prob, u_star, tol=1e-4)
         assert out.iterations <= 2
         assert np.allclose(out.u, u_star, atol=1e-7)
+
+
+class TestOcpProblemShapes:
+    """Mis-shaped window data is refused when the problem is built, before a step reads it."""
+
+    def test_forcing_list_of_the_wrong_length_refused(self):
+        prob = make_problem(n_steps=5)
+        with pytest.raises(ValueError, match="6 forcing loads for a window of 5 steps"):
+            replace(prob, forcing_loads=[None] * 6)
+        with pytest.raises(ValueError, match="4 forcing loads for a window of 5 steps"):
+            replace(prob, forcing_loads=[None] * 4)
+
+    def test_mis_shaped_load_refused(self):
+        prob = make_problem(n_steps=3)
+        nodes = len(prob.y0)
+        with pytest.raises(ValueError, match=f"every forcing load must have shape \\({nodes},\\)"):
+            replace(prob, forcing_loads=[None, np.zeros(nodes - 1), None])
+
+    @pytest.mark.parametrize("field", ["y0", "y_prev"])
+    def test_state_of_the_wrong_length_refused(self, field):
+        prob = make_problem(n_steps=3, with_history=True)
+        with pytest.raises(ValueError, match=f"{field}: shape"):
+            replace(prob, **{field: getattr(prob, field)[:-1]})
+
+    def test_target_rows_and_coupling_on_another_mesh_refused(self):
+        prob = make_problem(n_steps=3)
+        with pytest.raises(ValueError, match="target rows: shape"):
+            replace(prob, target=prob.target[:, :-1])
+        other = discretize_actuators(build_actuator_grid(2, 0.5), build_fem(6, 6, 0.1).mesh)
+        with pytest.raises(ValueError, match="coupling rows: shape"):
+            replace(prob, coupling=other)
+
+
+class TestBitwiseOracles:
+    """The carried reaction, the direct mat-vecs and the blocked adjoint keep every bit of
+    the plain level-by-level recurrences kept here as references."""
+
+    @staticmethod
+    def reference_states(u, prob):
+        """Forward window that recomputes both reactions on every AB2 step, operators applied with ``@``."""
+        stepper, n, dt = prob.stepper, prob.n_steps, prob.dt
+        mass, params = stepper.fe.mass, stepper.params
+        cn_rhs = (mass / dt - 0.5 * stepper.fe.stiffness).tocsr()
+        mass_over_dt = (mass / dt).tocsr()
+        states = np.empty((n + 1, len(prob.y0)))
+        states[0] = y = prob.y0
+        y_prev = prob.y_prev
+        for k in range(n):
+            bu = prob.coupling.b @ u[:, k]
+            load = bu if prob.forcing_loads[k] is None else prob.forcing_loads[k] + bu
+            if y_prev is None:
+                rhs = mass_over_dt @ y - mass @ cubic_reaction(y, params)
+                y_next = stepper.solve_startup(rhs + load)
+            else:
+                rhs = cn_rhs @ y - mass @ (1.5 * cubic_reaction(y, params) - 0.5 * cubic_reaction(y_prev, params))
+                y_next = stepper.solve_cn(rhs + load)
+            y_prev, y = y, y_next
+            states[k + 1] = y
+        return states
+
+    @staticmethod
+    def reference_adjoint(states, prob):
+        """Backward sweep forming M z, its source and f' one level at a time."""
+        n, stepper = prob.n_steps, prob.stepper
+        mass = stepper.fe.mass
+        cn_rhs = (mass / prob.dt - 0.5 * stepper.fe.stiffness).tocsr()
+        z1, z2, z3 = stepper.params.roots
+        tau = prob.trapezoid_weights()
+        z = states - prob.target
+        p = np.empty((n, states.shape[1]))
+        mp_ahead = None
+        for m in range(n, 0, -1):
+            rhs = 2.0 * tau[m] * (mass @ z[m])
+            if m <= n - 1:
+                w = states[m]
+                fprime = (w - z2) * (w - z3) + (w - z1) * (w - z3) + (w - z1) * (w - z2)
+                mp = mass @ p[m]
+                rhs += cn_rhs @ p[m] - 1.5 * fprime * mp
+                if m <= n - 2:
+                    rhs += 0.5 * fprime * mp_ahead
+                mp_ahead = mp
+            solve = stepper.solve_startup if (prob.y_prev is None and m == 1) else stepper.solve_cn
+            p[m - 1] = solve(rhs)
+        return p
+
+    @staticmethod
+    def forced_problem(n_steps, with_history):
+        prob = make_problem(nx=8, n_steps=n_steps, dt=1e-3, m=3, with_history=with_history)
+        fe = prob.stepper.fe
+        load = fe.mass @ fe.mesh.interpolate(lambda x, y: 0.5 * (x * x + y * y < 0.5))
+        return replace(prob, forcing_loads=[load if k % 3 else None for k in range(n_steps)])
+
+    @pytest.mark.parametrize("with_history", [False, True])
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, ADJOINT_BLOCK - 1, ADJOINT_BLOCK, ADJOINT_BLOCK + 1, 750])
+    def test_states_and_adjoints_bitwise(self, rng, n_steps, with_history):
+        prob = self.forced_problem(n_steps, with_history)
+        u = 0.5 * rng.normal(size=(prob.coupling.count, n_steps))
+        _, states = evaluate_cost(u, prob)
+        assert np.array_equal(states, self.reference_states(u, prob))
+        p = solve_adjoint(states, prob)
+        assert np.array_equal(p, self.reference_adjoint(states, prob))
+        assert np.array_equal(reduced_gradient(u, states, p, prob),
+                              2.0 * prob.beta * prob.dt * u + (prob.coupling.b.T @ p.T))
+
+    def test_adjoint_scratch_memory_does_not_grow_with_the_window(self):
+        # the per-level work is formed a block at a time: beyond its output, the
+        # sweep over 750 levels needs no more memory than one over 4 blocks
+        scratch = {}
+        for n_steps in (4 * ADJOINT_BLOCK, 750):
+            prob = self.forced_problem(n_steps, with_history=False)
+            _, states = evaluate_cost(np.zeros((prob.coupling.count, n_steps)), prob)
+            tracemalloc.start()
+            try:
+                p = solve_adjoint(states, prob)
+                scratch[n_steps] = tracemalloc.get_traced_memory()[1] - p.nbytes
+            finally:
+                tracemalloc.stop()
+        assert scratch[750] < 1.25 * scratch[4 * ADJOINT_BLOCK]
 
 
 class TestProjectAdmissible:
