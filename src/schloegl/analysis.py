@@ -243,6 +243,8 @@ def ode_toy_simulate(r: float, bound: float, mu: float, z0: float, horizon: floa
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
+    if not bound >= 0:  # false for NaN as well
+        raise ValueError(f"bound must be >= 0, got {bound}")
     if law not in ("feedback", "free"):
         raise ValueError(f"unknown law tag {law!r}")
     gain = r - mu

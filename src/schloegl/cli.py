@@ -19,6 +19,7 @@ from .dynamics import BlowUpError
 from .experiments import (
     ConfigError,
     ScenarioConfig,
+    _checked,
     _override,
     parse_bound,
     parse_config,
@@ -65,9 +66,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_constants(args) -> int:
     grid = build_actuator_grid(args.m, args.r, RectangleDomain(args.lx, args.ly))
-    zeta = tuple(float(z) for z in args.zeta.split(","))
-    if len(zeta) != 3:
-        raise ConfigError(None, "zeta needs exactly three comma-separated values")
+    zeta = _checked("params.zeta", text=args.zeta)
     tc = compute_theory_constants(args.mu, zeta, args.lx * args.ly, args.gain, grid)
     s2, s1, s0 = tc.elementary_sums
     print(f"decay_rate = {tc.decay_rate:.17g}")
@@ -86,14 +85,13 @@ def _cmd_constants(args) -> int:
 
 def _cmd_margin(args) -> int:
     domain = RectangleDomain(args.lx, args.ly)
-    fe = build_fem(args.nx, args.nx, args.nu, domain)
     grid = build_actuator_grid(args.m, args.r, domain)
-    coupling = discretize_actuators(grid, fe.mesh)
     required = 0.0
     if args.mu is not None:
-        zeta = tuple(float(z) for z in args.zeta.split(","))
-        tc = compute_theory_constants(args.mu, zeta, domain.area, args.gain, grid)
-        required = tc.margin_requirement
+        zeta = _checked("params.zeta", text=args.zeta)
+        required = compute_theory_constants(args.mu, zeta, domain.area, args.gain, grid).margin_requirement
+    fe = build_fem(args.nx, args.nx, args.nu, domain)
+    coupling = discretize_actuators(grid, fe.mesh)
     rep = stabilizability_margin(args.gain, coupling, fe, required_margin=required)
     print(f"m = {rep.m}")
     print(f"gain = {rep.gain:.17g}")
@@ -104,7 +102,7 @@ def _cmd_margin(args) -> int:
 
 
 def _cmd_ode_toy(args) -> int:
-    bound = parse_bound(args.cu)
+    bound = parse_bound(_checked("feedback.cu", text=args.cu))
     times, z = ode_toy_simulate(args.r, bound, args.mu, args.z0, args.horizon, law=args.law)
     if args.out:
         path = Path(args.out)

@@ -15,7 +15,9 @@ operators are symmetric positive definite and banded in the row-major node
 ordering; each is Cholesky-factorized once per step size in LAPACK band
 storage (pbtrf) and every step solves with the band factor (pbtrs).
 Every trajectory of the package advances through one private plant loop
-(``_run_plant``) on a two-level cursor, against one target source.
+(``_run_plant``) on a two-level cursor that counts the run's time levels,
+a receding-horizon window's included, against one target source and one
+``ForcingLoad``, which gives the load of level n at time n * dt.
 
 On small meshes a step costs per-call overhead more than arithmetic, so
 the hot path is kept lean without changing a bit of any result:
@@ -167,21 +169,22 @@ def eval_forcing(spec: ForcingSpec, t: float, mesh: StructuredTriangulation) -> 
 
 
 class ForcingLoad:
-    """Per-step load vectors M @ h(t) for a fixed mesh/forcing pair; None is a zero load."""
+    """The load M @ h(n * dt) of run level n, for a fixed mesh, forcing and step size; None is zero."""
 
-    def __init__(self, spec: ForcingSpec, fe: FemOperators):
+    def __init__(self, spec: ForcingSpec, fe: FemOperators, dt: float):
         self.spec = spec
         self.fe = fe
+        self.dt = dt
         if spec.kind == "periodic":
             # the load with the time gate open (|sin 6t| = 1), assembled once
             self._base = fe.mass @ eval_forcing(spec, math.pi / 12, fe.mesh)
 
-    def __call__(self, t: float) -> np.ndarray | None:
+    def __call__(self, n: int) -> np.ndarray | None:
         if self.spec.kind == "zero":
             return None
+        t = n * self.dt
         if self.spec.kind == "periodic":
-            g = self.spec.time_gate(t)
-            return self._base if g == 1.0 else None
+            return self._base if self.spec.time_gate(t) == 1.0 else None
         return self.fe.mass @ eval_forcing(self.spec, t, self.fe.mesh)
 
 
@@ -349,22 +352,21 @@ class CrankNicolsonAB2:
 
 
 class _Cursor:
-    """AB2 history (y_prev, y) of a trajectory ``level`` steps after its start time t0.
+    """AB2 history (y_prev, y) of a trajectory at run level ``level``.
 
     ``step`` takes the startup step while there is no history, else the
-    AB2 step, and checks the new state at time t0 + level * dt.  The
-    reaction f(y_prev) is carried from step to step; a cursor opened with
-    history evaluates it once, here.
+    AB2 step, and checks the new state at time level * dt.  The reaction
+    f(y_prev) is carried from step to step; a cursor opened with history
+    evaluates it once, here.
     """
 
     def __init__(self, stepper: CrankNicolsonAB2, y: np.ndarray, y_prev: np.ndarray | None = None,
-                 t0: float = 0.0):
+                 level: int = 0):
         self.stepper = stepper
         self.y_prev = y_prev
         self.y = np.asarray(y, dtype=float)
         self.f_prev = None if y_prev is None else cubic_reaction(y_prev, stepper.params)
-        self.level = 0
-        self.t0 = t0
+        self.level = level
 
     def step(self, load: np.ndarray | None) -> np.ndarray:
         if self.f_prev is None:
@@ -372,7 +374,7 @@ class _Cursor:
         else:
             y_next, f = self.stepper.ab2_step(self.y, self.f_prev, load)
         self.level += 1
-        self.stepper.check_finite(y_next, self.t0 + self.level * self.stepper.dt)
+        self.stepper.check_finite(y_next, self.level * self.stepper.dt)
         self.y_prev, self.y, self.f_prev = self.y, y_next, f
         return y_next
 
@@ -450,9 +452,9 @@ class _TargetSource:
     so lockstep use (n_steps = 0) holds one state.
     """
 
-    def __init__(self, rows: np.ndarray, cursor: _Cursor | None = None, load: ForcingLoad | None = None):
+    def __init__(self, rows: np.ndarray, base: int = 0, cursor: _Cursor | None = None, load: ForcingLoad | None = None):
         self._rows = rows  # states at levels self._base, self._base + 1, ...
-        self._base = 0
+        self._base = base
         self._cursor = cursor
         self._load = load
 
@@ -465,7 +467,7 @@ class _TargetSource:
         """
         if not isinstance(target, TrajectoryRecord):
             cursor = _Cursor(stepper, target)
-            return cls(cursor.y[None], cursor, load)
+            return cls(cursor.y[None], 0, cursor, load)
         if abs(target.times[1] - target.times[0] - stepper.dt) > 1e-12:
             raise ValueError(f"target record time grid step {target.times[1] - target.times[0]!r} "
                              f"does not match the integrator step size {stepper.dt!r}")
@@ -486,7 +488,7 @@ class _TargetSource:
             grown = np.empty((n_steps + 1, len(cursor.y)))
             grown[:len(rows)] = rows
             while cursor.level < n0 + n_steps:
-                y = cursor.step(self._load(cursor.level * cursor.stepper.dt))
+                y = cursor.step(self._load(cursor.level))
                 if cursor.level >= n0:
                     grown[cursor.level - n0] = y
             rows = grown
@@ -494,15 +496,15 @@ class _TargetSource:
         return rows[:n_steps + 1]
 
 
-def _run_plant(cursor: _Cursor, n_steps: int, forcing, b=None, control=None,
+def _run_plant(cursor: _Cursor, n_steps: int, forcing: ForcingLoad, b=None, control=None,
                target: _TargetSource | None = None, rec: _Recorder | None = None,
                states: np.ndarray | None = None) -> None:
     """Advance ``cursor`` by ``n_steps`` steps: the plant loop of every run.
 
-    Step k applies the load ``forcing(k)`` (None: zero) plus ``b @ u`` (b a
+    Step k from level n applies ``forcing(n)`` (None: zero) plus ``b @ u`` (b a
     float64 CSR matrix, as a :class:`.actuators.CouplingMatrix` holds it)
     with the float64 amplitudes ``u = control(k, z)``, z being the error
-    against ``target`` at the step start (None without one);
+    against ``target`` at level n (None without one);
     ``control=None`` runs the plant free.  ``rec`` records each new level,
     and level 0 before the first step; ``states`` receives the new states
     in rows 1..n_steps.
@@ -519,7 +521,7 @@ def _run_plant(cursor: _Cursor, n_steps: int, forcing, b=None, control=None,
     if rec is not None and cursor.level == 0:
         rec.record(0, cursor.y, err_sq)
     for k in range(n_steps):
-        load = forcing(k)
+        load = forcing(cursor.level)
         u = None
         if control is not None:
             u = control(k, z)
@@ -541,12 +543,12 @@ def _simulate(y0: np.ndarray, n_steps: int, fe: FemOperators, params: SchloeglPa
     """Record of a run from level 0 against ``target`` (initial state, full-state record
     or None), its control cost weighed by ``cfg.cost_beta``; plant and target share one stepper."""
     stepper = CrankNicolsonAB2(fe, params, cfg.dt)
-    load = ForcingLoad(forcing or ForcingSpec.zero(), fe)
+    load = ForcingLoad(forcing or ForcingSpec.zero(), fe, cfg.dt)
     if target is not None:
         target = _TargetSource.of(target, stepper, load, n_steps)
     b, count = (None, None) if coupling is None else (coupling.b, coupling.count)
     rec = _Recorder(fe, n_steps, cfg.dt, cfg.state_stride, cfg.cost_beta, count, track_error=target is not None)
-    _run_plant(_Cursor(stepper, y0), n_steps, lambda n: load(n * cfg.dt), b, control, target, rec)
+    _run_plant(_Cursor(stepper, y0), n_steps, load, b, control, target, rec)
     return rec.finish()
 
 

@@ -14,9 +14,11 @@ projected gradient method with BB1 stepsizes and a nonmonotone Armijo
 line search, in which a blown-up trial iterate counts as infinite cost.
 Forward windows, the warm start, the receding-horizon plant and the
 replay all run the plant loop of :mod:`.dynamics` against its target
-source, with one stepper per run.  Windows after the first continue the
-AB2 history of the plant, so the concatenated receding-horizon
-trajectory re-simulates bitwise from the logged control.  A run returns
+source, with one stepper and one ``ForcingLoad`` per run.  A window
+counts the run's time levels: one opening at level n0 applies the loads
+of levels n0, n0 + 1, ...  Windows after the first continue the AB2
+history of the plant, so the concatenated receding-horizon trajectory
+re-simulates bitwise from the logged control.  A run returns
 its plant record, whose ``controls`` rows are the applied amplitudes, and
 the :class:`OptimizeResult` of every window, with its wall time.
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,16 +77,18 @@ __all__ = [
 
 # Line search of bb_projected_gradient: costs remembered by the nonmonotone
 # reference, sufficient-decrease slope, step shrink factor per rejected
-# trial, and the range a BB step must fall in (else the first step is reused).
+# trial, the trials per iteration before the search fails, and the range a
+# BB step must fall in (else the first step is reused).
 NONMONOTONE_MEMORY = 10
 ARMIJO_SLOPE = 1e-4
 BACKTRACK_FACTOR = 0.5
+LINE_SEARCH_TRIALS = 60
 BB_STEP_BOUNDS = (1e-8, 1e8)
 # Levels per block of the adjoint sweep's p-independent work.
 ADJOINT_BLOCK = 32
 
 
-@dataclass
+@dataclass(frozen=True)
 class OcpProblem:
     """One tracking window: initial data, target slice, weights, solver grid.
 
@@ -92,10 +96,11 @@ class OcpProblem:
     ``y_prev`` carries the AB2 history level (state one step before the
     window start); ``None`` means the window opens with the startup step.
     ``target`` holds the target states at every window level,
-    shape (n_steps + 1, n_nodes).  ``forcing_loads`` is one load vector
-    (or None) per step, already paired with the mass matrix; an empty list
-    means no forcing.  Mis-shaped states, target rows, loads or a coupling
-    on another mesh are refused here, before a step reads them.
+    shape (n_steps + 1, n_nodes).  The window opens at run level ``n0``;
+    its step k applies ``load(n0 + k)`` of the run's load source.  Mis-shaped
+    states or target rows, and a coupling or load source on another mesh
+    (or step size) are refused here, and again by ``replace``, before a
+    step reads them.
     """
 
     coupling: CouplingMatrix
@@ -105,8 +110,8 @@ class OcpProblem:
     target: np.ndarray
     beta: float
     saturation: SaturationConfig
-    t0: float = 0.0
-    forcing_loads: list = field(default_factory=list)
+    load: ForcingLoad
+    n0: int = 0
 
     def __post_init__(self):
         if self.beta < 0:
@@ -121,12 +126,8 @@ class OcpProblem:
         for name, shape in shapes.items():
             if shape != (nodes,):
                 raise ValueError(f"{name}: shape {shape}, but the mesh has {nodes} nodes")
-        if not self.forcing_loads:
-            self.forcing_loads = [None] * self.n_steps
-        if len(self.forcing_loads) != self.n_steps:
-            raise ValueError(f"{len(self.forcing_loads)} forcing loads for a window of {self.n_steps} steps")
-        if any(load is not None and np.shape(load) != (nodes,) for load in self.forcing_loads):
-            raise ValueError(f"every forcing load must have shape ({nodes},)")
+        if self.load.fe is not self.stepper.fe or self.load.dt != self.stepper.dt:
+            raise ValueError("the forcing load source is built for another mesh or step size than the stepper")
 
     @property
     def n_steps(self) -> int:
@@ -149,8 +150,8 @@ def evaluate_cost(u: np.ndarray, prob: OcpProblem) -> tuple[float, np.ndarray]:
         raise ValueError(f"control shape {u.shape} does not match ({prob.coupling.count}, {prob.n_steps})")
     states = np.empty((prob.n_steps + 1, len(prob.y0)))
     states[0] = prob.y0
-    _run_plant(_Cursor(prob.stepper, prob.y0, prob.y_prev, prob.t0), prob.n_steps,
-               prob.forcing_loads.__getitem__, prob.coupling.b, lambda k, z: u[:, k], states=states)
+    _run_plant(_Cursor(prob.stepper, prob.y0, prob.y_prev, prob.n0), prob.n_steps, prob.load,
+               prob.coupling.b, lambda k, z: u[:, k], states=states)
     z = states - prob.target
     mz = (prob.stepper.fe.mass @ z.T).T
     err_sq = np.einsum("ij,ij->i", z, mz)
@@ -196,7 +197,7 @@ def solve_adjoint(states: np.ndarray, prob: OcpProblem) -> np.ndarray:
     return p
 
 
-def reduced_gradient(u: np.ndarray, states: np.ndarray, adjoint: np.ndarray, prob: OcpProblem) -> np.ndarray:
+def reduced_gradient(u: np.ndarray, adjoint: np.ndarray, prob: OcpProblem) -> np.ndarray:
     """Gradient of the discrete cost: 2 beta dt u + B^T p per step."""
     if adjoint.shape[0] != prob.n_steps:
         raise ValueError("adjoint/step count mismatch")
@@ -238,7 +239,7 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
     a_min, a_max = BB_STEP_BOUNDS
     u = project_admissible(u_init, prob.saturation)
     cost, states = evaluate_cost(u, prob)
-    grad = reduced_gradient(u, states, solve_adjoint(states, prob), prob)
+    grad = reduced_gradient(u, solve_adjoint(states, prob), prob)
     evals = 1
     g_scale = float(np.max(np.abs(grad)))
     alpha0 = min(max(1.0 / g_scale if g_scale > 0 else 1.0, a_min), a_max)
@@ -250,7 +251,7 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
     for it in range(1, j_max + 1):
         ref = max(history)
         step = alpha
-        for _ in range(60):
+        for _ in range(LINE_SEARCH_TRIALS):
             u_new = project_admissible(u - step * grad, prob.saturation)
             d = u_new - u
             d_sq = float(np.sum(d * d))
@@ -267,7 +268,7 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
         else:
             return OptimizeResult(best_u, best_cost, it, False, evals, "line search failed")
 
-        grad_new = reduced_gradient(u_new, states_new, solve_adjoint(states_new, prob), prob)
+        grad_new = reduced_gradient(u_new, solve_adjoint(states_new, prob), prob)
         s = u_new - u
         y_g = grad_new - grad
         sty = float(np.sum(s * y_g))
@@ -301,8 +302,8 @@ def saturated_control_on_window(prob: OcpProblem, gain: float) -> np.ndarray:
         u[:, k] = policy(k, z)
         return u[:, k]
 
-    _run_plant(_Cursor(prob.stepper, prob.y0, prob.y_prev, prob.t0), prob.n_steps,
-               prob.forcing_loads.__getitem__, prob.coupling.b, control, _TargetSource(prob.target))
+    _run_plant(_Cursor(prob.stepper, prob.y0, prob.y_prev, prob.n0), prob.n_steps, prob.load,
+               prob.coupling.b, control, _TargetSource(prob.target, prob.n0))
     return u
 
 
@@ -353,7 +354,7 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, law: FeedbackLaw, coupling: 
     n_windows = n_total // n_delta
 
     stepper = CrankNicolsonAB2(fe, params, dt)
-    fload = ForcingLoad(forcing or ForcingSpec.zero(), fe)
+    fload = ForcingLoad(forcing or ForcingSpec.zero(), fe, dt)
     source = _TargetSource.of(target, stepper, fload, n_total - n_delta + n_horizon)
     plant = _Cursor(stepper, y0)
     rec = _Recorder(fe, n_total, dt, integ.state_stride, integ.cost_beta, coupling.count, track_error=True)
@@ -362,12 +363,9 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, law: FeedbackLaw, coupling: 
 
     for w in range(n_windows):
         n0 = w * n_delta
-        prob = OcpProblem(
-            coupling=coupling, stepper=stepper,
-            y0=plant.y, y_prev=plant.y_prev, target=source.window(n0, n_horizon), beta=integ.cost_beta,
-            saturation=law.saturation, t0=n0 * dt,
-            forcing_loads=[fload((n0 + k) * dt) for k in range(n_horizon)],
-        )
+        prob = OcpProblem(coupling=coupling, stepper=stepper, y0=plant.y, y_prev=plant.y_prev,
+                          target=source.window(n0, n_horizon), beta=integ.cost_beta,
+                          saturation=law.saturation, load=fload, n0=n0)
         if warm is None:
             u_init = saturated_control_on_window(prob, law.gain)
         else:
@@ -379,8 +377,7 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, law: FeedbackLaw, coupling: 
         res.wall_s = time.perf_counter() - solve0
         reports.append(res)
         warm = res.u
-        _run_plant(plant, n_delta, prob.forcing_loads.__getitem__, coupling.b,
-                   lambda k, z: warm[:, k], source, rec)
+        _run_plant(plant, n_delta, fload, coupling.b, lambda k, z: warm[:, k], source, rec)
 
     return RhcResult(record=rec.finish(), window_reports=reports)
 

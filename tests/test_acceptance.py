@@ -47,7 +47,7 @@ from schloegl import (
     stabilizability_margin,
     track_target,
 )
-from schloegl.dynamics import CrankNicolsonAB2
+from schloegl.dynamics import CrankNicolsonAB2, ForcingLoad
 from schloegl.experiments import TABLE1_BETAS, TABLE1_CELLS, ScenarioConfig, run_table1
 
 PAPER_TABLE1 = {
@@ -140,11 +140,11 @@ def test_criterion_2_gradient_check():
                            else stepper.ab2_step(tc, fc_prev, None))
             tgt[k + 1] = tc
         y0 = fe.mesh.interpolate(lambda x, y: 0.5 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
-        prob = OcpProblem(coupling=cm, stepper=stepper, y0=y0,
-                          y_prev=None, target=tgt, beta=beta, saturation=SaturationConfig())
+        prob = OcpProblem(coupling=cm, stepper=stepper, y0=y0, y_prev=None, target=tgt, beta=beta,
+                          saturation=SaturationConfig(), load=ForcingLoad(ForcingSpec.zero(), fe, 1e-2))
         u = 0.5 * rng.normal(size=(cm.count, n_steps))
         _, states = evaluate_cost(u, prob)
-        g = reduced_gradient(u, states, solve_adjoint(states, prob), prob)
+        g = reduced_gradient(u, solve_adjoint(states, prob), prob)
         for _ in range(10):
             d = rng.normal(size=u.shape)
             d /= np.linalg.norm(d)

@@ -182,3 +182,9 @@ class TestOdeToy:
             ode_toy_simulate(1.0, 1.0, 1.0, 1.0, horizon=0.0)
         with pytest.raises(ValueError):
             ode_toy_simulate(1.0, 1.0, 1.0, 1.0, horizon=1.0, law="bang")
+
+    @pytest.mark.parametrize("bound", [-1.0, math.nan])
+    def test_rejects_a_negative_or_nan_bound(self, bound):
+        # a clamp to [-bound, bound] with bound < 0 pins u at -bound instead of failing
+        with pytest.raises(ValueError, match="bound must be >= 0"):
+            ode_toy_simulate(-1.0, bound, 1.0, 2.0, horizon=1.0)

@@ -123,8 +123,11 @@ class TestForcingLoad:
         (ForcingSpec.custom(lambda t, x, y: np.sin(t) * x - y * y), 0.4),
     ])
     def test_matches_mass_times_nodal_forcing_bitwise(self, fe16, spec, t):
+        # the load of level 4 on a grid that puts level 4 at time t (level 0 for t = 0)
+        n, dt = (4, t / 4) if t > 0 else (0, 1e-3)
+        assert n * dt == t
         expected = fe16.mass @ eval_forcing(spec, t, fe16.mesh)
-        load = ForcingLoad(spec, fe16)(t)
+        load = ForcingLoad(spec, fe16, dt)(n)
         got = np.zeros(fe16.mesh.n_nodes) if load is None else load  # None is the zero load
         assert got.tobytes() == expected.tobytes()
 
@@ -287,11 +290,12 @@ class TestCarriedReaction:
         y = fe16.mesh.interpolate(lambda x, y: 0.5 + 0.3 * np.cos(np.pi * x))
         cubics = self.counted(monkeypatch, dynamics, "cubic_reaction")
         checks = self.counted(monkeypatch, CrankNicolsonAB2, "check_finite")
-        cursor = _Cursor(stepper, y, y - 0.01 if with_history else None)
+        cursor = _Cursor(stepper, y, y - 0.01 if with_history else None, level=5)
         for _ in range(7):
             cursor.step(None)
         assert len(cubics) == 7 + with_history  # f(y_prev) once, when the cursor is built
         assert len(checks) == 7
+        assert cursor.level == 12  # a cursor counts the levels of its run
 
     def test_steps_return_the_carried_reaction(self, fe16, params):
         stepper = CrankNicolsonAB2(fe16, params, 1e-2)

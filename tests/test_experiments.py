@@ -459,6 +459,18 @@ class TestCli:
         assert out.returncode == 0
         assert (tmp_path / "toy.csv").exists()
 
+    @pytest.mark.parametrize("cu", ["-1", "nan"])
+    def test_ode_toy_refuses_a_negative_or_nan_bound(self, cu):
+        out = self.run_cli("ode-toy", "--r", "-1", f"--cu={cu}", "--z0", "2", "--horizon", "1")
+        assert out.returncode == 2
+        assert "feedback.cu" in out.stderr and "z_final" not in out.stdout
+
+    @pytest.mark.parametrize("command", [["margin", "--gain", "1", "--nx", "8"], ["constants"]])
+    def test_zeta_of_two_values_refused(self, command):
+        out = self.run_cli(*command, "--mu", "0.1", "--zeta", "1,2")
+        assert out.returncode == 2
+        assert "params.zeta" in out.stderr
+
     def test_blowup_exit_code(self, tmp_path):
         cfgf = tmp_path / "blow.cfg"
         cfgf.write_text("[mesh]\nnx = 6\nny = 6\n[time]\ndt = 0.5\nt_final = 5\n"

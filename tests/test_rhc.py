@@ -2,7 +2,7 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from functools import partial
 
 import numpy as np
@@ -34,7 +34,8 @@ from schloegl import (
     solve_adjoint,
     track_target,
 )
-from schloegl.dynamics import CrankNicolsonAB2
+from schloegl import rhc
+from schloegl.dynamics import CrankNicolsonAB2, ForcingLoad, eval_forcing
 from schloegl.rhc import ADJOINT_BLOCK
 
 
@@ -54,16 +55,15 @@ def make_problem(nx=8, n_steps=20, beta=1e-3, dt=1e-2, bound=math.inf, m=2,
         tgt[k + 1] = tc
     y0 = fe.mesh.interpolate(lambda x, y: 0.5 + 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
     y_prev = y0 + 0.01 * fe.mesh.interpolate(lambda x, y: np.cos(np.pi * y)) if with_history else None
-    prob = OcpProblem(coupling=cm, stepper=stepper, y0=y0, y_prev=y_prev,
-                      target=tgt, beta=beta, saturation=SaturationConfig(bound=bound))
+    prob = OcpProblem(coupling=cm, stepper=stepper, y0=y0, y_prev=y_prev, target=tgt, beta=beta,
+                      saturation=SaturationConfig(bound=bound), load=ForcingLoad(ForcingSpec.zero(), fe, dt))
     return prob
 
 
 class TestEvaluateCost:
     def test_zero_control_on_target_start(self):
         prob = make_problem()
-        prob.y0 = prob.target[0].copy()
-        prob.y_prev = None
+        prob = replace(prob, y0=prob.target[0].copy(), y_prev=None)
         j, states = evaluate_cost(np.zeros((prob.coupling.count, prob.n_steps)), prob)
         assert j == 0.0
         assert np.array_equal(states, prob.target)
@@ -72,7 +72,7 @@ class TestEvaluateCost:
         prob = make_problem(beta=1e-3)
         u = rng.normal(size=(prob.coupling.count, prob.n_steps))
         j1, _ = evaluate_cost(u, prob)
-        prob.beta = 2e-3
+        prob = replace(prob, beta=2e-3)
         j2, _ = evaluate_cost(u, prob)
         assert j2 - j1 == pytest.approx(1e-3 * prob.dt * float(np.sum(u * u)), rel=1e-12)
 
@@ -107,12 +107,12 @@ class TestEvaluateCost:
 class TestAdjoint:
     def test_zero_error_gives_zero_adjoint(self):
         prob = make_problem(beta=0.0)
-        prob.y0 = prob.target[0].copy()
+        prob = replace(prob, y0=prob.target[0].copy())
         u = np.zeros((prob.coupling.count, prob.n_steps))
         _, states = evaluate_cost(u, prob)
         p = solve_adjoint(states, prob)
         assert np.max(np.abs(p)) == 0.0
-        g = reduced_gradient(u, states, p, prob)
+        g = reduced_gradient(u, p, prob)
         assert np.max(np.abs(g)) == 0.0
 
     @pytest.mark.parametrize("with_history", [False, True])
@@ -121,7 +121,7 @@ class TestAdjoint:
         prob = make_problem(nx=6, n_steps=n_steps, with_history=with_history)
         u = 0.5 * rng.normal(size=(prob.coupling.count, prob.n_steps))
         _, states = evaluate_cost(u, prob)
-        g = reduced_gradient(u, states, solve_adjoint(states, prob), prob)
+        g = reduced_gradient(u, solve_adjoint(states, prob), prob)
         for _ in range(4):
             d = rng.normal(size=u.shape)
             d /= np.linalg.norm(d)
@@ -143,7 +143,7 @@ class TestAdjoint:
                        options={"gtol": 1e-12, "maxiter": 500})
         u_star = res.x.reshape(shape)
         _, states = evaluate_cost(u_star, prob)
-        g = reduced_gradient(u_star, states, solve_adjoint(states, prob), prob)
+        g = reduced_gradient(u_star, solve_adjoint(states, prob), prob)
         assert np.max(np.abs(g)) < 1e-8
 
         out = bb_projected_gradient(prob, u_star, tol=1e-4)
@@ -154,18 +154,19 @@ class TestAdjoint:
 class TestOcpProblemShapes:
     """Mis-shaped window data is refused when the problem is built, before a step reads it."""
 
-    def test_forcing_list_of_the_wrong_length_refused(self):
-        prob = make_problem(n_steps=5)
-        with pytest.raises(ValueError, match="6 forcing loads for a window of 5 steps"):
-            replace(prob, forcing_loads=[None] * 6)
-        with pytest.raises(ValueError, match="4 forcing loads for a window of 5 steps"):
-            replace(prob, forcing_loads=[None] * 4)
-
-    def test_mis_shaped_load_refused(self):
+    def test_load_source_for_another_mesh_or_step_size_refused(self):
         prob = make_problem(n_steps=3)
-        nodes = len(prob.y0)
-        with pytest.raises(ValueError, match=f"every forcing load must have shape \\({nodes},\\)"):
-            replace(prob, forcing_loads=[None, np.zeros(nodes - 1), None])
+        spec, fe, dt = ForcingSpec.periodic_indicator(), prob.stepper.fe, prob.dt
+        assert replace(prob, load=ForcingLoad(spec, fe, dt), n0=7).n0 == 7
+        for load in (ForcingLoad(spec, build_fem(6, 6, 0.1), dt), ForcingLoad(spec, fe, 2 * dt)):
+            with pytest.raises(ValueError, match="load source is built for another mesh or step size"):
+                replace(prob, load=load)
+
+    def test_fields_are_frozen(self):
+        prob = make_problem(n_steps=3)
+        for f in fields(prob):
+            with pytest.raises(FrozenInstanceError):
+                setattr(prob, f.name, getattr(prob, f.name))
 
     @pytest.mark.parametrize("field", ["y0", "y_prev"])
     def test_state_of_the_wrong_length_refused(self, field):
@@ -188,7 +189,8 @@ class TestBitwiseOracles:
 
     @staticmethod
     def reference_states(u, prob):
-        """Forward window that recomputes both reactions on every AB2 step, operators applied with ``@``."""
+        """Forward window that recomputes both reactions on every AB2 step, operators applied with ``@``;
+        step k reads the load of run level n0 + k."""
         stepper, n, dt = prob.stepper, prob.n_steps, prob.dt
         mass, params = stepper.fe.mass, stepper.params
         cn_rhs = (mass / dt - 0.5 * stepper.fe.stiffness).tocsr()
@@ -198,7 +200,8 @@ class TestBitwiseOracles:
         y_prev = prob.y_prev
         for k in range(n):
             bu = prob.coupling.b @ u[:, k]
-            load = bu if prob.forcing_loads[k] is None else prob.forcing_loads[k] + bu
+            forcing = prob.load(prob.n0 + k)
+            load = bu if forcing is None else forcing + bu
             if y_prev is None:
                 rhs = mass_over_dt @ y - mass @ cubic_reaction(y, params)
                 y_next = stepper.solve_startup(rhs + load)
@@ -236,10 +239,11 @@ class TestBitwiseOracles:
 
     @staticmethod
     def forced_problem(n_steps, with_history):
-        prob = make_problem(nx=8, n_steps=n_steps, dt=1e-3, m=3, with_history=with_history)
-        fe = prob.stepper.fe
-        load = fe.mass @ fe.mesh.interpolate(lambda x, y: 0.5 * (x * x + y * y < 0.5))
-        return replace(prob, forcing_loads=[load if k % 3 else None for k in range(n_steps)])
+        # the indicator forcing on two levels in three; a window with AB2 history opens at level 1
+        dt = 1e-3
+        prob = make_problem(nx=8, n_steps=n_steps, dt=dt, m=3, with_history=with_history)
+        spec = ForcingSpec.custom(lambda t, x, y: 0.5 * (x * x + y * y < 0.5) * (round(t / dt) % 3 != 0))
+        return replace(prob, load=ForcingLoad(spec, prob.stepper.fe, dt), n0=int(with_history))
 
     @pytest.mark.parametrize("with_history", [False, True])
     @pytest.mark.parametrize("n_steps", [1, 2, 3, ADJOINT_BLOCK - 1, ADJOINT_BLOCK, ADJOINT_BLOCK + 1, 750])
@@ -250,7 +254,7 @@ class TestBitwiseOracles:
         assert np.array_equal(states, self.reference_states(u, prob))
         p = solve_adjoint(states, prob)
         assert np.array_equal(p, self.reference_adjoint(states, prob))
-        assert np.array_equal(reduced_gradient(u, states, p, prob),
+        assert np.array_equal(reduced_gradient(u, p, prob),
                               2.0 * prob.beta * prob.dt * u + (prob.coupling.b.T @ p.T))
 
     def test_adjoint_scratch_memory_does_not_grow_with_the_window(self):
@@ -322,20 +326,26 @@ class TestBBSolver:
         from schloegl.rhc import saturated_control_on_window
 
         prob = make_problem(nx=8, n_steps=30, bound=math.exp(1.0), target_start=2.0)
-        prob.y0 = np.full(prob.stepper.fe.mesh.n_nodes, -1.0)
+        prob = replace(prob, y0=np.full(prob.stepper.fe.mesh.n_nodes, -1.0))
         u0 = saturated_control_on_window(prob, 175.0)
         j0, _ = evaluate_cost(u0, prob)
         out = bb_projected_gradient(prob, u0, tol=1e-5, j_max=100)
         assert out.cost < j0
 
 
+    def test_warm_start_of_a_later_window_reads_its_own_target_rows(self):
+        # without forcing, a window opening at level 7 has the control of one opening at 0
+        from schloegl.rhc import saturated_control_on_window
+
+        prob = make_problem(nx=6, n_steps=10, target_start=2.0)
+        assert np.array_equal(saturated_control_on_window(replace(prob, n0=7), 175.0),
+                              saturated_control_on_window(prob, 175.0))
+
     @staticmethod
     def constant_tracking_problem(dt, c):
         # y0 = target = c everywhere, no bound, a tiny control weight
         prob = make_problem(nx=8, n_steps=20, beta=1e-5, dt=dt, m=2)
-        prob.target = np.full_like(prob.target, c)
-        prob.y0 = prob.target[0].copy()
-        return prob
+        return replace(prob, target=np.full_like(prob.target, c), y0=np.full_like(prob.y0, c))
 
     def test_blown_up_trial_is_rejected(self):
         # from the finite zero control, the first BB trial blows up the
@@ -355,7 +365,7 @@ class TestBBSolver:
 
     def test_warm_start_checks_for_blow_up(self):
         prob = make_problem(nx=6, n_steps=20, dt=0.1)
-        prob.y0 = np.full(prob.stepper.fe.mesh.n_nodes, 100.0)
+        prob = replace(prob, y0=np.full(prob.stepper.fe.mesh.n_nodes, 100.0))
         from schloegl.rhc import saturated_control_on_window
 
         with pytest.raises(BlowUpError), np.errstate(over="ignore", invalid="ignore"):
@@ -413,6 +423,35 @@ class TestRunRhc:
         # feasibility of the concatenated control
         norms = np.sqrt(np.sum(res.record.controls ** 2, axis=1))
         assert np.all(norms <= sat.bound + 1e-12)
+
+    def test_each_window_applies_the_loads_of_its_run_levels(self, params, monkeypatch):
+        # the replay re-runs the plant, not the windows, so pin the window loads
+        # themselves: with delta = 0.25 the periodic gate is closed at t = 0 and
+        # open at t = 0.25, where the second window opens
+        fe = build_fem(8, 8, 0.1)
+        cm = discretize_actuators(build_actuator_grid(2, 0.5), fe.mesh)
+        spec, dt = ForcingSpec.periodic_indicator(), 1e-2
+        assert spec.time_gate(0.0) == 0.0 and spec.time_gate(0.25) == 1.0
+        problems = []
+        solve = rhc.bb_projected_gradient
+        monkeypatch.setattr(rhc, "bb_projected_gradient",
+                            lambda prob, *a, **kw: problems.append(prob) or solve(prob, *a, **kw))
+        cfg = RhcConfig(horizon=0.5, delta=0.25, t_final=0.5, tol=1e-3, j_max=3)
+        run_rhc(cfg, np.full(fe.mesh.n_nodes, 1.0), np.full(fe.mesh.n_nodes, 2.0), self.LAW, cm, fe, params,
+                spec, IntegratorConfig(dt=dt, cost_beta=1e-3))
+        assert [prob.n0 for prob in problems] == [0, 25]
+
+        applied = []  # the load of every step: with a zero control, the forcing load
+        for name in ("startup_step", "ab2_step"):
+            monkeypatch.setattr(CrankNicolsonAB2, name,
+                                lambda self, *a, _f=getattr(CrankNicolsonAB2, name): applied.append(a[-1]) or _f(self, *a))
+        for prob in problems:
+            del applied[:]
+            evaluate_cost(np.zeros((cm.count, prob.n_steps)), prob)
+            assert len(applied) == prob.n_steps == 50
+            for k, load in enumerate(applied):
+                expected = fe.mass @ eval_forcing(spec, (prob.n0 + k) * dt, fe.mesh)
+                assert np.array_equal(load, expected), (prob.n0, k)
 
     def test_stored_target_record_matches_rolling_target(self, fe16, params):
         cm = self.setup_case(fe16, params)
