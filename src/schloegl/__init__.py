@@ -24,6 +24,7 @@ from .actuators import (
     CouplingMatrix,
     apply_control_operator,
     build_actuator_grid,
+    control_norm,
     control_operator_inverse_norm,
     discretize_actuators,
     project_onto_actuator_span,
@@ -47,7 +48,6 @@ from .dynamics import (
 from .feedback import (
     FeedbackLaw,
     SaturationConfig,
-    control_norm,
     feedback_dissipation,
     radial_project,
     saturated_feedback,

@@ -16,10 +16,14 @@ triangle at a time.
 Because supports are disjoint the Gram matrix of the indicators is
 diagonal (entries = box volumes), so the L2-orthogonal projection onto
 the actuator span reduces to box averages.
+
+:func:`control_norm` is the one norm of amplitude vectors; a column of an
+array in any layout has the norm of the same vector alone, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,6 +42,7 @@ __all__ = [
     "project_onto_actuator_span",
     "projection_norm_sq",
     "control_operator_inverse_norm",
+    "control_norm",
 ]
 
 
@@ -245,3 +250,31 @@ def control_operator_inverse_norm(grid: ActuatorGrid) -> float:
     (min_j vol(box_j))^(-1/2); here all volumes are equal.
     """
     return float(grid.box_volume ** -0.5)
+
+
+def control_norm(v: np.ndarray, norm: str = "euclidean") -> float:
+    """Norm of the amplitude vector v, the one-column case of :func:`_column_norms`."""
+    col = np.asarray(v, dtype=float).ravel().tolist()
+    s = 0.0
+    for x in col:  # numpy's order for the rows of a C-ordered array
+        s += x * x  # NaN exactly when an entry is
+    if norm == "max":
+        return max(map(abs, col), default=0.0) if s == s else math.nan
+    if norm != "euclidean":
+        raise ValueError(f"unknown norm tag {norm!r}")
+    n = math.sqrt(s)
+    return n if 1e-150 <= n <= 1e150 else math.hypot(*col)
+
+
+def _column_norms(a: np.ndarray, norm: str) -> np.ndarray:
+    """Column norms of the 2-D array ``a``, each bitwise :func:`control_norm` of its column."""
+    if a.shape[1] == 1:  # numpy would sum one contiguous column pairwise
+        return np.array([control_norm(a, norm)])
+    if norm == "max":
+        return np.maximum.reduce(np.abs(a), axis=0, initial=0.0)
+    with np.errstate(over="ignore", under="ignore"):
+        n = np.sqrt(np.add.reduce(np.multiply(a, a, order="C"), axis=0))  # row by row, as control_norm
+    odd = np.flatnonzero(~((n >= 1e-150) & (n <= 1e150)))
+    for j in odd[a[:, odd].any(axis=0)]:  # an all-zero column has norm 0 either way
+        n[j] = control_norm(a[:, j])
+    return n

@@ -157,7 +157,7 @@ def stabilizability_margin(gain: float, coupling: CouplingMatrix, fe: FemOperato
         raise RuntimeError(f"shift-invert Lanczos did not converge: {exc}") from exc
     theta = float(vals[0])
     w = vecs[:, 0]
-    resid = np.linalg.norm(apply_pencil(w) - theta * (mass @ w)) / np.linalg.norm(w)
+    resid = math.sqrt(np.sum((apply_pencil(w) - theta * (mass @ w)) ** 2) / (w @ w))
     if resid > MARGIN_TOL * max(1.0, abs(theta)):
         raise RuntimeError(f"pencil residual {resid:.3e} exceeds tolerance {MARGIN_TOL:.1e}")
     return MarginReport(
@@ -241,8 +241,8 @@ def ode_toy_simulate(r: float, bound: float, mu: float, z0: float, horizon: floa
     exp(-2 mu t) z0^2.  With law="free" the control is zero.  The scalar
     radial projection is the symmetric clamp.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not (all(map(math.isfinite, (r, mu, z0))) and 0 < horizon < math.inf):
+        raise ValueError(f"need finite r, mu, z0 and horizon > 0, got {r}, {mu}, {z0} and {horizon}")
     if not bound >= 0:  # false for NaN as well
         raise ValueError(f"bound must be >= 0, got {bound}")
     if law not in ("feedback", "free"):

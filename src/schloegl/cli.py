@@ -2,14 +2,13 @@
 
 Subcommands: simulate-free, simulate-feedback, run-rhc, table1, sweep,
 constants, margin, ode-toy.  Exit codes: 0 success, 2 configuration
-error, 3 numerical failure (blow-up; the run artifacts are still
-written).
+error, 3 a run that did not complete (blow-up or failed job; the run
+artifacts are still written).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -39,20 +38,24 @@ def _load_config(args) -> ScenarioConfig:
     return cfg
 
 
+def _exit_code(statuses) -> int:
+    """3 when any run ended other than ``completed`` (blown up or failed), else 0."""
+    return 3 if any(s != "completed" for s in statuses) else 0
+
+
 def _scenario_command(args, controller: str) -> int:
     cfg = _override(_load_config(args), args.command, controller=controller)
     artifact = run_scenario(cfg, args.out)
     for key, val in artifact.summary.items():
         print(f"{key} = {val}")
-    return 3 if artifact.summary["status"] != "completed" else 0
+    return _exit_code([artifact.summary["status"]])
 
 
 def _cmd_table1(args) -> int:
     base = _load_config(args)
     rows = run_table1(args.out, base=base, workers=args.threads)
     print((Path(args.out) / "table1.txt").read_text())
-    bad = [r for r in rows if "failed" in str(r["rhc_status"]) or "failed" in str(r["satcon_status"])]
-    return 3 if bad else 0
+    return _exit_code([r[f"{kind}_status"] for r in rows for kind in ("rhc", "satcon")])
 
 
 def _cmd_sweep(args) -> int:
@@ -61,7 +64,7 @@ def _cmd_sweep(args) -> int:
     rows = run_sweep(args.axis, values, base, args.out, workers=args.threads)
     for r in rows:
         print(f"{args.axis} = {r['value']}: mu_est = {r['mu_est']}, status = {r['status']}")
-    return 3 if any("failed" in str(r["status"]) or r["status"] == "completed-unstable" for r in rows) else 0
+    return _exit_code([r["status"] for r in rows])
 
 
 def _cmd_constants(args) -> int:
@@ -86,9 +89,9 @@ def _cmd_constants(args) -> int:
 def _cmd_margin(args) -> int:
     domain = RectangleDomain(args.lx, args.ly)
     grid = build_actuator_grid(args.m, args.r, domain)
+    zeta = _checked("params.zeta", text=args.zeta)
     required = 0.0
     if args.mu is not None:
-        zeta = _checked("params.zeta", text=args.zeta)
         required = compute_theory_constants(args.mu, zeta, domain.area, args.gain, grid).margin_requirement
     fe = build_fem(args.nx, args.nx, args.nu, domain)
     coupling = discretize_actuators(grid, fe.mesh)
@@ -114,7 +117,7 @@ def _cmd_ode_toy(args) -> int:
         print(f"wrote {path}")
     print(f"z_initial = {z[0]:.17g}")
     print(f"z_final = {z[-1]:.17g}")
-    print(f"abs_max = {max(abs(v) for v in z):.17g}")
+    print(f"abs_max = {abs(z).max():.17g}")  # NaN if any value is
     return 0
 
 

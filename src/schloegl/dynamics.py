@@ -17,7 +17,8 @@ storage (pbtrf) and every step solves with the band factor (pbtrs).
 Every trajectory of the package advances through one private plant loop
 (``_run_plant``) on a two-level cursor that counts the run's time levels,
 a receding-horizon window's included, against one target source and one
-``ForcingLoad``, which gives the load of level n at time n * dt.
+``ForcingLoad``, which gives the load of level n at time n * dt.  The
+record logs amplitudes by the saturation's norm, :func:`.actuators.control_norm`.
 
 On small meshes a step costs per-call overhead more than arithmetic, so
 the hot path is kept lean without changing a bit of any result:
@@ -44,6 +45,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import get_lapack_funcs
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec_kernel
 
+from .actuators import control_norm
 from .geometry import FemOperators, StructuredTriangulation
 
 __all__ = [
@@ -207,14 +209,13 @@ class IntegratorConfig:
 class TrajectoryRecord:
     """Per-step diagnostics plus strided state snapshots of one run.
 
-    ``times``/``state_norm``/``err_norm``/``running_cost`` have one entry
-    per time level (n_steps + 1); ``control_norms`` and ``controls`` have
-    one entry per step.  ``states`` holds snapshots at ``state_levels``
-    (every ``state_stride`` levels, endpoints always included).
+    ``times``/``err_norm``/``running_cost`` have one entry per time level
+    (n_steps + 1); ``control_norms`` (Euclidean :func:`.actuators.control_norm`)
+    and ``controls`` have one entry per step.  ``states`` holds snapshots at
+    ``state_levels`` (every ``state_stride`` levels, endpoints always included).
     """
 
     times: np.ndarray
-    state_norm: np.ndarray
     err_norm: np.ndarray | None
     control_norms: np.ndarray
     running_cost: np.ndarray
@@ -382,14 +383,11 @@ class _Cursor:
 class _Recorder:
     """Per-level diagnostics and strided snapshots, one ``record`` call per level."""
 
-    def __init__(self, fe: FemOperators, n_steps: int, dt: float, stride: int, beta: float,
-                 n_controls: int | None, track_error: bool):
-        self.fe = fe
+    def __init__(self, n_steps: int, dt: float, stride: int, beta: float, n_controls: int | None, track_error: bool):
         self.dt = dt
         self.beta = beta
         self.stride = stride
         self.times = np.arange(n_steps + 1) * dt
-        self.state_norm = np.zeros(n_steps + 1)
         self.err_norm = np.zeros(n_steps + 1) if track_error else None
         self.control_norms = np.zeros(n_steps)
         self.running_cost = np.zeros(n_steps + 1)
@@ -401,16 +399,13 @@ class _Recorder:
 
     def record(self, n: int, y: np.ndarray, err_sq: float | None, u: np.ndarray | None = None):
         """Level n, and the amplitudes u of the step that reached it (None: no control)."""
-        self.state_norm[n] = self.fe.norm(y)
         cost = 0.0
         if u is not None:
-            # the cost weighs the Euclidean amplitude norm regardless of the
-            # saturation norm; the stored series follows the same convention
-            # so the running cost re-integrates from the CSV columns
-            eu = float(np.linalg.norm(u))
+            # the cost and the stored series weigh the Euclidean norm whatever the saturation
+            # norm, so the running cost re-integrates from the CSV columns
+            eu = control_norm(u)
             self.control_norms[n - 1] = eu
-            if self.controls is not None:
-                self.controls[n - 1] = u
+            self.controls[n - 1] = u  # controls exists: a controlled run has a coupling
             # exact integral of the piecewise-constant control on [t_n-1, t_n]
             cost = self.beta * self.dt * eu * eu
         e2 = 0.0 if err_sq is None else max(err_sq, 0.0)
@@ -426,7 +421,6 @@ class _Recorder:
     def finish(self) -> TrajectoryRecord:
         return TrajectoryRecord(
             times=self.times,
-            state_norm=self.state_norm,
             err_norm=self.err_norm,
             control_norms=self.control_norms,
             running_cost=self.running_cost,
@@ -547,20 +541,21 @@ def _simulate(y0: np.ndarray, n_steps: int, fe: FemOperators, params: SchloeglPa
     if target is not None:
         target = _TargetSource.of(target, stepper, load, n_steps)
     b, count = (None, None) if coupling is None else (coupling.b, coupling.count)
-    rec = _Recorder(fe, n_steps, cfg.dt, cfg.state_stride, cfg.cost_beta, count, track_error=target is not None)
+    rec = _Recorder(n_steps, cfg.dt, cfg.state_stride, cfg.cost_beta, count, track_error=target is not None)
     _run_plant(_Cursor(stepper, y0), n_steps, load, b, control, target, rec)
     return rec.finish()
 
 
 def simulate_free(y0: np.ndarray, horizon: float, fe: FemOperators, params: SchloeglParams,
-                  forcing: ForcingSpec | None = None, cfg: IntegratorConfig | None = None) -> TrajectoryRecord:
-    """Uncontrolled trajectory from y0 over [0, horizon].
+                  forcing: ForcingSpec | None = None, cfg: IntegratorConfig | None = None,
+                  target=None) -> TrajectoryRecord:
+    """Uncontrolled trajectory from y0 over [0, horizon], logged against ``target`` if given.
 
-    Raises :class:`BlowUpError` with the offending time if the state
-    leaves the finite range.
+    ``target`` is as in :func:`.feedback.track_target`.  Raises :class:`BlowUpError`
+    with the offending time if the state leaves the finite range.
     """
     cfg = cfg or IntegratorConfig()
-    return _simulate(y0, _n_steps_for(horizon, cfg.dt), fe, params, forcing, cfg)
+    return _simulate(y0, _n_steps_for(horizon, cfg.dt), fe, params, forcing, cfg, target)
 
 
 def scalar_cnab_trajectory(y0: float, dt: float, n_steps: int, params: SchloeglParams,

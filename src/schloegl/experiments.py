@@ -27,7 +27,7 @@ import numpy as np
 
 from .actuators import build_actuator_grid, discretize_actuators
 from .analysis import fit_decay_rate
-from .dynamics import BlowUpError, ForcingSpec, IntegratorConfig, SchloeglParams, _n_steps_for, _simulate
+from .dynamics import BlowUpError, ForcingSpec, IntegratorConfig, SchloeglParams, simulate_free
 from .feedback import FeedbackLaw, SaturationConfig, track_target
 from .geometry import RectangleDomain, build_fem
 from .rhc import RhcConfig, run_rhc
@@ -274,11 +274,10 @@ def _write_series_csv(path: Path, record, stride: int):
         idx = list(range(0, n + 1, stride))
         if idx[-1] != n:
             idx.append(n)
-        with np.errstate(divide="ignore"):
-            for i in idx:
-                log_err = np.log(err[i]) if err[i] > 0 else -math.inf
-                u = un[i] if i < n else 0.0
-                fh.write(",".join(_fmt(v) for v in (times[i], err[i], log_err, u, cost[i])) + "\n")
+        for i in idx:  # log only of a positive error, so no divide-by-zero
+            log_err = np.log(err[i]) if err[i] > 0 else -math.inf
+            u = un[i] if i < n else 0.0
+            fh.write(",".join(_fmt(v) for v in (times[i], err[i], log_err, u, cost[i])) + "\n")
 
 
 def _write_windows_csv(path: Path, reports: list, times: np.ndarray):
@@ -352,7 +351,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunArtifact:
             rhc_result = run_rhc(rcfg, y0, yhat0, law, coupling, fe, params, forcing, integ)
             record = rhc_result.record
         elif cfg.controller == "none":
-            record = _simulate(y0, _n_steps_for(cfg.t_final, cfg.dt), fe, params, forcing, integ, target=yhat0)
+            record = simulate_free(y0, cfg.t_final, fe, params, forcing, integ, target=yhat0)
         else:
             record = track_target(y0, yhat0, law, coupling, fe, params, forcing, integ, horizon=cfg.t_final)
     except BlowUpError as exc:

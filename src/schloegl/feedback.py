@@ -4,8 +4,9 @@ The feedback maps the tracking error z = y - y_target to amplitudes
 u = sat(-gain * box_means(z)), where box_means are the coefficients of
 the L2 projection onto the actuator span and sat rescales onto the ball
 of radius ``bound`` whenever the amplitude norm exceeds it.  The same
-sat is the per-step projection of ``rhc.project_admissible``; its norm
-is overflow-safe, and a non-finite input comes out all NaN.  The control
+sat is the per-step projection of ``rhc.project_admissible``; its norm,
+:func:`.actuators.control_norm`, is overflow-safe and the run record's
+too, and a non-finite input comes out all NaN.  The control
 enters the plant lagged (evaluated at the step start), matching the
 Adams-Bashforth treatment of the non-diffusive terms.  The closed-loop
 run :func:`track_target` drives the plant loop of :mod:`.dynamics` with
@@ -21,14 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actuators import CouplingMatrix, project_onto_actuator_span
+from .actuators import CouplingMatrix, _column_norms, control_norm, project_onto_actuator_span
 from .dynamics import ForcingSpec, IntegratorConfig, SchloeglParams, TrajectoryRecord, _n_steps_for, _simulate
 from .geometry import FemOperators
 
 __all__ = [
     "SaturationConfig",
     "FeedbackLaw",
-    "control_norm",
     "radial_project",
     "saturated_feedback",
     "feedback_dissipation",
@@ -54,34 +54,6 @@ class SaturationConfig:
     @property
     def unconstrained(self) -> bool:
         return math.isinf(self.bound)
-
-
-def control_norm(v: np.ndarray, norm: str = "euclidean") -> float:
-    """Norm of the amplitude vector v, the one-column case of :func:`_column_norms`."""
-    col = np.asarray(v, dtype=float).ravel().tolist()
-    s = 0.0
-    for x in col:  # numpy's order for the rows of a C-ordered array
-        s += x * x  # NaN exactly when an entry is
-    if norm == "max":
-        return max(map(abs, col), default=0.0) if s == s else math.nan
-    if norm != "euclidean":
-        raise ValueError(f"unknown norm tag {norm!r}")
-    n = math.sqrt(s)
-    return n if 1e-150 <= n <= 1e150 else math.hypot(*col)
-
-
-def _column_norms(a: np.ndarray, norm: str) -> np.ndarray:
-    """Column norms of the 2-D array ``a``; Euclidean: sqrt(sum(a * a)) in [1e-150, 1e150], else hypot."""
-    if a.shape[1] == 1:  # plain floats are faster
-        return np.array([control_norm(a, norm)])
-    if norm == "max":
-        return np.maximum.reduce(np.abs(a), axis=0, initial=0.0)
-    with np.errstate(over="ignore", under="ignore"):
-        n = np.sqrt(np.add.reduce(a * a, axis=0))
-        odd = ~((n >= 1e-150) & (n <= 1e150))
-        if odd.any():
-            n[odd] = np.hypot.reduce(a[:, odd], axis=0, initial=0.0)
-    return n
 
 
 def _radial_columns(a: np.ndarray, sat: SaturationConfig) -> np.ndarray:

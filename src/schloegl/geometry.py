@@ -175,9 +175,6 @@ class FemOperators:
     stiffness: sp.csr_matrix
     nu: float
 
-    def norm(self, a: np.ndarray) -> float:
-        return l2_norm(a, self.mass)
-
 
 def build_fem(nx: int, ny: int, nu: float, domain: RectangleDomain | None = None) -> FemOperators:
     mesh = build_mesh(nx, ny, domain)

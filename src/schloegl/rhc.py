@@ -357,7 +357,7 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, law: FeedbackLaw, coupling: 
     fload = ForcingLoad(forcing or ForcingSpec.zero(), fe, dt)
     source = _TargetSource.of(target, stepper, fload, n_total - n_delta + n_horizon)
     plant = _Cursor(stepper, y0)
-    rec = _Recorder(fe, n_total, dt, integ.state_stride, integ.cost_beta, coupling.count, track_error=True)
+    rec = _Recorder(n_total, dt, integ.state_stride, integ.cost_beta, coupling.count, track_error=True)
     reports = []
     warm = None
 

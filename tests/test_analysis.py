@@ -183,6 +183,14 @@ class TestOdeToy:
         with pytest.raises(ValueError):
             ode_toy_simulate(1.0, 1.0, 1.0, 1.0, horizon=1.0, law="bang")
 
+    @pytest.mark.parametrize("r, mu, z0, horizon", [(math.nan, 1.0, 2.0, 1.0), (-1.0, math.nan, 2.0, 1.0),
+                                                    (-1.0, 1.0, math.nan, 1.0), (-1.0, 1.0, math.inf, 1.0),
+                                                    (-1.0, 1.0, 2.0, math.nan), (-1.0, 1.0, 2.0, math.inf)])
+    def test_rejects_non_finite_inputs(self, r, mu, z0, horizon):
+        # a NaN rate or start gave a NaN trajectory, reported as a result
+        with pytest.raises(ValueError, match="finite"):
+            ode_toy_simulate(r, 1.0, mu, z0, horizon=horizon)
+
     @pytest.mark.parametrize("bound", [-1.0, math.nan])
     def test_rejects_a_negative_or_nan_bound(self, bound):
         # a clamp to [-bound, bound] with bound < 0 pins u at -bound instead of failing

@@ -24,6 +24,7 @@ from schloegl import (
     cubic_reaction_derivative,
     discretize_actuators,
     eval_forcing,
+    l2_norm,
     scalar_cnab_trajectory,
     shifted_reaction,
     shifted_reaction_derivative,
@@ -146,11 +147,12 @@ class TestIntegrator:
 
     def test_scalar_reduction(self, fe16, params):
         y0c = 1.0
-        cfg = IntegratorConfig(dt=1e-3, state_stride=100)
+        cfg = IntegratorConfig(dt=1e-3, state_stride=1)
         rec = simulate_free(np.full(fe16.mesh.n_nodes, y0c), 1.0, fe16, params, cfg=cfg)
         oracle = scalar_cnab_trajectory(y0c, 1e-3, 1000, params)
         assert abs(rec.final_state - oracle[-1]).max() < 1e-10
-        assert np.max(np.abs(rec.state_norm - np.abs(oracle))) < 1e-10
+        norms = np.array([l2_norm(y, fe16.mass) for y in rec.states])
+        assert np.max(np.abs(norms - np.abs(oracle))) < 1e-10
 
     def test_scalar_reduction_with_forcing(self, fe16, params):
         # spatially constant, time-varying forcing keeps the reduction exact
@@ -180,6 +182,20 @@ class TestIntegrator:
         with pytest.raises(ValueError):
             simulate_free(np.zeros(fe16.mesh.n_nodes), 0.00151, fe16, params,
                           cfg=IntegratorConfig(dt=1e-3))
+
+    def test_free_run_against_either_target_form(self, fe16, params):
+        # a target initial state is co-simulated; its full-state record gives the same bits
+        cfg = IntegratorConfig(dt=1e-3, state_stride=1, cost_beta=1e-3)
+        y0, yhat0 = np.full(fe16.mesh.n_nodes, 0.5), np.full(fe16.mesh.n_nodes, 2.0)
+        forcing = ForcingSpec.periodic_indicator()
+        stored = simulate_free(yhat0, 0.3, fe16, params, forcing, cfg)
+        rolled = simulate_free(y0, 0.2, fe16, params, forcing, cfg, target=yhat0)
+        read = simulate_free(y0, 0.2, fe16, params, forcing, cfg, target=stored)
+        assert rolled.controls is None and not np.any(rolled.control_norms)
+        for name in ("states", "err_norm", "running_cost"):
+            assert np.array_equal(getattr(rolled, name), getattr(read, name)), name
+        assert rolled.err_norm[-1] == l2_norm(rolled.final_state - stored.state_at_level(200), fe16.mass)
+        assert simulate_free(y0, 0.2, fe16, params, forcing, cfg).err_norm is None
 
     def test_record_layout(self, fe16, params):
         cfg = IntegratorConfig(dt=1e-3, state_stride=7)
