@@ -32,7 +32,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .actuators import ActuatorGrid, CouplingMatrix, control_operator_inverse_norm
-from .dynamics import SchloeglParams, _BandedCholesky
+from .dynamics import BlowUpError, SchloeglParams, _BandedCholesky
 from .geometry import FemOperators
 
 __all__ = [
@@ -239,7 +239,8 @@ def ode_toy_simulate(r: float, bound: float, mu: float, z0: float, horizon: floa
     The feedback u = clamp((r - mu) z, +-bound) yields the closed loop
     dz/dt = -mu z while the clamp is inactive, i.e. z(t)^2 =
     exp(-2 mu t) z0^2.  With law="free" the control is zero.  The scalar
-    radial projection is the symmetric clamp.
+    radial projection is the symmetric clamp.  Raises :class:`.dynamics.BlowUpError`
+    with the time of the first value that overflows to a non-finite one.
     """
     if not (all(map(math.isfinite, (r, mu, z0))) and 0 < horizon < math.inf):
         raise ValueError(f"need finite r, mu, z0 and horizon > 0, got {r}, {mu}, {z0} and {horizon}")
@@ -268,5 +269,7 @@ def ode_toy_simulate(r: float, bound: float, mu: float, z0: float, horizon: floa
         k3 = rate(z + 0.5 * dt * k2)
         k4 = rate(z + dt * k3)
         z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not math.isfinite(z):
+            raise BlowUpError(times[k + 1])
         out[k + 1] = z
     return times, out

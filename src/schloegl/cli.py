@@ -106,6 +106,8 @@ def _cmd_margin(args) -> int:
 
 def _cmd_ode_toy(args) -> int:
     bound = parse_bound(_checked("feedback.cu", text=args.cu))
+    if args.stride < 1:
+        raise ValueError(f"--stride must be >= 1, got {args.stride}")
     times, z = ode_toy_simulate(args.r, bound, args.mu, args.z0, args.horizon, law=args.law)
     if args.out:
         path = Path(args.out)

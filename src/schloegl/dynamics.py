@@ -27,10 +27,18 @@ the hot path is kept lean without changing a bit of any result:
   evaluates the cubic once (a cursor that opens with AB2 history
   evaluates f(y_prev) once, when it is built);
 - the stepper's operators (M/dt - K/2, M, M/dt) and the actuator coupling
-  are applied by ``_csr_matvec``, which calls scipy's compiled CSR kernel
-  directly -- the kernel ``csr_matrix @ x`` ends in, hence the same bits.
-  The kernel reads its input unchecked, so the helper refuses any vector
-  that is not 1-D float64 of the operator's column count.
+  B are applied through prepared kernels (``_CsrKernel``): scipy's compiled
+  CSR kernel -- the one ``csr_matrix @ x`` ends in, hence the same bits --
+  called directly on operands read off the matrix once, when the stepper
+  (or a run's plant loop) is built.  The kernel reads its input unchecked,
+  so a prepared kernel refuses any vector that is not 1-D float64 of the
+  operator's column count;
+- an open-loop run, whose amplitudes are known before it starts (an RHC
+  window's forward simulation, the RHC plant's applied segment and the
+  replay), forms its actuator loads ``LOAD_BLOCK`` steps at a time with
+  one multi-vector CSR product, each column of which is bitwise the
+  single-vector product; the forcing is then added to it, as per step.
+  A closed loop forms B u once per step, after its control law.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import get_lapack_funcs
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec_kernel
+from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs_kernel
 
 from .actuators import control_norm
 from .geometry import FemOperators, StructuredTriangulation
@@ -65,6 +74,8 @@ __all__ = [
 ]
 
 BLOWUP_LIMIT = 1e8
+# Steps per block of the actuator loads of an open-loop run.
+LOAD_BLOCK = 32
 
 
 class BlowUpError(RuntimeError):
@@ -240,20 +251,53 @@ class TrajectoryRecord:
         return self.states[idx[0]]
 
 
-def _csr_matvec(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """``a @ x`` for a float64 CSR matrix, through the compiled kernel that call ends in.
+_FLOAT64 = np.dtype(np.float64)
 
-    Skipping the dispatch of ``@`` nearly halves the cost of a mat-vec on
-    small meshes and keeps every bit.  The kernel does no bounds checks, so ``x``
-    must be a 1-D float64 array of length ``a.shape[1]``; anything else is
-    refused with ``ValueError``.
+
+class _CsrKernel:
+    """``a @ x`` for a float64 CSR matrix ``a``, through the compiled kernels that product ends in.
+
+    The kernel operands are read off ``a`` once, here, so a call skips the
+    dispatch of ``@`` and scipy's ``shape`` property, and keeps every bit.
+    The kernels do no bounds checks, so the input is checked on every call.
     """
-    if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == (a.shape[1],)):
-        raise ValueError(f"mat-vec needs a 1-D float64 vector of length {a.shape[1]}, got "
-                         f"{getattr(x, 'dtype', type(x).__name__)} of shape {np.shape(x)}")
-    y = np.zeros(a.shape[0])
-    _csr_matvec_kernel(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, y)
-    return y
+
+    def __init__(self, a: sp.csr_matrix):
+        self.matrix = a
+        n_rows, n_cols = a.shape
+        self._n_rows = n_rows
+        self._n_cols = n_cols
+        self._operands = (n_rows, n_cols, a.indptr, a.indices, a.data)
+
+    def _refuse(self, x, what: str):
+        raise ValueError(f"mat-vec needs {what}, got {getattr(x, 'dtype', type(x).__name__)} "
+                         f"of shape {np.shape(x)}")
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """``a @ x`` for a 1-D float64 vector ``x`` of length ``a.shape[1]``; anything else
+        is refused with ``ValueError``."""
+        if not (isinstance(x, np.ndarray) and x.dtype == _FLOAT64 and x.shape == (self._n_cols,)):
+            self._refuse(x, f"a 1-D float64 vector of length {self._n_cols}")
+        y = np.zeros(self._n_rows)
+        _csr_matvec_kernel(*self._operands, x, y)
+        return y
+
+    def columns(self, x: np.ndarray) -> np.ndarray:
+        """``(a @ x).T`` for a 2-D float64 ``x`` of ``a.shape[1]`` rows, by one multi-vector product.
+
+        Row j of the result is bitwise ``self(x[:, j])``: both kernels add
+        each row's entries in storage order, starting from zero.  The rows
+        are made contiguous: on a large mesh, adding a strided column to a
+        vector costs more than the per-column products saved.
+        """
+        if not (isinstance(x, np.ndarray) and x.dtype == _FLOAT64 and x.ndim == 2
+                and x.shape[0] == self._n_cols):
+            self._refuse(x, f"a 2-D float64 array of {self._n_cols} rows")
+        n_rows, n_cols, indptr, indices, data = self._operands
+        y = np.zeros((n_rows, x.shape[1]))
+        _csr_matvecs_kernel(n_rows, n_cols, x.shape[1], indptr, indices, data,
+                            np.ascontiguousarray(x).ravel(), y.ravel())
+        return np.ascontiguousarray(y.T)
 
 
 class _BandedCholesky:
@@ -277,8 +321,9 @@ class _BandedCholesky:
         if info != 0:
             raise LinAlgError(f"matrix is not positive definite (pbtrf info = {info})")
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        x, info = self._pbtrs(self._factor, b, lower=0)
+    def solve(self, b: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """The solution of A x = b; ``overwrite`` lets LAPACK solve in the storage of ``b``."""
+        x, info = self._pbtrs(self._factor, b, lower=0, overwrite_b=overwrite)
         if info != 0:
             raise LinAlgError(f"pbtrs argument {-info} is invalid")
         return x
@@ -303,10 +348,10 @@ class CrankNicolsonAB2:
         self.dt = dt
         mass, stiff = fe.mass, fe.stiffness
         self._cn_lhs = _BandedCholesky(mass / dt + 0.5 * stiff)
-        self._cn_rhs = (mass / dt - 0.5 * stiff).tocsr()
+        self._cn_rhs = _CsrKernel((mass / dt - 0.5 * stiff).tocsr())
         self._euler_lhs = _BandedCholesky(mass / dt + stiff)
-        self._mass = mass.tocsr()
-        self._mass_over_dt = (mass / dt).tocsr()
+        self._mass = _CsrKernel(mass.tocsr())
+        self._mass_over_dt = _CsrKernel((mass / dt).tocsr())
 
     def solve_cn(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (M/dt + K/2) x = rhs."""
@@ -318,11 +363,11 @@ class CrankNicolsonAB2:
 
     def apply_cn_explicit(self, v: np.ndarray) -> np.ndarray:
         """Return (M/dt - K/2) v."""
-        return _csr_matvec(self._cn_rhs, v)
+        return self._cn_rhs(v)
 
     def apply_mass(self, v: np.ndarray) -> np.ndarray:
         """Return M v."""
-        return _csr_matvec(self._mass, v)
+        return self._mass(v)
 
     def startup_step(self, y0: np.ndarray, load: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         """Semi-implicit Euler: (M/dt + K) y1 = (M/dt) y0 - M f(y0) + load.
@@ -330,10 +375,11 @@ class CrankNicolsonAB2:
         Returns y1 and f(y0), the reaction the next (AB2) step carries.
         """
         f0 = cubic_reaction(y0, self.params)
-        rhs = _csr_matvec(self._mass_over_dt, y0) - self.apply_mass(f0)
+        rhs = self._mass_over_dt(y0)
+        rhs -= self._mass(f0)
         if load is not None:
             rhs += load
-        return self.solve_startup(rhs), f0
+        return self._euler_lhs.solve(rhs, overwrite=True), f0
 
     def ab2_step(self, y_curr: np.ndarray, f_prev: np.ndarray,
                  load: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -342,10 +388,11 @@ class CrankNicolsonAB2:
         Returns y_next and f(y_curr), the reaction the next step carries.
         """
         f_curr = cubic_reaction(y_curr, self.params)
-        rhs = self.apply_cn_explicit(y_curr) - self.apply_mass(1.5 * f_curr - 0.5 * f_prev)
+        rhs = self._cn_rhs(y_curr)
+        rhs -= self._mass(1.5 * f_curr - 0.5 * f_prev)
         if load is not None:
             rhs += load
-        return self.solve_cn(rhs), f_curr
+        return self._cn_lhs.solve(rhs, overwrite=True), f_curr
 
     def check_finite(self, y: np.ndarray, t: float) -> None:
         if not np.abs(y).max() <= BLOWUP_LIMIT:  # false for NaN and inf as well
@@ -497,13 +544,18 @@ def _run_plant(cursor: _Cursor, n_steps: int, forcing: ForcingLoad, b=None, cont
 
     Step k from level n applies ``forcing(n)`` (None: zero) plus ``b @ u`` (b a
     float64 CSR matrix, as a :class:`.actuators.CouplingMatrix` holds it)
-    with the float64 amplitudes ``u = control(k, z)``, z being the error
-    against ``target`` at level n (None without one);
-    ``control=None`` runs the plant free.  ``rec`` records each new level,
-    and level 0 before the first step; ``states`` receives the new states
-    in rows 1..n_steps.
+    with the float64 amplitudes u of step k.  A closed loop passes the
+    callable ``control(k, z)``, which returns u from z, the error against
+    ``target`` at level n (None without one); an open loop passes the
+    array whose column k is u, and its loads are formed ``LOAD_BLOCK``
+    steps at a time.  ``control=None`` runs the plant free.  ``rec``
+    records each new level, and level 0 before the first step; ``states``
+    receives the new states in rows 1..n_steps.
     """
     apply_mass = cursor.stepper.apply_mass
+    open_loop = isinstance(control, np.ndarray)
+    if control is not None:
+        b = _CsrKernel(b)
 
     def error():
         if target is None:
@@ -517,9 +569,15 @@ def _run_plant(cursor: _Cursor, n_steps: int, forcing: ForcingLoad, b=None, cont
     for k in range(n_steps):
         load = forcing(cursor.level)
         u = None
-        if control is not None:
+        if open_loop:
+            j = k % LOAD_BLOCK
+            if j == 0:
+                loads = b.columns(control[:, k:min(k + LOAD_BLOCK, n_steps)])
+            u, bu = control[:, k], loads[j]
+        elif control is not None:
             u = control(k, z)
-            bu = _csr_matvec(b, u)
+            bu = b(u)
+        if u is not None:
             if load is not None:
                 bu += load
             load = bu

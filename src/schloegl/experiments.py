@@ -281,13 +281,14 @@ def _write_series_csv(path: Path, record, stride: int):
 
 
 def _write_windows_csv(path: Path, reports: list, times: np.ndarray):
-    """One row per RHC window: its start time, how its optimizer ended and its wall time."""
+    """One row per RHC window: its start time, how its optimizer ended, its wall time and
+    the parts of it spent in forward and in adjoint windows."""
     n_delta = (len(times) - 1) // len(reports)
     with open(path, "w") as fh:
-        fh.write("window,t0,iterations,evaluations,cost,converged,stop_reason,wall_s\n")
+        fh.write("window,t0,iterations,evaluations,cost,converged,stop_reason,wall_s,forward_s,adjoint_s\n")
         for w, r in enumerate(reports):
             row = (w, times[w * n_delta], r.iterations, r.n_evaluations, r.cost, r.converged, r.message,
-                   r.wall_s)
+                   r.wall_s, r.forward_s, r.adjoint_s)
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 

@@ -22,11 +22,22 @@ re-simulates bitwise from the logged control.  A run returns
 its plant record, whose ``controls`` rows are the applied amplitudes, and
 the :class:`OptimizeResult` of every window, with its wall time.
 
+A forward window is an open-loop run: its amplitudes are known before
+it starts, so the plant loop forms its actuator loads a block of steps
+at a time, and each step applies the stepper's prepared CSR kernels
+(see :mod:`.dynamics`).  The window cost then forms the squared errors
+|y_n - target_n|_M^2 a block of ``ADJOINT_BLOCK`` levels at a time, so
+beyond its states a forward window's scratch memory is O(block x nodes)
+whatever its length.  No block has one level: ``einsum`` sums a one-row
+block in another order than a taller one, so a one-level remainder
+joins the block before it, and the errors are bitwise those of the
+whole window.
+
 The adjoint sweep forms its p-independent work -- the M z rows, the
 sources 2 tau_m M z_m and the reaction factors 1.5 f' and 0.5 f' -- a
 block of ``ADJOINT_BLOCK`` levels at a time, so its scratch memory is
 O(block x nodes) whatever the window length.  Each backward step is then
-left with the two direct mat-vecs of p (:mod:`.dynamics`' CSR kernel) and
+left with the two mat-vecs of p (the stepper's prepared CSR kernels) and
 one banded solve.  Every product is formed with the operands and in the
 order of the level-by-level sweep, so the adjoints are bitwise those of it.
 """
@@ -84,7 +95,8 @@ ARMIJO_SLOPE = 1e-4
 BACKTRACK_FACTOR = 0.5
 LINE_SEARCH_TRIALS = 60
 BB_STEP_BOUNDS = (1e-8, 1e8)
-# Levels per block of the adjoint sweep's p-independent work.
+# Levels per block of the window cost's squared errors and of the adjoint
+# sweep's p-independent work.
 ADJOINT_BLOCK = 32
 
 
@@ -143,6 +155,24 @@ class OcpProblem:
         return w
 
 
+def _squared_errors(states: np.ndarray, prob: OcpProblem) -> np.ndarray:
+    """|y_n - target_n|_M^2 at every window level n, formed ``ADJOINT_BLOCK`` levels at a time.
+
+    A one-level remainder joins the block before it: ``einsum`` sums the
+    row of a one-row block in another order than the rows of a taller
+    block, which all sum as the rows of the whole window do.
+    """
+    n_levels = prob.n_steps + 1
+    starts = list(range(0, n_levels, ADJOINT_BLOCK))
+    if n_levels - starts[-1] == 1:
+        starts.pop()
+    err_sq = np.empty(n_levels)
+    for lo, hi in zip(starts, starts[1:] + [n_levels]):
+        z = states[lo:hi] - prob.target[lo:hi]
+        err_sq[lo:hi] = np.einsum("ij,ij->i", z, (prob.stepper.fe.mass @ z.T).T)
+    return err_sq
+
+
 def evaluate_cost(u: np.ndarray, prob: OcpProblem) -> tuple[float, np.ndarray]:
     """Forward-simulate the window and return (cost, states)."""
     u = np.asarray(u, dtype=float)
@@ -151,11 +181,8 @@ def evaluate_cost(u: np.ndarray, prob: OcpProblem) -> tuple[float, np.ndarray]:
     states = np.empty((prob.n_steps + 1, len(prob.y0)))
     states[0] = prob.y0
     _run_plant(_Cursor(prob.stepper, prob.y0, prob.y_prev, prob.n0), prob.n_steps, prob.load,
-               prob.coupling.b, lambda k, z: u[:, k], states=states)
-    z = states - prob.target
-    mz = (prob.stepper.fe.mass @ z.T).T
-    err_sq = np.einsum("ij,ij->i", z, mz)
-    j_state = float(prob.trapezoid_weights() @ err_sq)
+               prob.coupling.b, u, states=states)
+    j_state = float(prob.trapezoid_weights() @ _squared_errors(states, prob))
     j_ctrl = prob.beta * prob.dt * float(np.sum(u * u))
     return j_state + j_ctrl, states
 
@@ -217,7 +244,9 @@ def project_admissible(u: np.ndarray, sat: SaturationConfig) -> np.ndarray:
 class OptimizeResult:
     """How one window's optimizer ended: best iterate and its cost, iterations, forward
     evaluations and the stop message; one per window in :attr:`RhcResult.window_reports`,
-    where ``wall_s`` is the wall time of the window's solve (NaN outside :func:`run_rhc`)."""
+    where ``wall_s`` is the wall time of the window's solve (NaN outside :func:`run_rhc`).
+    ``forward_s`` and ``adjoint_s`` are the parts of the solve spent in
+    :func:`evaluate_cost` and in :func:`solve_adjoint`."""
 
     u: np.ndarray
     cost: float
@@ -226,6 +255,8 @@ class OptimizeResult:
     n_evaluations: int
     message: str = ""
     wall_s: float = math.nan
+    forward_s: float = math.nan
+    adjoint_s: float = math.nan
 
 
 def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-4,
@@ -237,9 +268,22 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
     returned with ``converged=False``).
     """
     a_min, a_max = BB_STEP_BOUNDS
+    clock = {evaluate_cost: 0.0, solve_adjoint: 0.0}
+
+    def timed(fn, *args):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            clock[fn] += time.perf_counter() - t0
+
+    def result(iterations, converged, message):
+        return OptimizeResult(best_u, best_cost, iterations, converged, evals, message,
+                              forward_s=clock[evaluate_cost], adjoint_s=clock[solve_adjoint])
+
     u = project_admissible(u_init, prob.saturation)
-    cost, states = evaluate_cost(u, prob)
-    grad = reduced_gradient(u, solve_adjoint(states, prob), prob)
+    cost, states = timed(evaluate_cost, u, prob)
+    grad = reduced_gradient(u, timed(solve_adjoint, states, prob), prob)
     evals = 1
     g_scale = float(np.max(np.abs(grad)))
     alpha0 = min(max(1.0 / g_scale if g_scale > 0 else 1.0, a_min), a_max)
@@ -256,19 +300,19 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
             d = u_new - u
             d_sq = float(np.sum(d * d))
             if d_sq == 0.0:
-                return OptimizeResult(best_u, best_cost, it, True, evals, "stationary point")
+                return result(it, True, "stationary point")
             evals += 1
             try:
-                cost_new, states_new = evaluate_cost(u_new, prob)
+                cost_new, states_new = timed(evaluate_cost, u_new, prob)
             except BlowUpError:
                 cost_new = math.inf  # rejected: backtrack towards the finite iterate
             if cost_new <= ref + ARMIJO_SLOPE * float(np.sum(grad * d)):
                 break
             step *= BACKTRACK_FACTOR
         else:
-            return OptimizeResult(best_u, best_cost, it, False, evals, "line search failed")
+            return result(it, False, "line search failed")
 
-        grad_new = reduced_gradient(u_new, solve_adjoint(states_new, prob), prob)
+        grad_new = reduced_gradient(u_new, timed(solve_adjoint, states_new, prob), prob)
         s = u_new - u
         y_g = grad_new - grad
         sty = float(np.sum(s * y_g))
@@ -284,9 +328,9 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
         if cost < best_cost:
             best_cost, best_u = cost, u
         if diff < tol:
-            return OptimizeResult(best_u, best_cost, it, True, evals, "step below tolerance")
+            return result(it, True, "step below tolerance")
 
-    return OptimizeResult(best_u, best_cost, j_max, False, evals, "iteration cap reached")
+    return result(j_max, False, "iteration cap reached")
 
 
 def saturated_control_on_window(prob: OcpProblem, gain: float) -> np.ndarray:
@@ -377,7 +421,7 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, law: FeedbackLaw, coupling: 
         res.wall_s = time.perf_counter() - solve0
         reports.append(res)
         warm = res.u
-        _run_plant(plant, n_delta, fload, coupling.b, lambda k, z: warm[:, k], source, rec)
+        _run_plant(plant, n_delta, fload, coupling.b, warm, source, rec)
 
     return RhcResult(record=rec.finish(), window_reports=reports)
 
@@ -400,5 +444,4 @@ def simulate_controlled(y0: np.ndarray, controls: np.ndarray, coupling: Coupling
     if beta is not None and beta != integ.cost_beta:
         raise ValueError(f"beta = {beta!r} differs from the cost weight integ.cost_beta = {integ.cost_beta!r}")
     controls = np.asarray(controls, dtype=float)
-    return _simulate(y0, controls.shape[1], fe, params, forcing, integ, target_y0, coupling,
-                     lambda k, z: controls[:, k])
+    return _simulate(y0, controls.shape[1], fe, params, forcing, integ, target_y0, coupling, controls)

@@ -1,12 +1,14 @@
 """Theory constants, the spectral margin, decay fitting, and the scalar toy."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from schloegl import (
+    BlowUpError,
     build_actuator_grid,
     build_fem,
     check_gen_poly,
@@ -17,6 +19,7 @@ from schloegl import (
     ode_toy_simulate,
     stabilizability_margin,
 )
+from schloegl.analysis import TOY_DT
 
 
 class TestTheoryConstants:
@@ -190,6 +193,17 @@ class TestOdeToy:
         # a NaN rate or start gave a NaN trajectory, reported as a result
         with pytest.raises(ValueError, match="finite"):
             ode_toy_simulate(r, 1.0, mu, z0, horizon=horizon)
+
+    def test_overflow_raises_with_the_time_of_the_first_non_finite_value(self):
+        # finite inputs whose first RK4 step overflows used to give an inf trajectory
+        with pytest.raises(BlowUpError) as info:
+            ode_toy_simulate(-1e200, math.inf, 1.0, 1e200, horizon=0.001, law="free")
+        assert info.value.time == TOY_DT
+        # z = z0 e^t; the RK4 increment's sum k1 + 2 k2 + 2 k3 + k4 ~ 6 z overflows first,
+        # at t = log(max / (6 z0))
+        with pytest.raises(BlowUpError) as info:
+            ode_toy_simulate(-1.0, math.inf, 1.0, 2e307, horizon=1.0, law="free")
+        assert info.value.time == pytest.approx(math.log(sys.float_info.max / 1.2e308), abs=2 * TOY_DT)
 
     @pytest.mark.parametrize("bound", [-1.0, math.nan])
     def test_rejects_a_negative_or_nan_bound(self, bound):

@@ -31,7 +31,16 @@ from schloegl import (
     simulate_free,
 )
 from schloegl import dynamics
-from schloegl.dynamics import CrankNicolsonAB2, ForcingLoad, _BandedCholesky, _csr_matvec, _Cursor
+from schloegl.dynamics import (
+    LOAD_BLOCK,
+    CrankNicolsonAB2,
+    ForcingLoad,
+    _BandedCholesky,
+    _CsrKernel,
+    _Cursor,
+    _Recorder,
+    _run_plant,
+)
 
 
 class TestReaction:
@@ -252,22 +261,24 @@ class TestBandedSolver:
 
 
 class TestDirectMatVec:
-    """``_csr_matvec`` calls scipy's compiled CSR kernel directly: it must equal ``a @ x``
-    bit for bit, so a scipy upgrade that changes that kernel fails here."""
+    """``_CsrKernel`` calls scipy's compiled CSR kernels directly on operands read off the
+    matrix once: it must equal ``a @ x`` bit for bit, so a scipy upgrade that changes
+    those kernels fails here."""
 
     @staticmethod
     def operators(fe, params):
         stepper = CrankNicolsonAB2(fe, params, 1e-3)
         cm = discretize_actuators(build_actuator_grid(3, 0.33), fe.mesh)
         return {"cn_rhs": stepper._cn_rhs, "mass": stepper._mass, "mass_over_dt": stepper._mass_over_dt,
-                "b": cm.b, "bt": cm.bt}
+                "b": _CsrKernel(cm.b), "bt": _CsrKernel(cm.bt)}
 
     @pytest.mark.parametrize("nx", [12, 57])
     def test_bitwise_equal_to_the_sparse_product(self, params, rng, nx):
         fe = build_fem(nx, nx, 0.1)
-        for name, a in self.operators(fe, params).items():
+        for name, kernel in self.operators(fe, params).items():
+            a = kernel.matrix
             for x in (rng.normal(size=a.shape[1]), rng.normal(size=(a.shape[1], 3))[:, 1]):
-                assert np.array_equal(_csr_matvec(a, x), a @ x), name
+                assert np.array_equal(kernel(x), a @ x), name
 
     def test_stepper_methods_use_it_bitwise(self, fe16, params, rng):
         stepper = CrankNicolsonAB2(fe16, params, 1e-3)
@@ -276,18 +287,66 @@ class TestDirectMatVec:
         assert np.array_equal(stepper.apply_cn_explicit(v), (fe16.mass / 1e-3 - 0.5 * fe16.stiffness) @ v)
 
     def test_refuses_wrong_length_dtype_or_dimension(self, fe16, params):
-        a = self.operators(fe16, params)["mass"]
-        n = a.shape[1]
+        kernel = self.operators(fe16, params)["mass"]
+        n = kernel.matrix.shape[1]
         for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros(n, dtype=np.float32), np.zeros(n, dtype=np.int64),
                     np.zeros(n, dtype=complex), np.zeros((n, 1)), np.zeros((1, n)), np.float64(1.0),
-                    [0.0] * n):
+                    np.array(1.0), [0.0] * n):
             with pytest.raises(ValueError, match="1-D float64 vector"):
-                _csr_matvec(a, bad)
+                kernel(bad)
+        for bad in (np.zeros((n - 1, 2)), np.zeros((n, 2), dtype=np.float32), np.zeros((n, 2), dtype=complex),
+                    np.zeros(n), np.zeros((n, 2, 1)), [[0.0, 0.0]] * n):
+            with pytest.raises(ValueError, match="2-D float64 array"):
+                kernel.columns(bad)
 
     def test_stepper_refuses_a_wrong_length_state(self, fe16, params):
         stepper = CrankNicolsonAB2(fe16, params, 1e-3)
         with pytest.raises(ValueError, match="1-D float64 vector"):
             stepper.startup_step(np.zeros(fe16.mesh.n_nodes - 1), None)
+
+
+class TestBlockFormedLoads:
+    """An open-loop run forms its actuator loads ``LOAD_BLOCK`` steps at a time with one
+    multi-vector product; every load is bitwise the per-step product ``b @ u[:, k]``."""
+
+    @staticmethod
+    def amplitudes(rng, count, n_cols, layout):
+        if layout == "contiguous":
+            return rng.normal(size=(count, n_cols))
+        return rng.normal(size=(count, 3 * n_cols + 1))[:, 1::3]  # a strided view, as a column slice is
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    @pytest.mark.parametrize("nx", [16, 57])
+    def test_columns_are_the_single_vector_products(self, params, rng, nx, layout):
+        cm = discretize_actuators(build_actuator_grid(3, 0.33), build_fem(nx, nx, 0.1).mesh)
+        kernel = _CsrKernel(cm.b)
+        for n_cols in (1, 2, LOAD_BLOCK - 1, LOAD_BLOCK, LOAD_BLOCK + 1):
+            u = self.amplitudes(rng, cm.count, n_cols, layout)
+            loads = kernel.columns(u)
+            assert loads.shape == (n_cols, cm.b.shape[0])
+            for k in range(n_cols):
+                assert np.array_equal(loads[k], kernel(u[:, k]))
+                assert np.array_equal(loads[k], cm.b @ u[:, k])
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    @pytest.mark.parametrize("n_steps", [1, 2, LOAD_BLOCK - 1, LOAD_BLOCK, LOAD_BLOCK + 1])
+    def test_open_loop_run_is_the_per_step_run(self, fe16, params, coupling16, rng, n_steps, layout):
+        # the periodic forcing is on at some levels and off at others; the per-step
+        # run goes through the closed-loop path, which forms b @ u[:, k] on each step
+        stepper = CrankNicolsonAB2(fe16, params, 0.05)
+        forcing = ForcingLoad(ForcingSpec.periodic_indicator(), fe16, 0.05)
+        y0 = fe16.mesh.interpolate(lambda x, y: 0.5 + 0.3 * np.cos(np.pi * x))
+        u = self.amplitudes(rng, coupling16.count, n_steps, layout)
+        runs = []
+        for control in (u, lambda k, z: u[:, k]):
+            states = np.empty((n_steps + 1, len(y0)))
+            rec = _Recorder(n_steps, 0.05, 1, 1e-2, coupling16.count, track_error=False)
+            _run_plant(_Cursor(stepper, y0), n_steps, forcing, coupling16.b, control, rec=rec, states=states)
+            runs.append((states[1:], rec.finish()))
+        (open_states, open_rec), (step_states, step_rec) = runs
+        assert np.array_equal(open_states, step_states)
+        for field in ("states", "controls", "control_norms", "running_cost"):
+            assert np.array_equal(getattr(open_rec, field), getattr(step_rec, field)), field
 
 
 class TestCarriedReaction:

@@ -219,7 +219,8 @@ class TestRunScenario:
                            + "[initial]\nyhat0 = constant:2\ny0 = constant:1\n[feedback]\ncu = e^2\n")
         art = run_scenario(cfg, tmp_path / "run")
         lines = (art.directory / "windows.csv").read_text().splitlines()
-        assert lines[0] == "window,t0,iterations,evaluations,cost,converged,stop_reason,wall_s"
+        assert lines[0] == ("window,t0,iterations,evaluations,cost,converged,stop_reason,wall_s,"
+                            "forward_s,adjoint_s")
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == art.summary["rhc_windows"] == 4
         assert [int(r[0]) for r in rows] == [0, 1, 2, 3]
@@ -229,6 +230,10 @@ class TestRunScenario:
         # each window's solve time, all of them inside the run's wall time
         walls = [float(r[7]) for r in rows]
         assert all(w > 0.0 for w in walls) and sum(walls) <= art.summary["wall_time_s"]
+        # the solve's time in forward and in adjoint windows, both inside its wall time
+        for r in rows:
+            forward_s, adjoint_s = float(r[8]), float(r[9])
+            assert forward_s > 0.0 and adjoint_s > 0.0 and forward_s + adjoint_s <= float(r[7])
 
     def test_rhc_warm_start_uses_the_configured_gain(self, tmp_path, monkeypatch):
         # the RHC gets the feedback law of the scenario and warm-starts with its gain
@@ -382,8 +387,8 @@ class TestTable1AndSweep:
         assert all(r["rhc_status"] == r["satcon_status"] == "completed" for r in rows[2][0])
         assert [r["status"] for r in rows[2][1]] == ["completed", "completed"]
 
-        def without_wall_time(text):  # windows.csv ends each row with its timer, wall_s
-            return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+        def without_wall_time(text):  # windows.csv ends each row with its timers, wall_s, forward_s, adjoint_s
+            return [line.rsplit(",", 3)[0] for line in text.splitlines()]
 
         for serial in sorted((tmp_path / "w1").rglob("*")):
             pooled = tmp_path / "w2" / serial.relative_to(tmp_path / "w1")
@@ -470,6 +475,20 @@ class TestCli:
                            "--horizon", "1", "--out", str(tmp_path / "toy.csv"))
         assert out.returncode == 0
         assert (tmp_path / "toy.csv").exists()
+
+    def test_ode_toy_overflow_is_a_numerical_failure(self):
+        out = self.run_cli("ode-toy", "--r=-1e200", "--z0", "1e200", "--horizon", "0.001", "--law", "free")
+        assert out.returncode == 3
+        assert "numerical failure" in out.stderr and "z_final" not in out.stdout
+
+    @pytest.mark.parametrize("stride", ["0", "-1"])
+    def test_ode_toy_refuses_a_stride_below_one(self, tmp_path, stride):
+        # -1 wrote the rows in reverse time order, 0 left a header-only file
+        out = self.run_cli("ode-toy", "--r", "-1", "--z0", "2", "--horizon", "1", f"--stride={stride}",
+                           "--out", str(tmp_path / "toy.csv"))
+        assert out.returncode == 2
+        assert "--stride" in out.stderr and "z_final" not in out.stdout
+        assert not (tmp_path / "toy.csv").exists()
 
     @pytest.mark.parametrize("cu", ["-1", "nan"])
     def test_ode_toy_refuses_a_negative_or_nan_bound(self, cu):

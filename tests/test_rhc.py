@@ -257,6 +257,41 @@ class TestBitwiseOracles:
         assert np.array_equal(reduced_gradient(u, p, prob),
                               2.0 * prob.beta * prob.dt * u + (prob.coupling.b.T @ p.T))
 
+    @staticmethod
+    def reference_squared_errors(states, prob):
+        """|y_n - target_n|_M^2 from whole-window arrays: z, its M z rows, and their row sums."""
+        z = states - prob.target
+        mz = (prob.stepper.fe.mass @ z.T).T
+        return np.einsum("ij,ij->i", z, mz)
+
+    @pytest.mark.parametrize("with_history", [False, True])
+    @pytest.mark.parametrize("n_steps", [1, 2, ADJOINT_BLOCK - 1, ADJOINT_BLOCK, ADJOINT_BLOCK + 1,
+                                         2 * ADJOINT_BLOCK - 1, 2 * ADJOINT_BLOCK, 2 * ADJOINT_BLOCK + 1, 750])
+    def test_blocked_cost_is_the_whole_window_cost_bitwise(self, rng, n_steps, with_history):
+        # n_steps + 1 levels: 32 and 64 steps leave a one-level remainder, which joins the block before it
+        prob = self.forced_problem(n_steps, with_history)
+        u = 0.5 * rng.normal(size=(prob.coupling.count, n_steps))
+        cost, states = evaluate_cost(u, prob)
+        assert np.array_equal(states, self.reference_states(u, prob))
+        err_sq = self.reference_squared_errors(states, prob)
+        assert np.array_equal(rhc._squared_errors(states, prob), err_sq)
+        assert cost == float(prob.trapezoid_weights() @ err_sq) + prob.beta * prob.dt * float(np.sum(u * u))
+
+    def test_cost_scratch_memory_does_not_grow_with_the_window(self):
+        # the window cost is formed a block of levels at a time: beyond its states, the
+        # forward window over 750 levels needs no more memory than one over 4 blocks
+        scratch = {}
+        for n_steps in (4 * ADJOINT_BLOCK, 750):
+            prob = self.forced_problem(n_steps, with_history=False)
+            u = np.zeros((prob.coupling.count, n_steps))
+            tracemalloc.start()
+            try:
+                _, states = evaluate_cost(u, prob)
+                scratch[n_steps] = tracemalloc.get_traced_memory()[1] - states.nbytes
+            finally:
+                tracemalloc.stop()
+        assert scratch[750] < 1.25 * scratch[4 * ADJOINT_BLOCK]
+
     def test_adjoint_scratch_memory_does_not_grow_with_the_window(self):
         # the per-level work is formed a block at a time: beyond its output, the
         # sweep over 750 levels needs no more memory than one over 4 blocks
