@@ -26,9 +26,9 @@ for mu in (0.1, 1.0):
 
 fe = build_fem(48, 48, 0.1)
 tc = compute_theory_constants(0.1, (-1.0, 0.0, 2.0), 1.0, 175.0, grid)
+cm = discretize_actuators(grid, fe.mesh)
 print("\ndiscrete spectral margin vs gain (nine boxes, fraction 0.5):")
 for gain in (0.0, 10.0, 100.0, 1000.0, 1e6):
-    cm = discretize_actuators(grid, fe.mesh)
     rep = stabilizability_margin(gain, cm, fe, required_margin=tc.margin_requirement)
     print(f"  gain {gain:>9.0f}: theta_min = {rep.min_eigenvalue:9.4f}  "
           f"{'>=' if rep.passed else '< '} required {rep.required_margin:.4f}")

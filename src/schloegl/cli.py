@@ -16,6 +16,7 @@ from .actuators import build_actuator_grid, discretize_actuators
 from .analysis import compute_theory_constants, ode_toy_simulate, stabilizability_margin
 from .dynamics import BlowUpError
 from .experiments import (
+    _TABLE1_BASE,
     ConfigError,
     ScenarioConfig,
     _checked,
@@ -31,8 +32,9 @@ from .geometry import RectangleDomain, build_fem
 CI_MESH = 16
 
 
-def _load_config(args) -> ScenarioConfig:
-    cfg = parse_config(Path(args.config).read_text() if args.config else "")
+def _load_config(args, base: ScenarioConfig = ScenarioConfig()) -> ScenarioConfig:
+    """The scenario of ``--config``, else ``base``, with ``--ci`` applied."""
+    cfg = parse_config(Path(args.config).read_text()) if args.config else base
     if args.ci:
         cfg = _override(cfg, "--ci", nx=CI_MESH, ny=CI_MESH)
     return cfg
@@ -52,7 +54,7 @@ def _scenario_command(args, controller: str) -> int:
 
 
 def _cmd_table1(args) -> int:
-    base = _load_config(args)
+    base = _load_config(args, _TABLE1_BASE)
     rows = run_table1(args.out, base=base, workers=args.threads)
     print((Path(args.out) / "table1.txt").read_text())
     return _exit_code([r[f"{kind}_status"] for r in rows for kind in ("rhc", "satcon")])

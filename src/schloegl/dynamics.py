@@ -14,11 +14,13 @@ explicit reaction) since AB2 needs two history levels.  Both shifted
 operators are symmetric positive definite and banded in the row-major node
 ordering; each is Cholesky-factorized once per step size in LAPACK band
 storage (pbtrf) and every step solves with the band factor (pbtrs).
-Every trajectory of the package advances through one private plant loop
-(``_run_plant``) on a two-level cursor that counts the run's time levels,
-a receding-horizon window's included, against one target source and one
-``ForcingLoad``, which gives the load of level n at time n * dt.  The
-record logs amplitudes by the saturation's norm, :func:`.actuators.control_norm`.
+Every trajectory of the package (plant, rolling target, receding-horizon
+window, replay) advances through one private plant loop, ``_run_plant``,
+the one caller of the step of a two-level cursor that counts the run's
+time levels, against one target source and one ``ForcingLoad``, which
+gives the load of level n at time n * dt.  The loop logs each level in
+place into the run's record, allocated once, strided snapshots included;
+it logs amplitudes by the saturation's norm, :func:`.actuators.control_norm`.
 
 On small meshes a step costs per-call overhead more than arithmetic, so
 the hot path is kept lean without changing a bit of any result:
@@ -428,53 +430,45 @@ class _Cursor:
 
 
 class _Recorder:
-    """Per-level diagnostics and strided snapshots, one ``record`` call per level."""
+    """Fills ``record``, the :class:`TrajectoryRecord` of a run, in place, one ``log`` call per level.
 
-    def __init__(self, n_steps: int, dt: float, stride: int, beta: float, n_controls: int | None, track_error: bool):
-        self.dt = dt
-        self.beta = beta
-        self.stride = stride
-        self.times = np.arange(n_steps + 1) * dt
-        self.err_norm = np.zeros(n_steps + 1) if track_error else None
-        self.control_norms = np.zeros(n_steps)
-        self.running_cost = np.zeros(n_steps + 1)
-        self.controls = np.zeros((n_steps, n_controls)) if n_controls else None
-        self._snap_levels = []
-        self._snaps = []
-        self._n_steps = n_steps
+    Every array of the record, the strided snapshot rows included, is allocated here, once.
+    """
+
+    def __init__(self, cfg: IntegratorConfig, n_steps: int, n_nodes: int, n_controls: int | None,
+                 track_error: bool):
+        self.cfg = cfg
         self._prev_err_sq = 0.0
+        levels = np.append(np.arange(0, n_steps, cfg.state_stride), n_steps)  # the last level always
+        self.record = TrajectoryRecord(
+            times=np.arange(n_steps + 1) * cfg.dt,
+            err_norm=np.zeros(n_steps + 1) if track_error else None,
+            control_norms=np.zeros(n_steps),
+            running_cost=np.zeros(n_steps + 1),
+            controls=np.zeros((n_steps, n_controls)) if n_controls else None,
+            states=np.empty((len(levels), n_nodes)),
+            state_levels=levels)
 
-    def record(self, n: int, y: np.ndarray, err_sq: float | None, u: np.ndarray | None = None):
+    def log(self, n: int, y: np.ndarray, err_sq: float | None, u: np.ndarray | None = None):
         """Level n, and the amplitudes u of the step that reached it (None: no control)."""
+        rec, dt, stride = self.record, self.cfg.dt, self.cfg.state_stride
         cost = 0.0
         if u is not None:
             # the cost and the stored series weigh the Euclidean norm whatever the saturation
             # norm, so the running cost re-integrates from the CSV columns
             eu = control_norm(u)
-            self.control_norms[n - 1] = eu
-            self.controls[n - 1] = u  # controls exists: a controlled run has a coupling
+            rec.control_norms[n - 1] = eu
+            rec.controls[n - 1] = u  # controls exists: a controlled run has a coupling
             # exact integral of the piecewise-constant control on [t_n-1, t_n]
-            cost = self.beta * self.dt * eu * eu
+            cost = self.cfg.cost_beta * dt * eu * eu
         e2 = 0.0 if err_sq is None else max(err_sq, 0.0)
-        if self.err_norm is not None:
-            self.err_norm[n] = math.sqrt(e2)
+        if rec.err_norm is not None:
+            rec.err_norm[n] = math.sqrt(e2)
         if n > 0:
-            self.running_cost[n] = cost + (self.running_cost[n - 1] + 0.5 * self.dt * (self._prev_err_sq + e2))
+            rec.running_cost[n] = cost + (rec.running_cost[n - 1] + 0.5 * dt * (self._prev_err_sq + e2))
         self._prev_err_sq = e2
-        if n % self.stride == 0 or n == self._n_steps:
-            self._snap_levels.append(n)
-            self._snaps.append(y.copy())
-
-    def finish(self) -> TrajectoryRecord:
-        return TrajectoryRecord(
-            times=self.times,
-            err_norm=self.err_norm,
-            control_norms=self.control_norms,
-            running_cost=self.running_cost,
-            controls=self.controls,
-            states=np.array(self._snaps),
-            state_levels=np.array(self._snap_levels),
-        )
+        if n % stride == 0 or n == rec.n_steps:
+            rec.states[-(-n // stride)] = y  # the row of level n: ceil(n / stride)
 
 
 def _n_steps_for(horizon: float, dt: float) -> int:
@@ -489,8 +483,9 @@ class _TargetSource:
 
     ``window(n0, n_steps)`` returns levels n0..n0+n_steps as read-only rows;
     no request may start before the previous one.  The rolling source steps
-    each level once and keeps only the levels from the latest request on,
-    so lockstep use (n_steps = 0) holds one state.
+    each level once, through the plant loop run free, and keeps only the
+    levels from the latest request on, so lockstep use (n_steps = 0) holds
+    one state.
     """
 
     def __init__(self, rows: np.ndarray, base: int = 0, cursor: _Cursor | None = None, load: ForcingLoad | None = None):
@@ -503,19 +498,20 @@ class _TargetSource:
     def of(cls, target, stepper: CrankNicolsonAB2, load: ForcingLoad, n_steps: int) -> "_TargetSource":
         """The free run from the state ``target``, or a full-state :class:`TrajectoryRecord`.
 
-        A record is refused unless it is on the stepper's grid, stores every
-        level and covers the ``n_steps`` steps the run needs.
+        A record is refused unless it covers the ``n_steps`` steps the run
+        needs (checked first: a one-level record has no grid step), is on the
+        stepper's grid and stores every level.
         """
         if not isinstance(target, TrajectoryRecord):
             cursor = _Cursor(stepper, target)
             return cls(cursor.y[None], 0, cursor, load)
+        if target.n_steps < n_steps:
+            raise ValueError(f"target record covers {target.n_steps} steps, the run needs {n_steps}")
         if abs(target.times[1] - target.times[0] - stepper.dt) > 1e-12:
             raise ValueError(f"target record time grid step {target.times[1] - target.times[0]!r} "
                              f"does not match the integrator step size {stepper.dt!r}")
         if len(target.state_levels) != target.n_steps + 1:
             raise ValueError("target record must store every time level (state_stride=1)")
-        if target.n_steps < n_steps:
-            raise ValueError(f"target record covers {target.n_steps} steps, the run needs {n_steps}")
         return cls(target.states)
 
     def window(self, n0: int, n_steps: int) -> np.ndarray:
@@ -528,10 +524,9 @@ class _TargetSource:
                 raise ValueError("target record does not cover the requested window")
             grown = np.empty((n_steps + 1, len(cursor.y)))
             grown[:len(rows)] = rows
-            while cursor.level < n0 + n_steps:
-                y = cursor.step(self._load(cursor.level))
-                if cursor.level >= n0:
-                    grown[cursor.level - n0] = y
+            if cursor.level < n0 - 1:  # a gap: the levels before n0 are stepped, not kept
+                _run_plant(cursor, n0 - 1 - cursor.level, self._load)
+            _run_plant(cursor, n0 + n_steps - cursor.level, self._load, states=grown[cursor.level + 1 - n0:])
             rows = grown
         self._rows, self._base = rows, n0
         return rows[:n_steps + 1]
@@ -549,8 +544,8 @@ def _run_plant(cursor: _Cursor, n_steps: int, forcing: ForcingLoad, b=None, cont
     ``target`` at level n (None without one); an open loop passes the
     array whose column k is u, and its loads are formed ``LOAD_BLOCK``
     steps at a time.  ``control=None`` runs the plant free.  ``rec``
-    records each new level, and level 0 before the first step; ``states``
-    receives the new states in rows 1..n_steps.
+    logs each new level, and level 0 before the first step; ``states``
+    receives the new states in rows 0..n_steps-1.
     """
     apply_mass = cursor.stepper.apply_mass
     open_loop = isinstance(control, np.ndarray)
@@ -565,7 +560,7 @@ def _run_plant(cursor: _Cursor, n_steps: int, forcing: ForcingLoad, b=None, cont
 
     z, err_sq = error()
     if rec is not None and cursor.level == 0:
-        rec.record(0, cursor.y, err_sq)
+        rec.log(0, cursor.y, err_sq)
     for k in range(n_steps):
         load = forcing(cursor.level)
         u = None
@@ -584,9 +579,9 @@ def _run_plant(cursor: _Cursor, n_steps: int, forcing: ForcingLoad, b=None, cont
         y = cursor.step(load)
         z, err_sq = error()
         if rec is not None:
-            rec.record(cursor.level, y, err_sq, u)
+            rec.log(cursor.level, y, err_sq, u)
         if states is not None:
-            states[k + 1] = y
+            states[k] = y
 
 
 def _simulate(y0: np.ndarray, n_steps: int, fe: FemOperators, params: SchloeglParams,
@@ -599,9 +594,9 @@ def _simulate(y0: np.ndarray, n_steps: int, fe: FemOperators, params: SchloeglPa
     if target is not None:
         target = _TargetSource.of(target, stepper, load, n_steps)
     b, count = (None, None) if coupling is None else (coupling.b, coupling.count)
-    rec = _Recorder(n_steps, cfg.dt, cfg.state_stride, cfg.cost_beta, count, track_error=target is not None)
+    rec = _Recorder(cfg, n_steps, fe.mesh.n_nodes, count, track_error=target is not None)
     _run_plant(_Cursor(stepper, y0), n_steps, load, b, control, target, rec)
-    return rec.finish()
+    return rec.record
 
 
 def simulate_free(y0: np.ndarray, horizon: float, fe: FemOperators, params: SchloeglParams,

@@ -197,11 +197,18 @@ def _override(cfg: ScenarioConfig, origin: str, **changes) -> ScenarioConfig:
     return replace(cfg, provenance=provenance, **changes)
 
 
+# The Table-1 scenario: constant initial states at the outer stable roots,
+# periodic forcing, gain 175, and the calibrated box fraction 0.33 and max
+# amplitude norm (see the README's remarks on reproduction scenarios).
+_TABLE1_BASE = _override(ScenarioConfig(), "table1 base", yhat0="constant:2", y0="constant:-1",
+                         forcing="periodic", r=0.33, norm="max")
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse configuration text; unknown keys, bad values and range
     violations raise :class:`ConfigError` with the offending line number."""
     values = {}
-    provenance = dict.fromkeys(_KEYS, "default")
+    provenance = {}
     section = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
@@ -416,18 +423,15 @@ def _run_jobs(jobs: list[tuple[ScenarioConfig, Path]], workers: int) -> list[dic
         return list(pool.map(_run_job, jobs))
 
 
-def run_table1(out_dir: str | Path, base: ScenarioConfig | None = None,
+def run_table1(out_dir: str | Path, base: ScenarioConfig = _TABLE1_BASE,
                cells=TABLE1_CELLS, betas=TABLE1_BETAS, workers: int = 1) -> list[dict]:
     """Cost comparison over the (bound, horizon) grid for both cost weights.
 
-    The base scenario is the trajectory-comparison example: constant
-    initial states at the outer stable roots, periodic forcing, gain 175.
+    The default base is the calibrated Table-1 scenario (see ``_TABLE1_BASE``).
     Each cell is two runs, saturated feedback and RHC, and each run is one
     job.  Returns one row dict per cell; writes table1.txt and table1.csv.
     """
     out = Path(out_dir)
-    if base is None:
-        base = _override(ScenarioConfig(), "table1 base", yhat0="constant:2", y0="constant:-1", forcing="periodic")
     grid = [(beta, cu_tag, t_inf) for beta in betas for (cu_tag, t_inf) in cells]
     jobs = [(_override(base, "table1 cell", controller=controller, cu_tag=cu_tag, t_final=t_inf, rhc_beta=beta),
              out / f"{kind}_b{beta:g}_{cu_tag.replace('^', '')}_T{t_inf:g}")
@@ -452,16 +456,14 @@ def run_table1(out_dir: str | Path, base: ScenarioConfig | None = None,
 
 
 def _format_table(rows: list[dict], cells, betas) -> str:
-    header = ["control"] + [f"({cu}, {t_inf:g})" for cu, t_inf in cells]
-    widths = [max(14, len(h) + 2) for h in header]
-    lines = ["".join(h.ljust(w) for h, w in zip(header, widths))]
+    lines = [["control"] + [f"({cu}, {t_inf:g})" for cu, t_inf in cells]]
     for i, beta in enumerate(betas):
         beta_rows = rows[i * len(cells):(i + 1) * len(cells)]  # rows run over the cells for each beta
-        for kind in ("rhc", "satcon"):
-            label = f"{'RHC' if kind == 'rhc' else 'SatCon'} beta={beta:g}"
-            vals = ["-" if math.isnan(r[kind]) else f"{r[kind]:.4f}" for r in beta_rows]
-            lines.append("".join(s.ljust(w) for s, w in zip([label] + vals, widths)))
-    return "\n".join(lines) + "\n"
+        for kind, name in (("rhc", "RHC"), ("satcon", "SatCon")):
+            lines.append([f"{name} beta={beta:g}"]
+                         + ["-" if math.isnan(r[kind]) else f"{r[kind]:.4f}" for r in beta_rows])
+    widths = [max(14, *(len(s) + 2 for s in column)) for column in zip(*lines)]  # a column fits its entries
+    return "".join("".join(s.ljust(w) for s, w in zip(line, widths)) + "\n" for line in lines)
 
 
 def _grid_side(count) -> int:

@@ -181,7 +181,7 @@ def evaluate_cost(u: np.ndarray, prob: OcpProblem) -> tuple[float, np.ndarray]:
     states = np.empty((prob.n_steps + 1, len(prob.y0)))
     states[0] = prob.y0
     _run_plant(_Cursor(prob.stepper, prob.y0, prob.y_prev, prob.n0), prob.n_steps, prob.load,
-               prob.coupling.b, u, states=states)
+               prob.coupling.b, u, states=states[1:])
     j_state = float(prob.trapezoid_weights() @ _squared_errors(states, prob))
     j_ctrl = prob.beta * prob.dt * float(np.sum(u * u))
     return j_state + j_ctrl, states
@@ -240,23 +240,23 @@ def project_admissible(u: np.ndarray, sat: SaturationConfig) -> np.ndarray:
     return _radial_columns(np.asarray(u, dtype=float), sat)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizeResult:
-    """How one window's optimizer ended: best iterate and its cost, iterations, forward
-    evaluations and the stop message; one per window in :attr:`RhcResult.window_reports`,
-    where ``wall_s`` is the wall time of the window's solve (NaN outside :func:`run_rhc`).
-    ``forward_s`` and ``adjoint_s`` are the parts of the solve spent in
-    :func:`evaluate_cost` and in :func:`solve_adjoint`."""
+    """How one :func:`bb_projected_gradient` solve ended, as the solve reports it: best
+    iterate and its cost, iterations, forward evaluations and the stop message, the wall
+    time ``wall_s`` of the solve and the parts of it spent in :func:`evaluate_cost`
+    (``forward_s``) and in :func:`solve_adjoint` (``adjoint_s``); one per window in
+    :attr:`RhcResult.window_reports`."""
 
     u: np.ndarray
     cost: float
     iterations: int
     converged: bool
     n_evaluations: int
-    message: str = ""
-    wall_s: float = math.nan
-    forward_s: float = math.nan
-    adjoint_s: float = math.nan
+    message: str
+    wall_s: float
+    forward_s: float
+    adjoint_s: float
 
 
 def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-4,
@@ -267,6 +267,7 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
     ``tol`` or the iteration cap is reached (then the best iterate is
     returned with ``converged=False``).
     """
+    start = time.perf_counter()
     a_min, a_max = BB_STEP_BOUNDS
     clock = {evaluate_cost: 0.0, solve_adjoint: 0.0}
 
@@ -279,7 +280,8 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
 
     def result(iterations, converged, message):
         return OptimizeResult(best_u, best_cost, iterations, converged, evals, message,
-                              forward_s=clock[evaluate_cost], adjoint_s=clock[solve_adjoint])
+                              wall_s=time.perf_counter() - start, forward_s=clock[evaluate_cost],
+                              adjoint_s=clock[solve_adjoint])
 
     u = project_admissible(u_init, prob.saturation)
     cost, states = timed(evaluate_cost, u, prob)
@@ -401,7 +403,7 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, law: FeedbackLaw, coupling: 
     fload = ForcingLoad(forcing or ForcingSpec.zero(), fe, dt)
     source = _TargetSource.of(target, stepper, fload, n_total - n_delta + n_horizon)
     plant = _Cursor(stepper, y0)
-    rec = _Recorder(n_total, dt, integ.state_stride, integ.cost_beta, coupling.count, track_error=True)
+    rec = _Recorder(integ, n_total, fe.mesh.n_nodes, coupling.count, track_error=True)
     reports = []
     warm = None
 
@@ -416,14 +418,12 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, law: FeedbackLaw, coupling: 
             u_init = np.empty_like(warm)
             u_init[:, : n_horizon - n_delta] = warm[:, n_delta:]
             u_init[:, n_horizon - n_delta:] = warm[:, -1:]
-        solve0 = time.perf_counter()
         res = bb_projected_gradient(prob, u_init, tol=cfg.tol, j_max=cfg.j_max)
-        res.wall_s = time.perf_counter() - solve0
         reports.append(res)
         warm = res.u
         _run_plant(plant, n_delta, fload, coupling.b, warm, source, rec)
 
-    return RhcResult(record=rec.finish(), window_reports=reports)
+    return RhcResult(record=rec.record, window_reports=reports)
 
 
 def simulate_controlled(y0: np.ndarray, controls: np.ndarray, coupling: CouplingMatrix,

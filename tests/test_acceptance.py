@@ -13,6 +13,7 @@ decay-rate sweep, 0.33/max for the cost table) and recorded here.
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ from schloegl import (
     track_target,
 )
 from schloegl.dynamics import CrankNicolsonAB2, ForcingLoad
-from schloegl.experiments import TABLE1_BETAS, TABLE1_CELLS, ScenarioConfig, run_table1
+from schloegl.experiments import _TABLE1_BASE, TABLE1_BETAS, TABLE1_CELLS, run_table1
 
 PAPER_TABLE1 = {
     (1e-3, "e^0.5"): (202.47, 203.04),
@@ -201,14 +202,11 @@ def test_criterion_4_decay_above_absorbing_radius():
 
 @pytest.mark.slow
 def test_criterion_5_cost_table_full_resolution(tmp_path):
-    # calibrated scenario: box fraction 0.33, max amplitude norm (the
-    # publication states neither; the unconstrained cells pin the
-    # coverage, the constrained thresholds pin the norm)
+    # the calibrated Table-1 scenario: box fraction 0.33, max amplitude norm
+    # (the publication states neither; the unconstrained cells pin the
+    # coverage, the constrained thresholds pin the norm), on the 57x57 mesh
     workers = int(os.environ.get("SCHLOEGL_TABLE1_WORKERS", "1"))
-    base = ScenarioConfig(nx=57, ny=57, dt=1e-3, yhat0="constant:2", y0="constant:-1",
-                          forcing="periodic", r=0.33, norm="max", gain=175.0,
-                          rhc_horizon=1.25, rhc_delta=0.5, rhc_tol=1e-4, rhc_j_max=500,
-                          state_stride=100000, csv_stride=10)
+    base = replace(_TABLE1_BASE, state_stride=100000, csv_stride=10)
     rows = run_table1(tmp_path, base=base, cells=TABLE1_CELLS, betas=TABLE1_BETAS, workers=workers)
     lines = []
     all_within = True

@@ -6,6 +6,7 @@ recurrences, and the bistable split around the unstable root.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from schloegl.dynamics import (
     _Cursor,
     _Recorder,
     _run_plant,
+    _TargetSource,
 )
 
 
@@ -219,6 +221,35 @@ class TestIntegrator:
         with pytest.raises(KeyError):
             rec.state_at_level(13)
 
+    def test_record_is_filled_in_place(self, fe16, params):
+        # the snapshot rows are allocated once and written level by level: beyond its
+        # states, a recorded run's peak memory stays well under one more states array
+        # (a list of snapshots copied into the record at the end costs one)
+        cfg = IntegratorConfig(dt=1e-2, state_stride=1)
+        y0 = fe16.mesh.interpolate(lambda x, y: 0.5 + 0.3 * np.cos(np.pi * x))
+        tracemalloc.start()
+        try:
+            rec = simulate_free(y0, 10.0, fe16, params, ForcingSpec.periodic_indicator(), cfg)
+            extra = tracemalloc.get_traced_memory()[1] - rec.states.nbytes
+        finally:
+            tracemalloc.stop()
+        assert rec.states.shape == (1001, fe16.mesh.n_nodes)
+        assert extra < 0.25 * rec.states.nbytes
+
+    @pytest.mark.parametrize("requests", [
+        [(n, 0) for n in range(61)],                   # lockstep, as a closed loop reads it
+        [(0, 30), (10, 30), (20, 30), (30, 30)],       # overlapping windows, as the RHC reads them
+        [(0, 5), (20, 10), (31, 3), (45, 0), (47, 13)],  # gaps of 14, 0, 10 and 1 levels
+    ], ids=["lockstep", "window", "gap"])
+    def test_rolling_target_rows_are_the_free_run(self, fe16, params, requests):
+        dt = 1e-2
+        forcing = ForcingSpec.periodic_indicator()
+        yhat0 = fe16.mesh.interpolate(lambda x, y: 1.5 - x * y)
+        full = simulate_free(yhat0, 0.6, fe16, params, forcing, IntegratorConfig(dt=dt, state_stride=1))
+        source = _TargetSource.of(yhat0, CrankNicolsonAB2(fe16, params, dt), ForcingLoad(forcing, fe16, dt), 60)
+        for n0, n_steps in requests:
+            assert np.array_equal(source.window(n0, n_steps), full.states[n0:n0 + n_steps + 1]), (n0, n_steps)
+
 
 class TestBandedSolver:
     @staticmethod
@@ -340,9 +371,9 @@ class TestBlockFormedLoads:
         runs = []
         for control in (u, lambda k, z: u[:, k]):
             states = np.empty((n_steps + 1, len(y0)))
-            rec = _Recorder(n_steps, 0.05, 1, 1e-2, coupling16.count, track_error=False)
-            _run_plant(_Cursor(stepper, y0), n_steps, forcing, coupling16.b, control, rec=rec, states=states)
-            runs.append((states[1:], rec.finish()))
+            rec = _Recorder(IntegratorConfig(0.05, 1, 1e-2), n_steps, len(y0), coupling16.count, track_error=False)
+            _run_plant(_Cursor(stepper, y0), n_steps, forcing, coupling16.b, control, rec=rec, states=states[1:])
+            runs.append((states[1:], rec.record))
         (open_states, open_rec), (step_states, step_rec) = runs
         assert np.array_equal(open_states, step_states)
         for field in ("states", "controls", "control_norms", "running_cost"):

@@ -12,9 +12,12 @@ import pytest
 
 from schloegl.experiments import (
     _KEYS,
+    TABLE1_BETAS,
+    TABLE1_CELLS,
     ConfigError,
     ScenarioConfig,
     _fmt_readable,
+    _write_snapshot,
     parse_bound,
     parse_config,
     run_scenario,
@@ -38,7 +41,7 @@ class TestParseConfig:
         assert cfg.nu == 0.1
         assert cfg.zeta == (-1.0, 0.0, 2.0)
         assert cfg.dt == 1e-3
-        assert cfg.provenance["params.nu"] == "default"
+        assert "params.nu" not in cfg.provenance  # an unset key has no origin; its snapshot tag is "default"
         assert cfg.provenance["mesh.nx"] == "line 2"
 
     def test_bound_notation(self):
@@ -203,6 +206,14 @@ class TestRunScenario:
         assert "# feedback.lambda = 20.0  [line 9]" in snap
         assert "# params.nu = 0.1  [default]" in snap
 
+    def test_snapshot_tells_a_replaced_value_from_a_default(self, tmp_path):
+        cfg = dataclasses.replace(parse_config("[mesh]\nnx = 8\n"), ny=9)
+        _write_snapshot(tmp_path / "snap.txt", cfg)
+        snap = (tmp_path / "snap.txt").read_text().splitlines()
+        assert "# mesh.nx = 8  [line 2]" in snap
+        assert "# mesh.ny = 9  [set in code]" in snap
+        assert "# params.nu = 0.1  [default]" in snap
+
     def test_rhc_controller_summary(self, tmp_path):
         cfg = parse_config("[mesh]\nnx = 8\nny = 8\n[time]\ndt = 0.01\nt_final = 0.4\n"
                            + "[run]\ncontroller = rhc\n[rhc]\nt = 0.3\ndelta = 0.1\nbeta = 1e-3\ntol = 1e-3\n"
@@ -318,7 +329,11 @@ class TestTable1AndSweep:
         row = rows[0]
         assert row["rhc_status"] == "completed" and row["satcon_status"] == "completed"
         assert row["rhc"] <= row["satcon"] + 1e-9
-        assert (tmp_path / "table1.txt").exists()
+        # every row of table1.txt splits into its label and one value per cell
+        table = (tmp_path / "table1.txt").read_text().splitlines()
+        assert table[0].split() == ["control", "(e^2,", "0.5)"]
+        for line, (kind, name) in zip(table[1:], (("rhc", "RHC"), ("satcon", "SatCon")), strict=True):
+            assert line.split() == [name, "beta=0.001", f"{row[kind]:.4f}"]
         csv = (tmp_path / "table1.csv").read_text().splitlines()
         assert csv[0] == "beta,cu,t_inf,rhc,satcon,rhc_status,satcon_status"
         assert len(csv) == 2
@@ -510,6 +525,25 @@ class TestCli:
         out = self.run_cli(*argv)
         assert out.returncode == 2
         assert "need finite r, mu, z0" in out.stderr and "z_final" not in out.stdout
+
+    def test_table1_without_config_runs_the_calibrated_scenario(self, tmp_path, monkeypatch):
+        from schloegl import experiments
+        from schloegl.cli import main
+
+        jobs = []
+
+        def no_runs(batch, workers):
+            jobs.extend(batch)
+            return [{"status": "completed", "J_total": 1.0}] * len(batch)
+
+        monkeypatch.setattr(experiments, "_run_jobs", no_runs)
+        assert main(["table1", "--ci", "--out", str(tmp_path / "t")]) == 0
+        assert len(jobs) == 2 * len(TABLE1_CELLS) * len(TABLE1_BETAS)
+        for cfg, _ in jobs:
+            assert (cfg.yhat0, cfg.y0, cfg.forcing, cfg.r, cfg.norm) == ("constant:2", "constant:-1", "periodic",
+                                                                         0.33, "max")
+            assert (cfg.nx, cfg.ny, cfg.gain) == (16, 16, 175.0)
+            assert cfg.provenance["actuators.r"] == "table1 base" and cfg.provenance["mesh.nx"] == "--ci"
 
     def test_table1_exit_code_when_a_cell_blows_up(self, tmp_path):
         # every cell ends completed-unstable; no run raised, yet the table is not a result

@@ -11,6 +11,7 @@ from schloegl import (
     IntegratorConfig,
     SaturationConfig,
     SchloeglParams,
+    TrajectoryRecord,
     build_actuator_grid,
     build_fem,
     compute_theory_constants,
@@ -302,6 +303,16 @@ class TestClosedLoop:
         with pytest.raises(ValueError, match="target record time grid"):
             track_target(y0, target, law, coupling16, fe16, params, cfg=IntegratorConfig(dt=5e-4), horizon=0.05)
         assert stepper_calls == []
+
+    def test_one_level_target_record_refused_as_too_short(self, fe16, params, coupling16):
+        # a one-level record has no grid step to check; its coverage is checked first
+        y = np.full(fe16.mesh.n_nodes, 2.0)
+        target = TrajectoryRecord(times=np.zeros(1), err_norm=None, control_norms=np.zeros(0),
+                                  running_cost=np.zeros(1), controls=None, states=y[None],
+                                  state_levels=np.zeros(1, dtype=int))
+        with pytest.raises(ValueError, match="target record covers 0 steps, the run needs 10"):
+            track_target(np.zeros(fe16.mesh.n_nodes), target, FeedbackLaw(gain=1.0), coupling16, fe16, params,
+                         cfg=IntegratorConfig(dt=1e-3), horizon=0.01)
 
     def test_decay_above_absorbing_radius_nonvacuous(self, params):
         # doubled trajectory-comparison initial error so the run starts

@@ -551,6 +551,10 @@ class TestRunRhc:
         assert len(res.window_reports) == 2
         for report in res.window_reports:
             assert isinstance(report.message, str) and report.message
+            # the solve reports its own times, and its report is not changed after it returns
+            assert 0.0 < report.forward_s + report.adjoint_s <= report.wall_s
+            with pytest.raises(FrozenInstanceError):
+                report.wall_s = 0.0
 
     def test_replay_checks_the_target_for_blow_up(self):
         fe = build_fem(8, 8, 0.1)
