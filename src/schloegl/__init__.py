@@ -68,6 +68,7 @@ from .rhc import (
 )
 from .analysis import (
     MarginReport,
+    MarginSolveError,
     TheoryConstants,
     check_gen_poly,
     compute_theory_constants,

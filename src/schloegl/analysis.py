@@ -16,10 +16,12 @@ symmetric pencil  (K + M + 2 lam B G^-1 B^T) w = theta M w,  computed by
 shift-invert Lanczos at shift 0.  The actuator term is never assembled:
 it has rank ``count``, so the shift-invert solve is one banded Cholesky
 solve with K + M plus a ``count``-dimensional Sherman-Morrison-Woodbury
-correction.  The start vector is a fixed pseudo-random one; a start
-vector invariant under the mesh symmetries would keep Lanczos inside the
-symmetric subspace and miss a smallest eigenvalue of another symmetry
-class.
+correction.  K + M depends on neither the gain nor the actuators, so its
+factor is computed once per mesh (``FemOperators.energy_factor``) and a
+sweep over gains and actuator grids reuses it.  The start vector is a
+fixed pseudo-random one; a start vector invariant under the mesh
+symmetries would keep Lanczos inside the symmetric subspace and miss a
+smallest eigenvalue of another symmetry class.
 """
 
 from __future__ import annotations
@@ -32,12 +34,13 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .actuators import ActuatorGrid, CouplingMatrix, control_operator_inverse_norm
-from .dynamics import BlowUpError, SchloeglParams, _BandedCholesky
+from .dynamics import BlowUpError, SchloeglParams
 from .geometry import FemOperators
 
 __all__ = [
     "TheoryConstants",
     "MarginReport",
+    "MarginSolveError",
     "compute_theory_constants",
     "stabilizability_margin",
     "fit_decay_rate",
@@ -100,38 +103,49 @@ def compute_theory_constants(mu: float, roots: tuple[float, float, float], area:
 
 @dataclass(frozen=True)
 class MarginReport:
-    """Smallest pencil eigenvalue against the required margin."""
+    """Smallest pencil eigenvalue, its pencil residual, against the required margin."""
 
     m: int
     gain: float
     min_eigenvalue: float
+    residual: float  # |(K + M + 2 gain B G^-1 B^T) w - theta M w| / |w|
     required_margin: float
     passed: bool
+
+
+class MarginSolveError(RuntimeError):
+    """The shift-invert Lanczos solve did not converge, or its eigenpair
+    failed the pencil residual check."""
 
 
 def stabilizability_margin(gain: float, coupling: CouplingMatrix, fe: FemOperators,
                            required_margin: float = 0.0) -> MarginReport:
     """Smallest theta with (K + M + 2 gain B G^-1 B^T) w = theta M w.
 
-    With A = K + M (banded Cholesky, once per call) and C = 2 gain G^-1,
-    the shift-invert operator is applied by Sherman-Morrison-Woodbury,
+    With A = K + M and C = 2 gain G^-1, the shift-invert operator is
+    applied by Sherman-Morrison-Woodbury,
 
         (A + B C B^T)^-1 x = y - W S^-1 (B^T y),  y = A^-1 x,  W = A^-1 B,
 
     S = C^-1 + B^T W being the SPD ``count`` x ``count`` capacitance
-    matrix; gain = 0 leaves the plain solve with A.  Lanczos starts from
-    a fixed pseudo-random vector.  theta >= 1 always (V-norm dominates
-    the L2 norm); gain = 0 gives exactly 1 with the constant eigenvector.
-    Raises on Lanczos nonconvergence or if the pencil residual, with the
-    pencil applied in factored form, exceeds ``MARGIN_TOL`` relative to
-    max(1, theta).
+    matrix; gain = 0 leaves the plain solve with A.  A and its banded
+    Cholesky factor are built once per ``fe`` (``fe.energy``,
+    ``fe.energy_factor``) and shared by every call on it; W and S are
+    formed per call.  Lanczos starts from a fixed pseudo-random vector.
+    theta >= 1 always (V-norm dominates the L2 norm); gain = 0 gives
+    exactly 1 with the constant eigenvector.  Refuses a gain that is not
+    finite and >= 0, and a coupling built on another mesh, before any
+    factorization.  Raises :class:`MarginSolveError` on Lanczos
+    nonconvergence or if the pencil residual, with the pencil applied in
+    factored form, exceeds ``MARGIN_TOL`` relative to max(1, theta).
     """
-    if gain < 0:
-        raise ValueError(f"gain must be >= 0, got {gain}")
+    if not (math.isfinite(gain) and gain >= 0):
+        raise ValueError(f"gain must be finite and >= 0, got {gain}")
     mass = fe.mass
-    base = (fe.stiffness + mass).tocsr()
-    chol = _BandedCholesky(base)
     n = mass.shape[0]
+    if coupling.b.shape[0] != n:
+        raise ValueError(f"coupling has {coupling.b.shape[0]} nodes, the operators' mesh has {n}")
+    base, chol = fe.energy, fe.energy_factor
     b, bt = coupling.b, coupling.bt
     if gain > 0:
         weights = 2.0 * gain / coupling.volumes  # the diagonal of C
@@ -154,16 +168,17 @@ def stabilizability_margin(gain: float, coupling: CouplingMatrix, fe: FemOperato
         vals, vecs = eigsh(pencil, k=1, M=mass, sigma=0.0, which="LM", v0=v0, tol=MARGIN_TOL * 1e-2,
                            OPinv=op_inv)
     except ArpackNoConvergence as exc:
-        raise RuntimeError(f"shift-invert Lanczos did not converge: {exc}") from exc
+        raise MarginSolveError(f"shift-invert Lanczos did not converge: {exc}") from exc
     theta = float(vals[0])
     w = vecs[:, 0]
     resid = math.sqrt(np.sum((apply_pencil(w) - theta * (mass @ w)) ** 2) / (w @ w))
     if resid > MARGIN_TOL * max(1.0, abs(theta)):
-        raise RuntimeError(f"pencil residual {resid:.3e} exceeds tolerance {MARGIN_TOL:.1e}")
+        raise MarginSolveError(f"pencil residual {resid:.3e} exceeds tolerance {MARGIN_TOL:.1e}")
     return MarginReport(
         m=coupling.grid.m,
         gain=gain,
         min_eigenvalue=theta,
+        residual=resid,
         required_margin=required_margin,
         passed=theta >= required_margin,
     )

@@ -2,8 +2,8 @@
 
 Subcommands: simulate-free, simulate-feedback, run-rhc, table1, sweep,
 constants, margin, ode-toy.  Exit codes: 0 success, 2 configuration
-error, 3 a run that did not complete (blow-up or failed job; the run
-artifacts are still written).
+error, 3 a run that did not complete (blow-up, failed job or failed
+margin eigen-solve; a run's artifacts are still written).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .actuators import build_actuator_grid, discretize_actuators
-from .analysis import compute_theory_constants, ode_toy_simulate, stabilizability_margin
+from .analysis import MarginSolveError, compute_theory_constants, ode_toy_simulate, stabilizability_margin
 from .dynamics import BlowUpError
 from .experiments import (
     _TABLE1_BASE,
@@ -101,6 +101,7 @@ def _cmd_margin(args) -> int:
     print(f"m = {rep.m}")
     print(f"gain = {rep.gain:.17g}")
     print(f"min_eigenvalue = {rep.min_eigenvalue:.17g}")
+    print(f"residual = {rep.residual:.17g}")
     print(f"required_margin = {rep.required_margin:.17g}")
     print(f"passed = {rep.passed}")
     return 0
@@ -197,7 +198,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BlowUpError as exc:
+    except (BlowUpError, MarginSolveError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -51,13 +51,11 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import get_lapack_funcs
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec_kernel
 from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs_kernel
 
 from .actuators import control_norm
-from .geometry import FemOperators, StructuredTriangulation
+from .geometry import FemOperators, StructuredTriangulation, _BandedCholesky
 
 __all__ = [
     "SchloeglParams",
@@ -300,35 +298,6 @@ class _CsrKernel:
         _csr_matvecs_kernel(n_rows, n_cols, x.shape[1], indptr, indices, data,
                             np.ascontiguousarray(x).ravel(), y.ravel())
         return np.ascontiguousarray(y.T)
-
-
-class _BandedCholesky:
-    """Cholesky factor of a sparse SPD matrix, kept in LAPACK upper band storage.
-
-    The half-bandwidth is read off the sparsity pattern.  ``solve`` calls
-    LAPACK pbtrs directly, without a finiteness scan of the right-hand
-    side; callers check the result instead.
-    """
-
-    def __init__(self, a):
-        a = a.tocoo()
-        a.sum_duplicates()
-        kd = int(np.max(np.abs(a.col - a.row)))
-        upper = a.col >= a.row
-        rows, cols = a.row[upper], a.col[upper]
-        ab = np.zeros((kd + 1, a.shape[0]), order="F")
-        ab[kd + rows - cols, cols] = a.data[upper]
-        pbtrf, self._pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
-        self._factor, info = pbtrf(ab, lower=0, overwrite_ab=1)
-        if info != 0:
-            raise LinAlgError(f"matrix is not positive definite (pbtrf info = {info})")
-
-    def solve(self, b: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """The solution of A x = b; ``overwrite`` lets LAPACK solve in the storage of ``b``."""
-        x, info = self._pbtrs(self._factor, b, lower=0, overwrite_b=overwrite)
-        if info != 0:
-            raise LinAlgError(f"pbtrs argument {-info} is invalid")
-        return x
 
 
 class CrankNicolsonAB2:

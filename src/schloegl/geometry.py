@@ -10,15 +10,26 @@ under pure Neumann boundary conditions.  Operators are returned as
 assemblies of the same mesh are bit-identical.
 
 Nodal fields are plain 1-D ``numpy`` arrays of length ``mesh.n_nodes``.
+
+The energy operator K + M and its banded Cholesky factor depend on the
+mesh and nu alone, so ``FemOperators`` builds them once, on first use,
+and keeps them (the spectral margin reads them on every call).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import get_lapack_funcs
+
+# LAPACK's float64 band Cholesky pair, looked up once: a factor then holds
+# only its band array, so it pickles and deep-copies with its owner.
+_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -166,14 +177,58 @@ def l2_norm(a: np.ndarray, mass: sp.csr_matrix) -> float:
     return math.sqrt(max(l2_inner(a, a, mass), 0.0))
 
 
+class _BandedCholesky:
+    """Cholesky factor of a sparse SPD matrix, kept in LAPACK upper band storage.
+
+    The half-bandwidth is read off the sparsity pattern.  ``solve`` calls
+    LAPACK pbtrs directly, without a finiteness scan of the right-hand
+    side; callers check the result instead.
+    """
+
+    def __init__(self, a):
+        a = a.tocoo()
+        a.sum_duplicates()
+        kd = int(np.max(np.abs(a.col - a.row)))
+        upper = a.col >= a.row
+        rows, cols = a.row[upper], a.col[upper]
+        ab = np.zeros((kd + 1, a.shape[0]), order="F")
+        ab[kd + rows - cols, cols] = a.data[upper]
+        self._factor, info = _PBTRF(ab, lower=0, overwrite_ab=1)
+        if info != 0:
+            raise LinAlgError(f"matrix is not positive definite (pbtrf info = {info})")
+
+    def solve(self, b: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """The solution of A x = b; ``overwrite`` lets LAPACK solve in the storage of ``b``."""
+        x, info = _PBTRS(self._factor, b, lower=0, overwrite_b=overwrite)
+        if info != 0:
+            raise LinAlgError(f"pbtrs argument {-info} is invalid")
+        return x
+
+
 @dataclass(frozen=True)
 class FemOperators:
-    """Mesh with its assembled mass/stiffness pair, shared across simulations."""
+    """Mesh with its assembled mass/stiffness pair, shared across simulations.
+
+    Immutable: no field is reassigned and no matrix is written in place,
+    because ``energy`` and ``energy_factor`` are derived from the fields on
+    first use and cached on the instance.  ``dataclasses.replace`` builds a
+    new instance, with a cache of its own.
+    """
 
     mesh: StructuredTriangulation
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
     nu: float
+
+    @cached_property
+    def energy(self) -> sp.csr_matrix:
+        """The energy operator K + M (CSR), built once."""
+        return (self.stiffness + self.mass).tocsr()
+
+    @cached_property
+    def energy_factor(self) -> _BandedCholesky:
+        """The banded Cholesky factor of ``energy``, computed once."""
+        return _BandedCholesky(self.energy)
 
 
 def build_fem(nx: int, ny: int, nu: float, domain: RectangleDomain | None = None) -> FemOperators:

@@ -1,14 +1,21 @@
 """Theory constants, the spectral margin, decay fitting, and the scalar toy."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import sys
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from schloegl import (
     BlowUpError,
+    FeedbackLaw,
+    IntegratorConfig,
+    MarginSolveError,
     build_actuator_grid,
     build_fem,
     check_gen_poly,
@@ -18,8 +25,18 @@ from schloegl import (
     fit_decay_rate,
     ode_toy_simulate,
     stabilizability_margin,
+    track_target,
 )
-from schloegl.analysis import TOY_DT
+from schloegl import analysis
+from schloegl.analysis import MARGIN_TOL, TOY_DT
+from schloegl.geometry import _BandedCholesky
+
+CACHED = {"energy", "energy_factor"}  # the FemOperators attributes built on first use
+
+
+def no_convergence(*args, **kwargs):
+    raise ArpackNoConvergence("ARPACK error -1: No convergence (1 iterations, 0/1 eigenvectors converged)",
+                              np.empty(0), np.empty((0, 0)))
 
 
 class TestTheoryConstants:
@@ -93,6 +110,106 @@ class TestMargin:
         assert rep.passed == (rep.min_eigenvalue >= 2.0)
         rep2 = stabilizability_margin(0.0, cm, fe32, required_margin=2.0)
         assert not rep2.passed
+
+    def test_residual_is_reported(self, fe16, coupling16):
+        for gain in (0.0, 100.0):
+            rep = stabilizability_margin(gain, coupling16, fe16)
+            assert 0.0 <= rep.residual <= MARGIN_TOL * max(1.0, rep.min_eigenvalue)
+
+    @pytest.mark.parametrize("gain", [math.nan, math.inf, -math.inf, -1.0])
+    def test_gain_not_finite_and_nonnegative_refused(self, fe16, coupling16, gain):
+        # NaN took the gain-0 branch and passed as the unactuated margin
+        with pytest.raises(ValueError, match="gain must be finite and >= 0"):
+            stabilizability_margin(gain, coupling16, fe16)
+
+    @pytest.mark.parametrize("gain", [0.0, 10.0])
+    def test_coupling_on_another_mesh_refused_before_factorizing(self, gain):
+        fe = build_fem(8, 8, 0.1)
+        other = discretize_actuators(build_actuator_grid(2, 0.5), build_fem(6, 6, 0.1).mesh)
+        with pytest.raises(ValueError, match="coupling has 49 nodes, the operators' mesh has 81"):
+            stabilizability_margin(gain, other, fe)
+        assert not CACHED & vars(fe).keys()
+
+    def test_lanczos_nonconvergence_raises_margin_solve_error(self, fe16, coupling16, monkeypatch):
+        monkeypatch.setattr(analysis, "eigsh", no_convergence)
+        with pytest.raises(MarginSolveError, match="shift-invert Lanczos did not converge") as info:
+            stabilizability_margin(10.0, coupling16, fe16)
+        assert isinstance(info.value, RuntimeError)
+
+    def test_residual_over_tolerance_raises_margin_solve_error(self, fe16, coupling16, monkeypatch):
+        eigsh = analysis.eigsh
+
+        def off_by_a_thousandth(*args, **kwargs):
+            vals, vecs = eigsh(*args, **kwargs)
+            return vals + 1e-3, vecs
+
+        monkeypatch.setattr(analysis, "eigsh", off_by_a_thousandth)
+        with pytest.raises(MarginSolveError, match="pencil residual .* exceeds tolerance"):
+            stabilizability_margin(10.0, coupling16, fe16)
+
+
+class TestEnergyFactorCache:
+    """K + M and its banded Cholesky factor are built once per ``FemOperators``,
+    on first use, and every margin call on it reads them."""
+
+    SWEEP = [(m, gain) for m in (1, 2, 3) for gain in (0.0, 1.0, 100.0)]
+
+    @staticmethod
+    def couplings(fe):
+        return {m: discretize_actuators(build_actuator_grid(m, 0.5), fe.mesh) for m in (1, 2, 3)}
+
+    def sweep(self, fe):
+        cms = self.couplings(fe)
+        return [stabilizability_margin(gain, cms[m], fe).min_eigenvalue for m, gain in self.SWEEP]
+
+    def test_sweep_factorizes_once(self, monkeypatch):
+        fe = build_fem(12, 12, 0.1)
+        built = []
+        init = _BandedCholesky.__init__
+
+        def counting(self, a):
+            built.append(a.shape)
+            init(self, a)
+
+        monkeypatch.setattr(_BandedCholesky, "__init__", counting)
+        self.sweep(fe)
+        assert built == [(169, 169)]
+
+    def test_sweep_is_bitwise_the_calls_on_fresh_operators(self):
+        fresh = []
+        for m, gain in self.SWEEP:
+            fe = build_fem(12, 12, 0.1)
+            fresh.append(stabilizability_margin(gain, self.couplings(fe)[m], fe).min_eigenvalue)
+        assert self.sweep(build_fem(12, 12, 0.1)) == fresh
+
+    def test_build_and_closed_loop_build_no_cache(self, params):
+        fe = build_fem(8, 8, 0.1)
+        assert not CACHED & vars(fe).keys()
+        cm = discretize_actuators(build_actuator_grid(2, 0.5), fe.mesh)
+        track_target(np.full(fe.mesh.n_nodes, -1.0), np.full(fe.mesh.n_nodes, 2.0), FeedbackLaw(gain=10.0), cm,
+                     fe, params, cfg=IntegratorConfig(dt=0.01), horizon=0.05)
+        assert not CACHED & vars(fe).keys()
+
+    def test_pickle_and_deepcopy_after_a_margin_call(self):
+        fe = build_fem(8, 8, 0.1)
+        cm = discretize_actuators(build_actuator_grid(2, 0.5), fe.mesh)
+        theta = stabilizability_margin(10.0, cm, fe).min_eigenvalue
+        for clone in (pickle.loads(pickle.dumps(fe)), copy.deepcopy(fe)):
+            assert CACHED <= vars(clone).keys()
+            assert stabilizability_margin(10.0, cm, clone).min_eigenvalue == theta
+
+    def test_replaced_operators_get_their_own_factor(self):
+        fe = build_fem(8, 8, 0.1)
+        cm = discretize_actuators(build_actuator_grid(2, 0.5), fe.mesh)
+        theta = stabilizability_margin(10.0, cm, fe).min_eigenvalue
+        stiffer = dataclasses.replace(fe, stiffness=2 * fe.stiffness)
+        assert not CACHED & vars(stiffer).keys()
+        stiffer_theta = stabilizability_margin(10.0, cm, stiffer).min_eigenvalue
+        assert stiffer.energy_factor is not fe.energy_factor
+        pencil = (stiffer.stiffness + stiffer.mass).toarray() + 20.0 * (cm.b.toarray() / cm.volumes) @ cm.b.T.toarray()
+        exact = sla.eigh(pencil, stiffer.mass.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
+        assert stiffer_theta == pytest.approx(exact, rel=1e-9)
+        assert stiffer_theta != pytest.approx(theta, rel=1e-3)
 
 
 class TestFitDecayRate:

@@ -484,6 +484,31 @@ class TestCli:
         out = self.run_cli("margin", "--gain", "0", "--nx", "16")
         assert out.returncode == 0
         assert "min_eigenvalue = 1" in out.stdout or "min_eigenvalue = 0.99999" in out.stdout
+        assert re.search(r"^residual = \S+$", out.stdout, re.M)
+
+    @pytest.mark.parametrize("gain", ["nan", "inf", "-1"])
+    def test_margin_refuses_a_gain_not_finite_and_nonnegative(self, gain, capsys):
+        from schloegl.cli import main
+
+        # NaN printed passed = True, the unactuated margin
+        assert main(["margin", f"--gain={gain}", "--nx", "8"]) == 2
+        out = capsys.readouterr()
+        assert "gain must be finite and >= 0" in out.err and "passed" not in out.out
+
+    def test_margin_eigen_solve_failure_exits_3(self, monkeypatch, capsys):
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        from schloegl import analysis
+        from schloegl.cli import main
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(analysis, "eigsh", no_convergence)
+        assert main(["margin", "--gain", "1", "--nx", "8"]) == 3
+        out = capsys.readouterr()
+        assert out.err.startswith("numerical failure: shift-invert Lanczos did not converge")
+        assert out.err.count("\n") == 1 and "passed" not in out.out
 
     def test_ode_toy(self, tmp_path):
         out = self.run_cli("ode-toy", "--r", "-1", "--cu", "1", "--z0", "2",
