@@ -5,13 +5,16 @@ of width fraction ``r`` per axis, centered on the tensor grid
 {(2k-1)L/(2m)}.  The control-to-field map sends an amplitude vector u to
 the piecewise-constant function sum_j u_j 1_{box_j}; its discrete image
 is carried by the coupling matrix B with B_ij = integral of phi_i over
-box_j.  B is computed exactly: every triangle that meets a box is
-clipped against it (Sutherland & Hodgman, "Reentrant polygon clipping",
-CACM 1974) and the shape functions are integrated over the clipped
-polygon.  The clip runs vectorized over all (box, triangle) pairs, with
-each pair's arithmetic and the order of the entries fixed, so B does not
-depend on how the pairs are batched: it is bitwise equal to clipping one
-triangle at a time.
+box_j.  B is computed exactly.  A triangle inside a box gives each of
+its nodes a third of its area; a triangle that crosses a box side is
+clipped against the box (Sutherland & Hodgman, "Reentrant polygon
+clipping", CACM 1974) and the shape functions are integrated over the
+clipped polygon.  The candidate pairs are read off the mesh's cell
+ranges, and the clip runs vectorized over the crossing (box, triangle)
+pairs, each half-plane pass over the pairs with a vertex outside it.
+Each pair's arithmetic and the order of the entries are fixed, so B does
+not depend on how the pairs are batched: it is bitwise equal to clipping
+every overlapping triangle, one at a time.
 
 Because supports are disjoint the Gram matrix of the indicators is
 diagonal (entries = box volumes), so the L2-orthogonal projection onto
@@ -158,39 +161,31 @@ def _clip_half_plane(x: np.ndarray, y: np.ndarray, n: np.ndarray, axis: int, bou
     return ox, oy, emitted.sum(axis=1)
 
 
-def discretize_actuators(grid: ActuatorGrid, mesh: StructuredTriangulation) -> CouplingMatrix:
-    """Exact integrals of the P1 basis over each actuator box.
+def _clipped_integrals(tp: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integrals of the three shape functions of each triangle ``tp[p]`` over box p.
 
-    Every (box, triangle) pair whose bounding boxes overlap is clipped
-    in one vectorized pass per box side (Sutherland-Hodgman on the four
-    axis-aligned half-planes, at most 7 vertices).  The linear shape
-    functions are integrated over each clipped polygon by fan
-    triangulation (integral of a linear function over a triangle = area *
-    mean of vertex values), skipping zero-area fans.  Each pair sees the
-    same floating-point operations in the same order as a scalar clip of
-    one triangle at a time, and the (row, col, value) triples are emitted
-    in (box, triangle, local node) order, so B is bitwise equal to the
-    scalar result.
-
-    Raises ``ValueError`` if a box leaves the mesh's rectangle, where the
-    integrals would miss part of the box.
+    Each triangle is clipped to its box (Sutherland-Hodgman on the four
+    axis-aligned half-planes, at most 7 vertices), and the linear shape
+    functions are integrated over the clipped polygon by fan triangulation
+    (integral of a linear function over a triangle = area * mean of vertex
+    values), skipping zero-area fans.  Each pass clips only the polygons
+    with a vertex outside its half-plane; the others pass unchanged, as a
+    pass over them would leave them.  Rows are independent: a row's values
+    do not depend on the other rows.
     """
-    lo, hi = grid.boxes()
-    if np.any(lo < mesh.nodes.min(axis=0)) or np.any(hi > mesh.nodes.max(axis=0)):
-        raise ValueError("actuator boxes leave the mesh's rectangle; build the grid on the mesh's domain")
-    pts = mesh.nodes[mesh.triangles]  # (ne, 3, 2)
-    tmin = np.minimum(np.minimum(pts[:, 0], pts[:, 1]), pts[:, 2])
-    tmax = np.maximum(np.maximum(pts[:, 0], pts[:, 1]), pts[:, 2])
-    overlap = ((tmin[:, 0] < hi[:, None, 0]) & (tmax[:, 0] > lo[:, None, 0])
-               & (tmin[:, 1] < hi[:, None, 1]) & (tmax[:, 1] > lo[:, None, 1]))
-    box, tri = np.nonzero(overlap)  # box-major, ascending triangle
-
-    tp = pts[tri]
-    x, y = tp[:, :, 0], tp[:, :, 1]
-    n = np.full(box.size, 3)
-    for axis, bound, keep_below in ((0, lo[box, 0], False), (0, hi[box, 0], True),
-                                    (1, lo[box, 1], False), (1, hi[box, 1], True)):
-        x, y, n = _clip_half_plane(x, y, n, axis, bound, keep_below)
+    # each pass adds at most one vertex; a polygon's columns beyond its n are zeros
+    x, y = np.zeros((2, len(tp), 7))
+    x[:, :3], y[:, :3] = tp[:, :, 0], tp[:, :, 1]
+    n = np.full(len(tp), 3)
+    for width, (axis, bound, keep_below) in enumerate(((0, lo[:, 0], False), (0, hi[:, 0], True),
+                                                       (1, lo[:, 1], False), (1, hi[:, 1], True)), 3):
+        # a pass leaves a polygon whose vertices are all inside as it is
+        c = (x if axis == 0 else y)[:, :width]
+        inside = (c <= bound[:, None]) if keep_below else (c >= bound[:, None])
+        cut = np.flatnonzero(((np.arange(width) < n[:, None]) & ~inside).any(axis=1))
+        if cut.size:
+            x[cut, :width + 1], y[cut, :width + 1], n[cut] = _clip_half_plane(
+                x[cut, :width], y[cut, :width], n[cut], axis, bound[cut], keep_below)
 
     # barycentric representation of each shape function on its element
     v0 = tp[:, 0]
@@ -201,12 +196,56 @@ def discretize_actuators(grid: ActuatorGrid, mesh: StructuredTriangulation) -> C
     lam1 = (rx * d2[:, 1:] - ry * d2[:, :1]) / det
     lam2 = (d1[:, :1] * ry - d1[:, 1:] * rx) / det
     shape_at = np.stack([1.0 - lam1 - lam2, lam1, lam2], axis=2)  # (pairs, vertex, local node)
-    acc = np.zeros((box.size, 3))
-    for k in range(1, x.shape[1] - 1):
+    acc = np.zeros((len(tp), 3))
+    for k in range(1, n.max(initial=0) - 1):  # fans beyond the largest polygon add nothing
         area = 0.5 * ((x[:, k] - x[:, 0]) * (y[:, k + 1] - y[:, 0])
                       - (y[:, k] - y[:, 0]) * (x[:, k + 1] - x[:, 0]))
         fan = np.flatnonzero((k + 1 < n) & (area != 0.0))
         acc[fan] += area[fan, None] * (shape_at[fan, 0] + shape_at[fan, k] + shape_at[fan, k + 1]) / 3.0
+    return acc
+
+
+def discretize_actuators(grid: ActuatorGrid, mesh: StructuredTriangulation) -> CouplingMatrix:
+    """Exact integrals of the P1 basis over each actuator box.
+
+    A (box, triangle) pair whose bounding boxes overlap is either interior
+    (all three vertices in the closed box) or crosses a box side.  Only
+    the crossing pairs are clipped, in one vectorized pass per box side
+    (see :func:`_clipped_integrals`).  The clip leaves an interior
+    triangle as it is, and its fan is the triangle itself, whose shape
+    functions sum to exactly 1.0 at its vertices (the barycentric values
+    there come out exactly 0 or 1), so each local node gets area / 3.0
+    with the fan's arithmetic.  Each pair therefore sees the same
+    floating-point operations as a scalar clip of one triangle at a time,
+    and the (row, col, value) triples are emitted in (box, triangle, local
+    node) order, so B is bitwise equal to the scalar result.
+
+    Raises ``ValueError`` if a box leaves the mesh's rectangle, where the
+    integrals would miss part of the box.
+    """
+    lo, hi = grid.boxes()
+    nx = mesh.nx
+    xs, ys = mesh.nodes[: nx + 1, 0], mesh.nodes[:: nx + 1, 1]  # the grid lines
+    if np.any(lo < (xs.min(), ys.min())) or np.any(hi > (xs.max(), ys.max())):
+        raise ValueError("actuator boxes leave the mesh's rectangle; build the grid on the mesh's domain")
+    # both triangles of a cell have the cell as bounding box, so the bounding
+    # boxes of a pair overlap exactly when the per-axis cell ranges do
+    over_x = (xs[:-1] < hi[:, :1]) & (xs[1:] > lo[:, :1])  # (count, nx)
+    over_y = (ys[:-1] < hi[:, 1:]) & (ys[1:] > lo[:, 1:])  # (count, ny)
+    box, cell = np.nonzero((over_y[:, :, None] & over_x[:, None, :]).reshape(grid.count, -1))
+    j, i = np.divmod(cell, nx)
+    inside = (((xs[i] >= lo[box, 0]) & (xs[i + 1] <= hi[box, 0]))
+              & ((ys[j] >= lo[box, 1]) & (ys[j + 1] <= hi[box, 1])))
+    box, interior = np.repeat(box, 2), np.repeat(inside, 2)
+    tri = (2 * cell[:, None] + np.arange(2)).ravel()  # box-major, ascending triangle
+
+    pts = mesh.nodes[mesh.triangles[tri]]  # (pairs, 3, 2)
+    acc = np.empty((box.size, 3))
+    x, y = pts[interior, :, 0], pts[interior, :, 1]
+    area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
+    acc[interior] = area[:, None] / 3.0  # a zero area gives a zero entry, dropped below as the fan's
+    crossing = ~interior
+    acc[crossing] = _clipped_integrals(pts[crossing], lo[box[crossing]], hi[box[crossing]])
 
     keep = acc != 0.0
     rows = mesh.triangles[tri][keep].astype(np.int64)

@@ -75,9 +75,14 @@ class TheoryConstants:
 
 def compute_theory_constants(mu: float, roots: tuple[float, float, float], area: float,
                              gain: float, grid: ActuatorGrid) -> TheoryConstants:
-    """Evaluate all closed-form constants for rate mu on a domain of given area."""
+    """Evaluate all closed-form constants for rate mu on a domain of given area.
+
+    Refuses a rate that is not > 0 and a gain that is not finite and >= 0.
+    """
     if not mu > 0:
         raise ValueError(f"decay rate must be positive, got {mu}")
+    if not (math.isfinite(gain) and gain >= 0):
+        raise ValueError(f"gain must be finite and >= 0, got {gain}")
     s2, s1, s0 = SchloeglParams(roots=roots).elementary_sums
     quad_max = (50.0 / 11.0) * s2 * s2 - 2.0 * s1
     growth = (128.0 / 15.0) * s2 * s2 + quad_max + 2.0

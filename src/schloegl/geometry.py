@@ -7,7 +7,10 @@ Mass and stiffness matrices are assembled from exact element integrals
 under pure Neumann boundary conditions.  Operators are returned as
 ``scipy.sparse.csr_matrix`` and are exactly symmetric: duplicate
 (row, col) entries are summed in a deterministic order so that two
-assemblies of the same mesh are bit-identical.
+assemblies of the same mesh are bit-identical.  That order, fixed by one
+stable sort of the element entries, and the CSR pattern of the sums
+depend on the mesh alone, so ``build_fem`` sorts once and assembles M and
+K from the same pattern.
 
 Nodal fields are plain 1-D ``numpy`` arrays of length ``mesh.n_nodes``.
 
@@ -19,6 +22,7 @@ and keeps them (the spectral margin reads them on every call).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,7 +60,9 @@ class StructuredTriangulation:
     ----------
     nodes : (n_nodes, 2) array of vertex coordinates, row-major over the
         grid (x varies fastest).
-    triangles : (n_tris, 3) int array of node indices, counterclockwise.
+    triangles : (n_tris, 3) int array of node indices, counterclockwise;
+        cell c = j*nx + i (row-major) holds triangles 2c and 2c + 1, and
+        the bounding box of each is the cell.
     nx, ny : cell subdivisions along each axis.
     """
 
@@ -82,8 +88,13 @@ def build_mesh(nx: int, ny: int, domain: RectangleDomain | None = None) -> Struc
     """Build the uniform right-triangle mesh with nx*ny cells.
 
     Every cell is split along the same (lower-left to upper-right)
-    diagonal; node ordering is row-major and deterministic.
+    diagonal; node ordering is row-major and deterministic.  Refuses a
+    count that is a bool, not an integer or below 1.
     """
+    for name, count in (("nx", nx), ("ny", ny)):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ValueError(f"subdivision count {name} must be an integer, got {count!r}")
+    nx, ny = int(nx), int(ny)
     if nx < 1 or ny < 1:
         raise ValueError(f"subdivision counts must be >= 1, got nx={nx}, ny={ny}")
     domain = domain or RectangleDomain()
@@ -102,64 +113,81 @@ def build_mesh(nx: int, ny: int, domain: RectangleDomain | None = None) -> Struc
 
 def triangle_areas(mesh: StructuredTriangulation) -> np.ndarray:
     """Signed areas of all triangles (positive for the standard orientation)."""
-    p = mesh.nodes[mesh.triangles]
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    x, y = _vertex_coordinates(mesh)
+    return 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
 
 
-def _sum_duplicates_deterministic(rows, cols, vals, shape):
-    """COO -> CSR with duplicates summed in stable (insertion) order.
+def _vertex_coordinates(mesh: StructuredTriangulation) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of every triangle's vertices, each (n_tris, 3) and contiguous."""
+    return mesh.nodes[:, 0][mesh.triangles], mesh.nodes[:, 1][mesh.triangles]
 
-    ``np.lexsort`` is stable, so for entries (i, j) and (j, i) fed with
-    identical per-element values in identical element order the summation
-    sequences coincide and the result is bitwise symmetric.
+
+class _ElementPattern:
+    """Where the 9 entries of every element matrix go in the assembled CSR matrix.
+
+    Element k contributes the entries (tris[k, i], tris[k, j]) in row-major
+    (i, j) order.  ``order`` sorts them stably by (row, col), so duplicates
+    are summed in element order: for entries (i, j) and (j, i) fed with
+    identical per-element values the summation sequences coincide and the
+    result is bitwise symmetric.  ``starts`` marks the first entry of each
+    (row, col) group in sorted order; ``indices`` and ``indptr`` are the
+    CSR pattern of the sums.  The pattern depends on the mesh alone, so the
+    mass and stiffness matrices of one mesh share it.
     """
-    order = np.lexsort((cols, rows))
-    r, c, v = rows[order], cols[order], vals[order]
-    new_group = np.empty(len(r), dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-    starts = np.flatnonzero(new_group)
-    summed = np.add.reduceat(v, starts)
-    return sp.csr_matrix((summed, (r[starts], c[starts])), shape=shape)
+
+    def __init__(self, mesh: StructuredTriangulation):
+        n = mesh.n_nodes
+        tris = np.asarray(mesh.triangles, dtype=np.int64)
+        key = np.repeat(tris, 3, axis=1).ravel() * n + np.tile(tris, 3).ravel()
+        # cols < n, so this is the order of np.lexsort((cols, rows))
+        self.order = np.argsort(key, kind="stable")
+        key = key[self.order]
+        new_group = np.empty(len(key), dtype=bool)
+        new_group[0] = True
+        np.not_equal(key[1:], key[:-1], out=new_group[1:])
+        self.starts = np.flatnonzero(new_group)
+        rows, self.indices = np.divmod(key[self.starts], n)
+        self.indptr = np.searchsorted(rows, np.arange(n + 1))
+        self.shape = (n, n)
+
+    def assemble(self, elem_mats: np.ndarray) -> sp.csr_matrix:
+        """CSR matrix of the (n_tris, 3, 3) element matrices, duplicates summed in element order."""
+        summed = np.add.reduceat(elem_mats.ravel()[self.order], self.starts)
+        # fresh index arrays: the matrices of one pattern share no storage
+        return sp.csr_matrix((summed, self.indices.copy(), self.indptr.copy()), shape=self.shape)
 
 
-def _assemble_from_element_matrices(mesh: StructuredTriangulation, elem_mats: np.ndarray) -> sp.csr_matrix:
-    n = mesh.n_nodes
-    tris = mesh.triangles
-    ne = mesh.n_tris
-    rows = np.repeat(tris, 3, axis=1).reshape(ne, 9)
-    cols = np.tile(tris, 3).reshape(ne, 9)
-    return _sum_duplicates_deterministic(
-        rows.ravel(), cols.ravel(), elem_mats.reshape(ne, 9).ravel(), (n, n)
-    )
+def _mass_elements(mesh: StructuredTriangulation) -> np.ndarray:
+    areas = triangle_areas(mesh)
+    ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    return areas[:, None, None] * ref[None, :, :]
+
+
+def _stiffness_elements(mesh: StructuredTriangulation, nu: float) -> np.ndarray:
+    if not (math.isfinite(nu) and nu > 0):
+        raise ValueError(f"diffusion coefficient must be positive and finite, got {nu}")
+    x, y = _vertex_coordinates(mesh)
+    areas = triangle_areas(mesh)
+    # gradient coefficients: grad phi_i = (b_i, c_i) / (2A)
+    b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
+    c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
+    return (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) * (
+        nu / (4.0 * areas)
+    )[:, None, None]
 
 
 def assemble_mass(mesh: StructuredTriangulation) -> sp.csr_matrix:
     """P1 mass matrix, M_ij = integral of phi_i phi_j (exact)."""
-    areas = triangle_areas(mesh)
-    ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    elem = areas[:, None, None] * ref[None, :, :]
-    return _assemble_from_element_matrices(mesh, elem)
+    return _ElementPattern(mesh).assemble(_mass_elements(mesh))
 
 
 def assemble_stiffness(mesh: StructuredTriangulation, nu: float) -> sp.csr_matrix:
     """Scaled stiffness matrix, K_ij = nu * integral of grad phi_i . grad phi_j.
 
     Row sums are exactly zero (pure Neumann: constants lie in the kernel).
+    Refuses a ``nu`` that is not finite and > 0.
     """
-    if not nu > 0:
-        raise ValueError(f"diffusion coefficient must be positive, got {nu}")
-    p = mesh.nodes[mesh.triangles]  # (ne, 3, 2)
-    areas = triangle_areas(mesh)
-    # gradient coefficients: grad phi_i = (b_i, c_i) / (2A)
-    b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]
-    c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]
-    elem = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) * (
-        nu / (4.0 * areas)
-    )[:, None, None]
-    return _assemble_from_element_matrices(mesh, elem)
+    return _ElementPattern(mesh).assemble(_stiffness_elements(mesh, nu))
 
 
 def l2_inner(a: np.ndarray, b: np.ndarray, mass: sp.csr_matrix) -> float:
@@ -232,5 +260,9 @@ class FemOperators:
 
 
 def build_fem(nx: int, ny: int, nu: float, domain: RectangleDomain | None = None) -> FemOperators:
+    """Mesh and operators; M and K are assembled through one shared element pattern."""
     mesh = build_mesh(nx, ny, domain)
-    return FemOperators(mesh=mesh, mass=assemble_mass(mesh), stiffness=assemble_stiffness(mesh, nu), nu=nu)
+    stiffness_elements = _stiffness_elements(mesh, nu)  # refuses a bad nu before any sort
+    pattern = _ElementPattern(mesh)
+    return FemOperators(mesh=mesh, mass=pattern.assemble(_mass_elements(mesh)),
+                        stiffness=pattern.assemble(stiffness_elements), nu=nu)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from schloegl import actuators
 from schloegl import (
     CouplingMatrix,
     RectangleDomain,
@@ -102,6 +103,13 @@ def scalar_coupling(grid, mesh) -> sp.csr_matrix:
     )
 
 
+def _same_bits(a, b) -> bool:
+    """Equal CSR arrays, byte for byte (so -0.0 differs from 0.0)."""
+    return a.shape == b.shape and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)))
+
+
 # (nx, ny, m, r, domain sides or None for the unit square)
 _ORACLE_CASES = (
     [(nx, nx, m, r, None) for nx in (16, 57) for m in (1, 2, 3, 4) for r in (0.25, 0.33, 0.5)]
@@ -111,8 +119,23 @@ _ORACLE_CASES = (
         (16, 8, 3, 0.5, (2.0, 0.5)),  # non-square rectangle
         (8, 8, 2, 0.5, None),  # box edges on mesh lines
         (1, 1, 2, 0.1, None),  # a box inside one triangle
+        (57, 57, 3, 0.9, None),  # mostly interior pairs
+        (17, 10, 1, 0.2, None),  # the lower box side on a node row, no other side on a mesh line
     ]
 )
+
+
+def crossing_pair_count(grid, mesh) -> int:
+    """(box, triangle) pairs whose bounding boxes overlap with a vertex outside the closed box."""
+    lo, hi = grid.boxes()
+    pts = mesh.nodes[mesh.triangles]
+    tmin, tmax = pts.min(axis=1), pts.max(axis=1)
+    count = 0
+    for j in range(grid.count):
+        overlap = np.all((tmin < hi[j]) & (tmax > lo[j]), axis=1)
+        interior = np.all((tmin >= lo[j]) & (tmax <= hi[j]), axis=1)
+        count += int(np.sum(overlap & ~interior))
+    return count
 
 
 class TestGrid:
@@ -237,11 +260,31 @@ class TestCoupling:
         mesh = build_mesh(nx, ny, domain)
         grid = build_actuator_grid(m, r, domain)
         got = discretize_actuators(grid, mesh).b
-        ref = scalar_coupling(grid, mesh)
-        assert got.shape == ref.shape
-        assert np.array_equal(got.data, ref.data)
-        assert np.array_equal(got.indices, ref.indices)
-        assert np.array_equal(got.indptr, ref.indptr)
+        assert _same_bits(got, scalar_coupling(grid, mesh))
+
+    def test_one_side_case_has_one_side_on_a_node_row(self):
+        mesh, (lo, hi) = build_mesh(17, 10), build_actuator_grid(1, 0.2).boxes()
+        xs, ys = mesh.nodes[:18, 0], mesh.nodes[::18, 1]
+        assert lo[0, 1] in ys and hi[0, 1] not in ys and lo[0, 0] not in xs and hi[0, 0] not in xs
+
+    @pytest.mark.parametrize("m, r", [(1, 0.5), (3, 0.5), (4, 0.33)])
+    def test_only_crossing_pairs_are_clipped(self, monkeypatch, m, r):
+        mesh, grid = build_mesh(100, 100), build_actuator_grid(m, r)
+        seen = []
+        clip = actuators._clip_half_plane
+
+        def recording(x, *args):
+            seen.append(len(x))
+            return clip(x, *args)
+
+        monkeypatch.setattr(actuators, "_clip_half_plane", recording)
+        got = discretize_actuators(grid, mesh).b
+        crossing = crossing_pair_count(grid, mesh)
+        # m = 1, r = 0.5 puts every box side on a mesh line: no pair crosses,
+        # where every pass used to clip all 5000 overlapping pairs
+        assert (crossing == 0) == (m == 1)
+        assert max(seen, default=0) <= crossing <= sum(seen)
+        assert _same_bits(got, scalar_coupling(grid, mesh))
 
     def test_grid_leaving_the_mesh_is_refused(self):
         # boxes on a 2x2 domain over the unit mesh: without the check the

@@ -75,6 +75,12 @@ class TestTheoryConstants:
         with pytest.raises(ValueError):
             compute_theory_constants(0.0, (-1, 0, 2), 1.0, 1.0, build_actuator_grid(1, 0.5))
 
+    @pytest.mark.parametrize("gain", [math.nan, math.inf, -math.inf, -5.0])
+    def test_gain_not_finite_and_nonnegative_refused(self, gain):
+        # NaN gave a NaN saturation bound and -5 a negative one
+        with pytest.raises(ValueError, match="gain must be finite and >= 0"):
+            compute_theory_constants(0.1, (-1, 0, 2), 1.0, gain, build_actuator_grid(1, 0.5))
+
 
 class TestMargin:
     @pytest.fixture(scope="class")

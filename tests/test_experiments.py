@@ -495,6 +495,26 @@ class TestCli:
         out = capsys.readouterr()
         assert "gain must be finite and >= 0" in out.err and "passed" not in out.out
 
+    @pytest.mark.parametrize("gain", ["nan", "inf", "-5"])
+    def test_constants_refuse_a_gain_not_finite_and_nonnegative(self, gain, capsys):
+        from schloegl.cli import main
+
+        # NaN printed saturation_inactivity_bound = nan, -5 a negative bound
+        assert main(["constants", "--mu", "0.1", f"--gain={gain}"]) == 2
+        out = capsys.readouterr()
+        assert "gain must be finite and >= 0" in out.err and "saturation_inactivity_bound" not in out.out
+
+    def test_margin_refuses_a_nan_gain_before_the_required_margin(self, monkeypatch, capsys):
+        from schloegl import cli
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the margin went on past the required margin of a NaN gain")
+
+        monkeypatch.setattr(cli, "build_fem", not_reached)
+        assert cli.main(["margin", "--gain=nan", "--mu", "0.1", "--nx", "8"]) == 2
+        out = capsys.readouterr()
+        assert "gain must be finite and >= 0" in out.err and out.out == ""
+
     def test_margin_eigen_solve_failure_exits_3(self, monkeypatch, capsys):
         from scipy.sparse.linalg import ArpackNoConvergence
 

@@ -77,6 +77,17 @@ class TestBuildMesh:
         with pytest.raises(ValueError):
             build_mesh(3, 0)
 
+    @pytest.mark.parametrize("nx, ny", [(True, 3), (3, False), (2.0, 2), (2, 2.5), ("3", 3), (None, 3)])
+    def test_counts_must_be_integers(self, nx, ny):
+        # True built a mesh whose nx is True; 2.0 failed inside numpy with a TypeError
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_mesh(nx, ny)
+
+    def test_numpy_integer_counts_accepted(self):
+        mesh = build_mesh(np.int64(3), np.int32(2))
+        assert (mesh.nx, mesh.ny, mesh.n_tris) == (3, 2, 12)
+        assert type(mesh.nx) is int and type(mesh.ny) is int
+
     def test_invalid_domain(self):
         with pytest.raises(ValueError):
             RectangleDomain(-1.0, 1.0)
@@ -147,6 +158,14 @@ class TestStiffness:
         with pytest.raises(ValueError):
             assemble_stiffness(mesh, 0.0)
 
+    @pytest.mark.parametrize("nu", [math.inf, -math.inf, math.nan])
+    def test_non_finite_diffusion_rejected(self, nu):
+        # inf gave a stiffness with +-inf entries after a RuntimeWarning
+        with pytest.raises(ValueError, match="positive and finite"):
+            assemble_stiffness(build_mesh(4, 4), nu)
+        with pytest.raises(ValueError, match="positive and finite"):
+            build_fem(4, 4, nu)
+
 
 class TestL2Inner:
     def test_constants(self, fe16):
@@ -184,6 +203,60 @@ def test_refinement_rate_interpolant_norm():
         errs.append(abs(l2_norm(w, fe.mass) - 0.5))
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(3)]
     assert min(rates) > 1.9
+
+
+def _two_sort_assembly(mesh, nu):
+    """M and K as assembled before the shared pattern: per matrix, a stable
+    lexsort of the element entries, duplicates summed in insertion order,
+    then COO -> CSR."""
+    n, ne, tris = mesh.n_nodes, mesh.n_tris, mesh.triangles
+
+    def assemble(elem):
+        rows = np.repeat(tris, 3, axis=1).reshape(ne, 9).ravel()
+        cols = np.tile(tris, 3).reshape(ne, 9).ravel()
+        order = np.lexsort((cols, rows))
+        r, c, v = rows[order], cols[order], elem.reshape(ne, 9).ravel()[order]
+        new_group = np.empty(len(r), dtype=bool)
+        new_group[0] = True
+        new_group[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        starts = np.flatnonzero(new_group)
+        return sp.csr_matrix((np.add.reduceat(v, starts), (r[starts], c[starts])), shape=(n, n))
+
+    p = mesh.nodes[tris]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]
+    c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]
+    stiff = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) * (nu / (4.0 * areas))[:, None, None]
+    return assemble(areas[:, None, None] * ref[None, :, :]), assemble(stiff)
+
+
+def _same_bits(a, b):
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)))
+
+
+@pytest.mark.parametrize("nx, ny, sides", [(1, 1, None), (13, 17, (1.3, 0.9)), (16, 16, None),
+                                           (57, 57, None), (100, 100, None)])
+def test_shared_pattern_is_the_two_sort_assembly_bitwise(nx, ny, sides):
+    domain = RectangleDomain(*sides) if sides else None
+    fe = build_fem(nx, ny, 0.1, domain)
+    mass, stiff = _two_sort_assembly(fe.mesh, 0.1)
+    assert _same_bits(fe.mass, mass) and _same_bits(fe.stiffness, stiff)
+    # explicit zeros (the hypotenuse couplings of K) are kept, as before
+    assert fe.stiffness.nnz == stiff.nnz and np.count_nonzero(fe.stiffness.data == 0.0) > 0
+    assert _same_bits(assemble_mass(fe.mesh), mass) and _same_bits(assemble_stiffness(fe.mesh, 0.1), stiff)
+
+
+def test_build_fem_returns_fresh_operators():
+    a, b = build_fem(6, 5, 0.1), build_fem(6, 5, 0.1)
+    assert a is not b and a.mesh is not b.mesh
+    for x, y in ((a.mass, b.mass), (a.stiffness, b.stiffness)):
+        assert x is not y and _same_bits(x, y)
+    # M and K of one mesh share no index storage
+    for x, y in ((a.mass.indices, a.stiffness.indices), (a.mass.indptr, a.stiffness.indptr)):
+        assert not np.shares_memory(x, y)
 
 
 def test_assembly_determinism():
