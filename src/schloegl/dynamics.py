@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -303,10 +304,10 @@ class _CsrKernel:
 class CrankNicolsonAB2:
     """Time stepper owning the factorized shifted operators.
 
-    Immutable after construction; safe to share across runs at the same
-    step size.  Both shifted operators are symmetric, so the solve and
-    apply methods below also apply their transposes (the adjoint reuses
-    them).
+    Immutable after construction, apart from the adjoint's stacked kernel,
+    derived on first use; safe to share across runs at the same step
+    size.  Both shifted operators are symmetric, so the solve and apply
+    methods below also apply their transposes (the adjoint reuses them).
     """
 
     def __init__(self, fe: FemOperators, params: SchloeglParams, dt: float):
@@ -324,21 +325,31 @@ class CrankNicolsonAB2:
         self._mass = _CsrKernel(mass.tocsr())
         self._mass_over_dt = _CsrKernel((mass / dt).tocsr())
 
-    def solve_cn(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (M/dt + K/2) x = rhs."""
-        return self._cn_lhs.solve(rhs)
+    def solve_cn(self, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Solve (M/dt + K/2) x = rhs; ``overwrite`` lets the solve use the storage of ``rhs``."""
+        return self._cn_lhs.solve(rhs, overwrite)
 
-    def solve_startup(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (M/dt + K) x = rhs."""
-        return self._euler_lhs.solve(rhs)
-
-    def apply_cn_explicit(self, v: np.ndarray) -> np.ndarray:
-        """Return (M/dt - K/2) v."""
-        return self._cn_rhs(v)
+    def solve_startup(self, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Solve (M/dt + K) x = rhs; ``overwrite`` as for :meth:`solve_cn`."""
+        return self._euler_lhs.solve(rhs, overwrite)
 
     def apply_mass(self, v: np.ndarray) -> np.ndarray:
         """Return M v."""
         return self._mass(v)
+
+    @cached_property
+    def _mass_and_cn_rhs(self) -> _CsrKernel:
+        # M on top of M/dt - K/2, built on first use: only the adjoint sweep applies both to one vector
+        return _CsrKernel(sp.vstack([self._mass.matrix, self._cn_rhs.matrix], format="csr"))
+
+    def apply_mass_and_cn_explicit(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Return (M v, (M/dt - K/2) v) by one product with the two matrices stacked.
+
+        The stacked rows keep the entries of each matrix in its own storage
+        order, so each half is bitwise the separate product.
+        """
+        mv = self._mass_and_cn_rhs(v)
+        return mv[:len(v)], mv[len(v):]
 
     def startup_step(self, y0: np.ndarray, load: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         """Semi-implicit Euler: (M/dt + K) y1 = (M/dt) y0 - M f(y0) + load.

@@ -139,7 +139,7 @@ def _is_initial_tag(tag: str) -> bool:
 
 
 # Key values reach the parsers stripped.
-_POSITIVE_FLOAT = (float, lambda v: v > 0, "positive float")
+_POSITIVE_FLOAT = (float, lambda v: 0 < v < math.inf, "finite positive float")
 _POSITIVE_INT = (int, lambda v: v >= 1, "positive int")
 _INITIAL_TAG = (str, _is_initial_tag, "constant:<c>, bilinear, or linear")
 
@@ -154,7 +154,7 @@ _KEYS = {
     "actuators.m": _Key("m", *_POSITIVE_INT),
     "actuators.r": _Key("r", float, lambda v: 0 < v < 1, "float in (0, 1)"),
     "actuators.norm": _Key("norm", str.lower, lambda v: v in ("euclidean", "max"), "euclidean or max"),
-    "feedback.lambda": _Key("gain", float, lambda v: v >= 0, "nonnegative float"),
+    "feedback.lambda": _Key("gain", float, lambda v: 0 <= v < math.inf, "finite nonnegative float"),
     "feedback.cu": _Key("cu_tag", str, lambda v: parse_bound(v) >= 0, "inf, e^X, or nonnegative float"),
     "forcing.kind": _Key("forcing", str.lower, lambda v: v in ("none", "periodic"), "none or periodic"),
     "initial.yhat0": _Key("yhat0", *_INITIAL_TAG),

@@ -226,7 +226,8 @@ class _BandedCholesky:
             raise LinAlgError(f"matrix is not positive definite (pbtrf info = {info})")
 
     def solve(self, b: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """The solution of A x = b; ``overwrite`` lets LAPACK solve in the storage of ``b``."""
+        """The solution of A x = b; ``overwrite`` lets LAPACK solve in the storage of ``b``,
+        which it does for a contiguous float64 ``b``: x is then a view of it."""
         x, info = _PBTRS(self._factor, b, lower=0, overwrite_b=overwrite)
         if info != 0:
             raise LinAlgError(f"pbtrs argument {-info} is invalid")

@@ -35,11 +35,21 @@ whole window.
 
 The adjoint sweep forms its p-independent work -- the M z rows, the
 sources 2 tau_m M z_m and the reaction factors 1.5 f' and 0.5 f' -- a
-block of ``ADJOINT_BLOCK`` levels at a time, so its scratch memory is
-O(block x nodes) whatever the window length.  Each backward step is then
-left with the two mat-vecs of p (the stepper's prepared CSR kernels) and
-one banded solve.  Every product is formed with the operands and in the
-order of the level-by-level sweep, so the adjoints are bitwise those of it.
+block of ``ADJOINT_BLOCK`` levels at a time.  Each backward step is then
+left with one product of p with M and M/dt - K/2 stacked (one prepared
+CSR kernel) and one banded solve, made in the storage of its source row,
+so the block of sources becomes the block of p.  The sweep never builds
+the whole p: each block is reduced to its columns of B^T p before the
+next is formed, and :func:`solve_adjoint` returns B^T p, shape
+(count, n_steps).  Beyond the window's states the sweep thus holds
+O(block x nodes) whatever the window length.  Every product is formed
+with the operands and in the order of the level-by-level sweep, so the
+multipliers and B^T p are bitwise those of it.
+
+The optimizer keeps at most one window of states besides the target
+rows: the states of an evaluation are dropped once its gradient is
+formed, and those of a rejected line-search trial before the next trial
+is simulated.
 """
 
 from __future__ import annotations
@@ -187,48 +197,74 @@ def evaluate_cost(u: np.ndarray, prob: OcpProblem) -> tuple[float, np.ndarray]:
     return j_state + j_ctrl, states
 
 
-def solve_adjoint(states: np.ndarray, prob: OcpProblem) -> np.ndarray:
-    """Backward multipliers p_0..p_{N-1}; exact transpose of the linearized step.
+def _adjoint_blocks(states: np.ndarray, prob: OcpProblem):
+    """Yield ``(lo, block)``: the backward multipliers p[lo:lo + len(block)], from the last level down.
 
-    The source is 2 * tau_m * M (y_m - target_m); the reaction
-    linearization is the nodal derivative of the cubic at the stored
-    states.  The last backward solve uses the startup operator when the
-    window opened with the startup step.  Sources and reaction factors are
-    formed ``ADJOINT_BLOCK`` levels at a time (see the module docstring).
+    p_0..p_{N-1} are the exact transpose of the linearized step.  The
+    source is 2 * tau_m * M (y_m - target_m); the reaction linearization
+    is the nodal derivative of the cubic at the stored states.  The last
+    backward solve uses the startup operator when the window opened with
+    the startup step.  A block covers ``ADJOINT_BLOCK`` levels: its
+    sources and reaction factors are formed at once, and each backward
+    solve overwrites the source row it reads, so the block of sources
+    becomes the block of p.  p[m] and M p[m+1] are carried across block
+    edges, so a caller that drops each block before asking for the next
+    holds at most two blocks of p.
     """
     n = prob.n_steps
     stepper = prob.stepper
     tau2 = 2.0 * prob.trapezoid_weights()
-    p = np.empty((n, states.shape[1]))
     startup = prob.y_prev is None
 
-    mp_ahead = None  # mass @ p[m+1], carried between backward steps
+    p_ahead = mp_ahead = None  # p[m] and mass @ p[m+1], carried between backward steps
     for hi in range(n, 0, -ADJOINT_BLOCK):
-        lo = max(hi - ADJOINT_BLOCK, 0) + 1  # this block holds levels lo..hi
+        lo = max(hi - ADJOINT_BLOCK, 0) + 1  # this block holds levels lo..hi and p[lo-1..hi-1]
         rows = slice(lo, hi + 1)
-        source = tau2[rows, None] * (stepper.fe.mass @ (states[rows] - prob.target[rows]).T).T
         fprime_05 = cubic_reaction_derivative(states[rows], stepper.params)
         fprime_15 = 1.5 * fprime_05
         fprime_05 *= 0.5
+        block = np.multiply(tau2[rows, None], (stepper.fe.mass @ (states[rows] - prob.target[rows]).T).T,
+                            order="C")
         for m in range(hi, lo - 1, -1):
             i = m - lo
-            rhs = source[i]
+            rhs = block[i]
             if m <= n - 1:
-                mp = stepper.apply_mass(p[m])
-                rhs += stepper.apply_cn_explicit(p[m]) - fprime_15[i] * mp
+                mp, cnp = stepper.apply_mass_and_cn_explicit(p_ahead)
+                rhs += cnp - fprime_15[i] * mp
                 if m <= n - 2:
                     rhs += fprime_05[i] * mp_ahead
                 mp_ahead = mp
             solve = stepper.solve_startup if (startup and m == 1) else stepper.solve_cn
-            p[m - 1] = solve(rhs)
-    return p
+            p_ahead = solve(rhs, overwrite=True)  # p[m-1], in the storage of block[i]
+        fprime_05 = fprime_15 = None  # spent: freed before the next block's are formed
+        yield lo - 1, block
 
 
-def reduced_gradient(u: np.ndarray, adjoint: np.ndarray, prob: OcpProblem) -> np.ndarray:
-    """Gradient of the discrete cost: 2 beta dt u + B^T p per step."""
-    if adjoint.shape[0] != prob.n_steps:
-        raise ValueError("adjoint/step count mismatch")
-    return 2.0 * prob.beta * prob.dt * u + (prob.coupling.bt @ adjoint.T)
+def solve_adjoint(states: np.ndarray, prob: OcpProblem) -> np.ndarray:
+    """B^T p_n for every window step n, shape (count, n_steps), from the backward multipliers p.
+
+    The multipliers are formed ``ADJOINT_BLOCK`` levels at a time (see the
+    module docstring) and each block is reduced to its columns
+    ``bt @ block.T`` at once, so beyond ``states`` and the output the sweep
+    holds O(block x nodes) whatever the window length.  A column of the
+    CSR product sums its terms in one order whatever the column count, so
+    each is bitwise that of the whole-array product ``bt @ p.T``.
+    """
+    btp = np.empty((prob.coupling.count, prob.n_steps))
+    bt = prob.coupling.bt
+    for lo, block in _adjoint_blocks(states, prob):
+        btp[:, lo:lo + len(block)] = bt @ block.T
+    return btp
+
+
+def reduced_gradient(u: np.ndarray, btp: np.ndarray, prob: OcpProblem) -> np.ndarray:
+    """Gradient of the discrete cost, 2 beta dt u + B^T p per step, from ``btp`` of :func:`solve_adjoint`.
+
+    Both terms have the shape of ``u``, (count, n_steps); so has the result.
+    """
+    if btp.shape != (prob.coupling.count, prob.n_steps):
+        raise ValueError(f"B^T p shape {btp.shape} does not match ({prob.coupling.count}, {prob.n_steps})")
+    return 2.0 * prob.beta * prob.dt * u + btp
 
 
 def project_admissible(u: np.ndarray, sat: SaturationConfig) -> np.ndarray:
@@ -286,6 +322,7 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
     u = project_admissible(u_init, prob.saturation)
     cost, states = timed(evaluate_cost, u, prob)
     grad = reduced_gradient(u, timed(solve_adjoint, states, prob), prob)
+    states = None  # a window's states are dead once its gradient is formed
     evals = 1
     g_scale = float(np.max(np.abs(grad)))
     alpha0 = min(max(1.0 / g_scale if g_scale > 0 else 1.0, a_min), a_max)
@@ -304,8 +341,9 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
             if d_sq == 0.0:
                 return result(it, True, "stationary point")
             evals += 1
+            states = None  # the rejected trial's window goes before this one is formed
             try:
-                cost_new, states_new = timed(evaluate_cost, u_new, prob)
+                cost_new, states = timed(evaluate_cost, u_new, prob)
             except BlowUpError:
                 cost_new = math.inf  # rejected: backtrack towards the finite iterate
             if cost_new <= ref + ARMIJO_SLOPE * float(np.sum(grad * d)):
@@ -314,14 +352,13 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
         else:
             return result(it, False, "line search failed")
 
-        grad_new = reduced_gradient(u_new, timed(solve_adjoint, states_new, prob), prob)
-        s = u_new - u
-        y_g = grad_new - grad
-        sty = float(np.sum(s * y_g))
+        grad_new = reduced_gradient(u_new, timed(solve_adjoint, states, prob), prob)
+        states = None
+        sty = float(np.sum(d * (grad_new - grad)))  # d = u_new - u, the accepted step
         if sty <= 0:
             alpha = alpha0
         else:
-            a = float(np.sum(s * s)) / sty
+            a = d_sq / sty
             alpha = a if a_min <= a <= a_max else alpha0
 
         diff = sqrt_dt * math.sqrt(d_sq)
@@ -364,10 +401,10 @@ class RhcConfig:
     j_max: int = 500
 
     def __post_init__(self):
-        if not (self.horizon > self.delta > 0):
-            raise ValueError(f"need horizon > delta > 0, got T={self.horizon}, delta={self.delta}")
-        if self.t_final <= 0:
-            raise ValueError(f"total time must be positive, got {self.t_final}")
+        if not (math.inf > self.horizon > self.delta > 0):
+            raise ValueError(f"need finite horizon > delta > 0, got T={self.horizon}, delta={self.delta}")
+        if not 0 < self.t_final < math.inf:
+            raise ValueError(f"total time must be finite and positive, got {self.t_final}")
 
 
 @dataclass

@@ -271,7 +271,7 @@ class TestBandedSolver:
                 x_ref = lu.solve(b)
                 assert np.linalg.norm(solve(b) - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
         v = rng.normal(size=fe.mesh.n_nodes)
-        assert np.array_equal(stepper.apply_cn_explicit(v), explicit.tocsr() @ v)
+        assert np.array_equal(stepper.apply_mass_and_cn_explicit(v)[1], explicit.tocsr() @ v)
 
     def test_shifted_operators_exactly_symmetric(self):
         # the adjoint applies the transposes through the forward methods
@@ -315,7 +315,26 @@ class TestDirectMatVec:
         stepper = CrankNicolsonAB2(fe16, params, 1e-3)
         v = rng.normal(size=fe16.mesh.n_nodes)
         assert np.array_equal(stepper.apply_mass(v), fe16.mass @ v)
-        assert np.array_equal(stepper.apply_cn_explicit(v), (fe16.mass / 1e-3 - 0.5 * fe16.stiffness) @ v)
+        mv, cv = stepper.apply_mass_and_cn_explicit(v)
+        assert np.array_equal(mv, fe16.mass @ v)
+        assert np.array_equal(cv, (fe16.mass / 1e-3 - 0.5 * fe16.stiffness) @ v)
+
+    @pytest.mark.parametrize("nx", [12, 57])
+    def test_stacked_mass_and_explicit_operator_bitwise(self, params, rng, nx):
+        # the adjoint applies M and M/dt - K/2 to one vector by one stacked kernel: each half
+        # is bitwise the prepared kernel of its own matrix
+        fe = build_fem(nx, nx, 0.1)
+        stepper = CrankNicolsonAB2(fe, params, 1e-3)
+        v = rng.normal(size=fe.mesh.n_nodes)
+        mv, cv = stepper.apply_mass_and_cn_explicit(v)
+        assert np.array_equal(mv, stepper._mass(v)) and np.array_equal(cv, stepper._cn_rhs(v))
+
+    def test_solve_in_place_is_bitwise_the_solve_of_a_copy(self, fe16, params, rng):
+        stepper = CrankNicolsonAB2(fe16, params, 1e-3)
+        for solve in (stepper.solve_cn, stepper.solve_startup):
+            rows = rng.normal(size=(2, fe16.mesh.n_nodes))
+            x = solve(rows[1].copy())
+            assert np.shares_memory(solve(rows[1], overwrite=True), rows) and np.array_equal(rows[1], x)
 
     def test_refuses_wrong_length_dtype_or_dimension(self, fe16, params):
         kernel = self.operators(fe16, params)["mass"]

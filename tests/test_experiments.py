@@ -93,6 +93,18 @@ class TestParseConfig:
             value = getattr(cfg, key.attr)
             assert key.parse(_fmt_readable(value)) == value, name
 
+    @pytest.mark.parametrize("section,key", [("time", "t_final"), ("time", "dt"), ("rhc", "t"), ("rhc", "delta"),
+                                             ("domain", "lx"), ("params", "nu"), ("rhc", "beta"),
+                                             ("feedback", "lambda")])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_value_refused_with_its_line(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"line 4: bad value '{value}' for {section}.{key}") as err:
+            parse_config(f"[mesh]\nnx = 4\n[{section}]\n{key} = {value}\n")
+        assert err.value.line == 4
+
+    def test_infinite_bound_is_still_the_unbounded_tag(self):
+        assert parse_config("[feedback]\ncu = inf\nlambda = 0\n").cu == math.inf
+
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# comment\n\n[mesh]\nnx = 3  # trailing\n; другой\nny = 4\n")
         assert (cfg.nx, cfg.ny) == (3, 4)
@@ -439,6 +451,17 @@ class TestCli:
         out = self.run_cli("simulate-free", "--config", str(bad), "--out", str(tmp_path / "o"))
         assert out.returncode == 2
         assert "line 2" in out.stderr
+
+    @pytest.mark.parametrize("line", ["[time]\nt_final = inf", "[rhc]\nt = inf", "[domain]\nlx = inf",
+                                      "[feedback]\ncu = e^1\nlambda = inf"])
+    def test_run_rhc_refuses_a_non_finite_value(self, tmp_path, line):
+        # an infinite time overflowed the step count, an infinite length or gain blew the run up
+        cfgf = tmp_path / "bad.cfg"
+        cfgf.write_text(f"[mesh]\nnx = 4\nny = 4\n{line}\n")
+        out = self.run_cli("run-rhc", "--config", str(cfgf), "--out", str(tmp_path / "o"))
+        assert out.returncode == 2, out.stderr
+        assert f"line {4 + line.count(chr(10))}: bad value 'inf'" in out.stderr
+        assert "Traceback" not in out.stderr and not (tmp_path / "o").exists()
 
     def test_simulate_feedback_and_ci_preset(self, tmp_path):
         cfgf = tmp_path / "run.cfg"

@@ -1,5 +1,6 @@
 """Window optimal-control problems, adjoint gradients, and the RHC loop."""
 
+import hashlib
 import math
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
@@ -60,6 +61,14 @@ def make_problem(nx=8, n_steps=20, beta=1e-3, dt=1e-2, bound=math.inf, m=2,
     return prob
 
 
+def adjoint_rows(states, prob):
+    """The whole multiplier array p, shape (n_steps, nodes), gathered from the sweep's blocks."""
+    p = np.empty((prob.n_steps, states.shape[1]))
+    for lo, block in rhc._adjoint_blocks(states, prob):
+        p[lo:lo + len(block)] = block
+    return p
+
+
 class TestEvaluateCost:
     def test_zero_control_on_target_start(self):
         prob = make_problem()
@@ -110,10 +119,15 @@ class TestAdjoint:
         prob = replace(prob, y0=prob.target[0].copy())
         u = np.zeros((prob.coupling.count, prob.n_steps))
         _, states = evaluate_cost(u, prob)
-        p = solve_adjoint(states, prob)
-        assert np.max(np.abs(p)) == 0.0
-        g = reduced_gradient(u, p, prob)
+        assert np.max(np.abs(adjoint_rows(states, prob))) == 0.0
+        g = reduced_gradient(u, solve_adjoint(states, prob), prob)
         assert np.max(np.abs(g)) == 0.0
+
+    def test_gradient_of_another_shape_refused(self):
+        prob = make_problem(n_steps=3)
+        u = np.zeros((prob.coupling.count, prob.n_steps))
+        with pytest.raises(ValueError, match="B\\^T p shape"):
+            reduced_gradient(u, np.zeros((prob.n_steps, prob.coupling.count)), prob)
 
     @pytest.mark.parametrize("with_history", [False, True])
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 25])
@@ -252,9 +266,11 @@ class TestBitwiseOracles:
         u = 0.5 * rng.normal(size=(prob.coupling.count, n_steps))
         _, states = evaluate_cost(u, prob)
         assert np.array_equal(states, self.reference_states(u, prob))
-        p = solve_adjoint(states, prob)
-        assert np.array_equal(p, self.reference_adjoint(states, prob))
-        assert np.array_equal(reduced_gradient(u, p, prob),
+        p = self.reference_adjoint(states, prob)
+        assert np.array_equal(adjoint_rows(states, prob), p)
+        btp = solve_adjoint(states, prob)
+        assert np.array_equal(btp, prob.coupling.b.T @ p.T)
+        assert np.array_equal(reduced_gradient(u, btp, prob),
                               2.0 * prob.beta * prob.dt * u + (prob.coupling.b.T @ p.T))
 
     @staticmethod
@@ -293,19 +309,35 @@ class TestBitwiseOracles:
         assert scratch[750] < 1.25 * scratch[4 * ADJOINT_BLOCK]
 
     def test_adjoint_scratch_memory_does_not_grow_with_the_window(self):
-        # the per-level work is formed a block at a time: beyond its output, the
-        # sweep over 750 levels needs no more memory than one over 4 blocks
-        scratch = {}
+        # p is formed and reduced to B^T p a block at a time: the whole sweep over 750 levels,
+        # its (count, n_steps) output included, needs no more memory than one over 4 blocks
+        # (on a mesh whose block of levels outweighs the output's growth)
+        peak = {}
         for n_steps in (4 * ADJOINT_BLOCK, 750):
-            prob = self.forced_problem(n_steps, with_history=False)
+            prob = make_problem(nx=16, n_steps=n_steps, dt=1e-3, m=3)
             _, states = evaluate_cost(np.zeros((prob.coupling.count, n_steps)), prob)
             tracemalloc.start()
             try:
-                p = solve_adjoint(states, prob)
-                scratch[n_steps] = tracemalloc.get_traced_memory()[1] - p.nbytes
+                solve_adjoint(states, prob)
+                peak[n_steps] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert scratch[750] < 1.25 * scratch[4 * ADJOINT_BLOCK]
+        assert peak[750] < 1.25 * peak[4 * ADJOINT_BLOCK]
+
+    def test_window_solve_holds_one_window_of_states(self):
+        # beside the target rows, allocated before tracing starts, a solve over 750 levels holds
+        # one window of states at a time, the line search's trials and its adjoint sweeps included
+        prob = make_problem(nx=16, n_steps=750, dt=1e-3)
+        u_init = np.zeros((prob.coupling.count, prob.n_steps))
+        window_bytes = prob.target.nbytes  # the nbytes of a window's states
+        tracemalloc.start()
+        try:
+            out = bb_projected_gradient(prob, u_init, j_max=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.n_evaluations > out.iterations >= 2  # line-search trials and accepted steps were both made
+        assert peak < 1.5 * window_bytes
 
 
 class TestProjectAdmissible:
@@ -367,6 +399,20 @@ class TestBBSolver:
         out = bb_projected_gradient(prob, u0, tol=1e-5, j_max=100)
         assert out.cost < j0
 
+    def test_pinned_max_norm_window_solve(self):
+        # a window with AB2 history across three adjoint blocks, whose line search rejects most
+        # trials; the outcome is pinned bit for bit (recorded with numpy 2.4, scipy 1.17, OpenBLAS)
+        from schloegl.rhc import saturated_control_on_window
+
+        bound = math.exp(1.0)
+        prob = make_problem(nx=6, n_steps=70, bound=bound, target_start=2.0, with_history=True)
+        prob = replace(prob, saturation=SaturationConfig(bound=bound, norm="max"),
+                       y0=np.full(prob.stepper.fe.mesh.n_nodes, -1.0))
+        out = bb_projected_gradient(prob, saturated_control_on_window(prob, 175.0), tol=1e-6, j_max=40)
+        assert (repr(out.cost), out.iterations, out.n_evaluations, out.message) == (
+            "5.7319061475188535", 7, 97, "step below tolerance")
+        assert hashlib.sha256(out.u.tobytes()).hexdigest() == (
+            "5ee41be132ed67a6378b960d5d6c36f2c87534e8475e150e0985950913f90331")
 
     def test_warm_start_of_a_later_window_reads_its_own_target_rows(self):
         # without forcing, a window opening at level 7 has the control of one opening at 0
@@ -433,6 +479,13 @@ class TestRunRhc:
                     integ=IntegratorConfig(dt=1e-2, cost_beta=1e-3))
         with pytest.raises(ValueError):
             RhcConfig(horizon=0.1, delta=0.2, t_final=1.0)
+
+    @pytest.mark.parametrize("field", ["horizon", "delta", "t_final"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_times_refused(self, field, value):
+        kwargs = dict(horizon=0.3, delta=0.1, t_final=0.4)
+        with pytest.raises(ValueError, match="finite"):
+            RhcConfig(**dict(kwargs, **{field: value}))
 
     def test_bitwise_replay_and_ordering(self, fe16, params):
         cm = self.setup_case(fe16, params)
