@@ -1,0 +1,181 @@
+"""Time the library layer by layer on its own Table-1 scenario: the set-up, and one RHC window solve.
+
+    PYTHONPATH=src python3 scripts/bench_layers.py setup --label NAME [--repeats K] [--sizes 16,57,100] [--out DIR]
+    PYTHONPATH=src python3 scripts/bench_layers.py window --label NAME [--repeats K] [--cases N:L:J,...] [--out DIR]
+
+The scenario is ``experiments._TABLE1_BASE``, its admissible set unbounded
+in the max norm.  ``setup`` times ``build_fem``, ``discretize_actuators`` on
+the Table-1 grid and the margin sweep's four grids, and the stepper's
+construction on each n x n mesh (ms).  ``window`` solves the first window of
+each case, an N x N mesh, L levels warm-started from the saturated feedback
+and at most J iterations of ``bb_projected_gradient`` (by default 16:750:500
+and 57:1250:3), with its forward and adjoint seconds; one more solve under
+``tracemalloc`` gives the allocation peak beyond the target rows, in MB and
+in window state arrays ((L + 1) x nodes float64).  After an untimed warm-up,
+each timing is min-of-K, median and [Q1, Q3], written with the machine to
+``DIR/BENCH_<layer>_NAME.json``.  Run with ``OPENBLAS_NUM_THREADS=1``, as the
+benchmark does; pointing ``PYTHONPATH`` at another checkout's ``src`` times that one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+import tracemalloc
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from schloegl import actuators, dynamics, experiments, feedback, geometry, rhc
+
+BASE = experiments._TABLE1_BASE
+PARAMS = dynamics.SchloeglParams(nu=BASE.nu, roots=BASE.zeta)
+# (m, width fraction) of every actuator grid the benchmark workloads build: Table 1's and the margin sweep's four
+GRIDS = ((BASE.m, BASE.r), (1, 0.5), (2, 0.5), (3, 0.5), (4, 0.5))
+# per layer: its list option, the integers in each comma-separated item, and the form it takes
+LISTS = {"setup": ("sizes", 1, "comma-separated integers >= 1"),
+         "window": ("cases", 3, "comma-separated N:LEVELS:JMAX, each an integer >= 1")}
+
+
+def _timed(fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t0
+
+
+def summary(seconds: list[float], unit: str) -> dict:
+    """Min, median, quartiles and samples of ``seconds``, in ``unit`` ("s" or "ms")."""
+    x = np.array(seconds) * {"s": 1.0, "ms": 1e3}[unit]
+    q1, median, q3 = np.percentile(x, [25, 50, 75])
+    return {f"min_{unit}": float(x.min()), f"median_{unit}": float(median), f"q1_{unit}": float(q1),
+            f"q3_{unit}": float(q3), f"samples_{unit}": x.tolist()}
+
+
+def environment() -> dict:
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {"nproc": os.cpu_count(), "cpu_model": cpu, "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__, "platform": platform.platform(),
+            **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+
+
+def one_round(n: int) -> dict:
+    """Seconds of each set-up step on an n x n mesh, every step built anew."""
+    fe, times = _timed(geometry.build_fem, n, n, BASE.nu)
+    out = {f"build_fem_{n}": times}
+    for m, r in GRIDS:
+        grid = actuators.build_actuator_grid(m, r)
+        _, out[f"discretize_{n}_m{m}_r{r}"] = _timed(actuators.discretize_actuators, grid, fe.mesh)
+    _, out[f"stepper_{n}"] = _timed(dynamics.CrankNicolsonAB2, fe, PARAMS, BASE.dt)
+    return out
+
+
+def setup(repeats: int, sizes: list[int]) -> tuple[dict, list[str]]:
+    for n in sizes:  # warm-up: imports, LAPACK lookups and first-call allocations
+        one_round(n)
+    samples: dict[str, list[float]] = {}
+    for _ in range(repeats):
+        for n in sizes:
+            for name, seconds in one_round(n).items():
+                samples.setdefault(name, []).append(seconds)
+    timings = {name: summary(s, "ms") for name, s in samples.items()}
+    lines = [f"{name:28s} min {t['min_ms']:8.3f} ms  median {t['median_ms']:8.3f}  "
+             f"[{t['q1_ms']:.3f}, {t['q3_ms']:.3f}]" for name, t in timings.items()]
+    return {"sizes": sizes, "grids": [list(g) for g in GRIDS], "timings": timings}, lines
+
+
+def window_problem(n: int, levels: int) -> tuple[rhc.OcpProblem, np.ndarray]:
+    """The first window of the scenario on an n x n mesh, and its warm start."""
+    fe = geometry.build_fem(n, n, BASE.nu)
+    coupling = actuators.discretize_actuators(actuators.build_actuator_grid(BASE.m, BASE.r), fe.mesh)
+    forcing = experiments.forcing_spec(BASE.forcing)
+    target = dynamics.simulate_free(experiments.initial_field(BASE.yhat0, fe.mesh), levels * BASE.dt, fe, PARAMS,
+                                    forcing, dynamics.IntegratorConfig(dt=BASE.dt, state_stride=1)).states
+    prob = rhc.OcpProblem(coupling=coupling, stepper=dynamics.CrankNicolsonAB2(fe, PARAMS, BASE.dt),
+                          y0=experiments.initial_field(BASE.y0, fe.mesh), y_prev=None, target=target,
+                          beta=BASE.rhc_beta, saturation=feedback.SaturationConfig(bound=BASE.cu, norm=BASE.norm),
+                          load=dynamics.ForcingLoad(forcing, fe, BASE.dt))
+    return prob, rhc.saturated_control_on_window(prob, BASE.gain)
+
+
+def window_case(n: int, levels: int, j_max: int, repeats: int) -> dict:
+    prob, u_init = window_problem(n, levels)
+    solve = partial(rhc.bb_projected_gradient, prob, u_init, tol=BASE.rhc_tol, j_max=j_max)
+    solve()  # warm-up: first-call allocations and the stepper's lazily built kernels
+    runs = [_timed(solve) for _ in range(repeats)]
+    tracemalloc.start()
+    try:
+        traced = solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    window_bytes = prob.target.nbytes  # one window of states
+    results = [r for r, _ in runs]
+    res = results[0]
+    return {"nx": n, "levels": levels, "j_max": j_max, "nodes": prob.stepper.fe.mesh.n_nodes,
+            "wall": summary([s for _, s in runs], "s"),
+            "forward": summary([r.forward_s for r in results], "s"),
+            "adjoint": summary([r.adjoint_s for r in results], "s"),
+            "iterations": res.iterations, "evaluations": res.n_evaluations, "message": res.message,
+            "cost": repr(res.cost),
+            "same_result_every_run": all(r.cost == res.cost and np.array_equal(r.u, res.u)
+                                         for r in results + [traced]),
+            "window_array_mb": window_bytes / 1e6, "tracemalloc_peak_mb": peak / 1e6,
+            "peak_in_window_arrays": peak / window_bytes}
+
+
+def window(repeats: int, cases: list[list[int]]) -> tuple[dict, list[str]]:
+    results = [window_case(*c, repeats) for c in cases]
+    lines = [f"{c['nx']}x{c['nx']} {c['levels']} levels: wall min {c['wall']['min_s']:.3f} s "
+             f"median {c['wall']['median_s']:.3f} [{c['wall']['q1_s']:.3f}, {c['wall']['q3_s']:.3f}]  "
+             f"forward {c['forward']['median_s']:.3f}  adjoint {c['adjoint']['median_s']:.3f}  "
+             f"{c['iterations']} it / {c['evaluations']} ev  cost {c['cost']}  "
+             f"peak {c['tracemalloc_peak_mb']:.1f} MB = {c['peak_in_window_arrays']:.2f} windows" for c in results]
+    return {"cases": results}, lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    layers = ap.add_subparsers(dest="layer", required=True)
+    sp = {}
+    for layer, repeats, what in (("setup", 9, "timed rounds per size"), ("window", 5, "timed solves per case")):
+        sp[layer] = layers.add_parser(layer, help=f"time the {layer} layer")
+        sp[layer].add_argument("--label", required=True, help=f"names the output file BENCH_{layer}_<label>.json")
+        sp[layer].add_argument("--repeats", type=int, default=repeats, help=f"{what} (min-of-k)")
+        sp[layer].add_argument("--out", default=".", help="directory of the JSON file")
+    sp["setup"].add_argument("--sizes", default="16,57,100", help="comma-separated n of the n x n meshes")
+    sp["window"].add_argument("--cases", default="16:750:500,57:1250:3",
+                              help="comma-separated N:LEVELS:JMAX window cases")
+    args = ap.parse_args(argv)
+    option, width, form = LISTS[args.layer]
+    try:
+        items = [[int(v) for v in c.split(":")] for c in getattr(args, option).split(",")]
+    except ValueError:
+        items = []
+    if not items or any(len(c) != width or min(c) < 1 for c in items):
+        sp[args.layer].error(f"--{option} takes {form}")
+    if args.repeats < 1:
+        sp[args.layer].error("--repeats takes an integer >= 1")
+    fields, lines = (setup(args.repeats, [c[0] for c in items]) if args.layer == "setup"
+                     else window(args.repeats, items))
+    result = {"label": args.label, "repeats": args.repeats, "environment": environment(), **fields}
+    path = Path(args.out) / f"BENCH_{args.layer}_{args.label}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(result, indent=1) + "\n")
+    print("\n".join(lines))
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -113,12 +113,16 @@ class ScenarioConfig:
 
 
 def parse_bound(text: str) -> float:
-    """Saturation bound notation: 'inf', 'e^X', or a plain float."""
+    """Saturation bound notation: 'inf', 'e^X', or a plain float; an
+    e^X beyond the float range raises ``ValueError``."""
     t = text.strip().lower()
     if t in ("inf", "infinity", "e^inf"):
         return math.inf
     if t.startswith("e^"):
-        return math.exp(float(t[2:]))
+        try:
+            return math.exp(float(t[2:]))
+        except OverflowError:
+            raise ValueError(f"bound {text!r} overflows a float; write inf for no bound") from None
     return float(t)
 
 
@@ -133,15 +137,14 @@ class _Key(NamedTuple):
 
 def _is_initial_tag(tag: str) -> bool:
     if tag.startswith("constant:"):
-        float(tag.split(":", 1)[1])  # a bad constant raises
-        return True
+        return math.isfinite(float(tag.split(":", 1)[1]))  # a bad constant raises
     return tag in ("bilinear", "linear")
 
 
 # Key values reach the parsers stripped.
 _POSITIVE_FLOAT = (float, lambda v: 0 < v < math.inf, "finite positive float")
 _POSITIVE_INT = (int, lambda v: v >= 1, "positive int")
-_INITIAL_TAG = (str, _is_initial_tag, "constant:<c>, bilinear, or linear")
+_INITIAL_TAG = (str, _is_initial_tag, "constant:<finite c>, bilinear, or linear")
 
 _KEYS = {
     "domain.lx": _Key("lx", *_POSITIVE_FLOAT),
@@ -149,8 +152,8 @@ _KEYS = {
     "mesh.nx": _Key("nx", *_POSITIVE_INT),
     "mesh.ny": _Key("ny", *_POSITIVE_INT),
     "params.nu": _Key("nu", *_POSITIVE_FLOAT),
-    "params.zeta": _Key("zeta", lambda t: tuple(float(p) for p in t.split(",")), lambda v: len(v) == 3,
-                        "three comma-separated floats"),
+    "params.zeta": _Key("zeta", lambda t: tuple(float(p) for p in t.split(",")),
+                        lambda v: len(v) == 3 and all(map(math.isfinite, v)), "three comma-separated finite floats"),
     "actuators.m": _Key("m", *_POSITIVE_INT),
     "actuators.r": _Key("r", float, lambda v: 0 < v < 1, "float in (0, 1)"),
     "actuators.norm": _Key("norm", str.lower, lambda v: v in ("euclidean", "max"), "euclidean or max"),

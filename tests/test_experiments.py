@@ -145,6 +145,67 @@ class TestConfigInCode:
             cfg.nx = 3
 
 
+# (section, key, config value, field, value in code) of each non-finite or overflowing value the keys refuse
+_NON_FINITE = [
+    ("params", "zeta", "inf, 0, 2", "zeta", (math.inf, 0.0, 2.0)),
+    ("params", "zeta", "-1, nan, 2", "zeta", (-1.0, math.nan, 2.0)),
+    ("initial", "y0", "constant:inf", "y0", "constant:inf"),
+    ("initial", "yhat0", "constant:nan", "yhat0", "constant:nan"),
+    ("initial", "y0", "constant:-inf", "y0", "constant:-inf"),
+    ("feedback", "cu", "e^1000", "cu_tag", "e^1000"),
+]
+_NON_FINITE_IDS = [f"{s}.{k}={v}" for s, k, v, *_ in _NON_FINITE]
+
+
+class TestNonFiniteAndOverflowingValues:
+    @pytest.mark.parametrize("section, key, text, attr, value", _NON_FINITE, ids=_NON_FINITE_IDS)
+    def test_config_line_refused(self, section, key, text, attr, value):
+        with pytest.raises(ConfigError, match=rf"^line 3: bad value .* for {section}\.{key} ") as err:
+            parse_config(f"# scenario\n[{section}]\n{key} = {text}\n")
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("section, key, text, attr, value", _NON_FINITE, ids=_NON_FINITE_IDS)
+    def test_value_in_code_refused(self, section, key, text, attr, value):
+        with pytest.raises(ConfigError, match=rf"for {section}\.{key} ") as err:
+            ScenarioConfig(**{attr: value})
+        assert err.value.line is None
+
+    @pytest.mark.parametrize("section, key, text, attr, value", _NON_FINITE, ids=_NON_FINITE_IDS)
+    def test_simulate_feedback_exits_2(self, tmp_path, capsys, section, key, text, attr, value):
+        from schloegl.cli import main
+
+        # zeta = inf ran and exited 3 after a RuntimeWarning; e^1000 ended in an OverflowError traceback
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text(f"[mesh]\nnx = 4\nny = 4\n[{section}]\n{key} = {text}\n")
+        assert main(["simulate-feedback", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: line 5: bad value {text!r} for {section}.{key}")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["constants", "--mu", "0.1", "--zeta=inf,0,2"], "params.zeta"),  # printed coeff_sum = inf, exit 0
+        (["constants", "--mu", "0.1", "--zeta=-1,0,nan"], "params.zeta"),
+        (["margin", "--gain", "1", "--nx", "4", "--zeta=inf,0,2"], "params.zeta"),
+        (["margin", "--gain", "1", "--nx", "4", "--mu", "0.1", "--zeta=inf,0,2"], "params.zeta"),
+        (["ode-toy", "--r", "-1", "--z0", "2", "--cu", "e^1000"], "feedback.cu"),  # OverflowError traceback
+        (["sweep", "--axis", "cu", "--values", "e^1,e^1000", "--ci"], "feedback.cu"),
+    ], ids=["constants-inf", "constants-nan", "margin", "margin-mu", "ode-toy", "sweep"])
+    def test_cli_flag_exits_2(self, tmp_path, capsys, argv, key):
+        from schloegl.cli import main
+
+        if argv[0] == "sweep":
+            argv = argv + ["--out", str(tmp_path / "s")]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("configuration error: bad value") and key in out.err and out.out == ""
+        assert not (tmp_path / "s").exists()
+
+    def test_overflowing_bound_is_a_value_error_naming_the_tag(self):
+        with pytest.raises(ValueError, match=r"'e\^1000' overflows"):
+            parse_bound("e^1000")
+        assert parse_bound("inf") == parse_bound("e^inf") == parse_bound("1e400") == math.inf
+        assert ScenarioConfig(cu_tag="1e400").cu == ScenarioConfig(cu_tag="e^inf").cu == math.inf
+
+
 class TestRunScenario:
     def test_free_equilibrium_series(self, tmp_path):
         # free run from the stable root against the unstable-root target:
