@@ -1,7 +1,8 @@
-"""Time the library layer by layer on its own Table-1 scenario: the set-up, and one RHC window solve.
+"""Time the library layer by layer on its own Table-1 scenario: the set-up, one RHC window solve, one closed loop.
 
     PYTHONPATH=src python3 scripts/bench_layers.py setup --label NAME [--repeats K] [--sizes 16,57,100] [--out DIR]
     PYTHONPATH=src python3 scripts/bench_layers.py window --label NAME [--repeats K] [--cases N:L:J,...] [--out DIR]
+    PYTHONPATH=src python3 scripts/bench_layers.py loop --label NAME [--repeats K] [--cases N:L,...] [--out DIR]
 
 The scenario is ``experiments._TABLE1_BASE``, its admissible set unbounded
 in the max norm.  ``setup`` times ``build_fem``, ``discretize_actuators`` on
@@ -11,7 +12,12 @@ each case, an N x N mesh, L levels warm-started from the saturated feedback
 and at most J iterations of ``bb_projected_gradient`` (by default 16:750:500
 and 57:1250:3), with its forward and adjoint seconds; one more solve under
 ``tracemalloc`` gives the allocation peak beyond the target rows, in MB and
-in window state arrays ((L + 1) x nodes float64).  After an untimed warm-up,
+in window state arrays ((L + 1) x nodes float64).  ``loop`` runs
+``feedback.track_target`` of the scenario on each case's N x N mesh for L
+levels (by default 57:500), its target co-simulated from the initial state,
+and records the run's cost and final error, then the peak resident memory
+of this process and of the largest child it reaped (the forked target's
+process, where the library forks one), in MB.  After an untimed warm-up,
 each timing is min-of-K, median and [Q1, Q3], written with the machine to
 ``DIR/BENCH_<layer>_NAME.json``.  Run with ``OPENBLAS_NUM_THREADS=1``, as the
 benchmark does; pointing ``PYTHONPATH`` at another checkout's ``src`` times that one.
@@ -23,6 +29,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import sys
 import time
 import tracemalloc
@@ -40,7 +47,8 @@ PARAMS = dynamics.SchloeglParams(nu=BASE.nu, roots=BASE.zeta)
 GRIDS = ((BASE.m, BASE.r), (1, 0.5), (2, 0.5), (3, 0.5), (4, 0.5))
 # per layer: its list option, the integers in each comma-separated item, and the form it takes
 LISTS = {"setup": ("sizes", 1, "comma-separated integers >= 1"),
-         "window": ("cases", 3, "comma-separated N:LEVELS:JMAX, each an integer >= 1")}
+         "window": ("cases", 3, "comma-separated N:LEVELS:JMAX, each an integer >= 1"),
+         "loop": ("cases", 2, "comma-separated N:LEVELS, each an integer >= 1")}
 
 
 def _timed(fn, *args):
@@ -144,11 +152,41 @@ def window(repeats: int, cases: list[list[int]]) -> tuple[dict, list[str]]:
     return {"cases": results}, lines
 
 
+def loop_case(n: int, levels: int, repeats: int) -> dict:
+    fe = geometry.build_fem(n, n, BASE.nu)
+    coupling = actuators.discretize_actuators(actuators.build_actuator_grid(BASE.m, BASE.r), fe.mesh)
+    law = feedback.FeedbackLaw(gain=BASE.gain, saturation=feedback.SaturationConfig(bound=BASE.cu, norm=BASE.norm))
+    integ = dynamics.IntegratorConfig(dt=BASE.dt, state_stride=BASE.state_stride, cost_beta=BASE.rhc_beta)
+    run = partial(feedback.track_target, experiments.initial_field(BASE.y0, fe.mesh),
+                  experiments.initial_field(BASE.yhat0, fe.mesh), law, coupling, fe, PARAMS,
+                  experiments.forcing_spec(BASE.forcing), integ, levels * BASE.dt)
+    run()  # warm-up
+    runs = [_timed(run) for _ in range(repeats)]
+    rec = runs[0][0]
+    return {"nx": n, "levels": levels, "nodes": fe.mesh.n_nodes, "wall": summary([s for _, s in runs], "s"),
+            "J_total": repr(float(rec.running_cost[-1])), "final_err_l2": repr(float(rec.err_norm[-1])),
+            "same_result_every_run": all(np.array_equal(getattr(r, f), getattr(rec, f)) for r, _ in runs
+                                         for f in ("states", "err_norm", "controls"))}
+
+
+def loop(repeats: int, cases: list[list[int]]) -> tuple[dict, list[str]]:
+    results = [loop_case(*c, repeats) for c in cases]
+    # ru_maxrss is in kB on Linux; the children's is that of the largest child reaped
+    rss = {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+           "child_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0}
+    lines = [f"{c['nx']}x{c['nx']} {c['levels']} levels: wall min {c['wall']['min_s']:.3f} s "
+             f"median {c['wall']['median_s']:.3f} [{c['wall']['q1_s']:.3f}, {c['wall']['q3_s']:.3f}]  "
+             f"J {c['J_total']}  final error {c['final_err_l2']}" for c in results]
+    lines.append(f"peak RSS {rss['peak_rss_mb']:.2f} MB, largest child's {rss['child_peak_rss_mb']:.2f} MB")
+    return {"cases": results, **rss}, lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     layers = ap.add_subparsers(dest="layer", required=True)
     sp = {}
-    for layer, repeats, what in (("setup", 9, "timed rounds per size"), ("window", 5, "timed solves per case")):
+    for layer, repeats, what in (("setup", 9, "timed rounds per size"), ("window", 5, "timed solves per case"),
+                                 ("loop", 5, "timed runs per case")):
         sp[layer] = layers.add_parser(layer, help=f"time the {layer} layer")
         sp[layer].add_argument("--label", required=True, help=f"names the output file BENCH_{layer}_<label>.json")
         sp[layer].add_argument("--repeats", type=int, default=repeats, help=f"{what} (min-of-k)")
@@ -156,6 +194,7 @@ def main(argv=None) -> int:
     sp["setup"].add_argument("--sizes", default="16,57,100", help="comma-separated n of the n x n meshes")
     sp["window"].add_argument("--cases", default="16:750:500,57:1250:3",
                               help="comma-separated N:LEVELS:JMAX window cases")
+    sp["loop"].add_argument("--cases", default="57:500", help="comma-separated N:LEVELS closed-loop cases")
     args = ap.parse_args(argv)
     option, width, form = LISTS[args.layer]
     try:
@@ -166,8 +205,10 @@ def main(argv=None) -> int:
         sp[args.layer].error(f"--{option} takes {form}")
     if args.repeats < 1:
         sp[args.layer].error("--repeats takes an integer >= 1")
-    fields, lines = (setup(args.repeats, [c[0] for c in items]) if args.layer == "setup"
-                     else window(args.repeats, items))
+    if args.layer == "setup":
+        fields, lines = setup(args.repeats, [c[0] for c in items])
+    else:
+        fields, lines = {"window": window, "loop": loop}[args.layer](args.repeats, items)
     result = {"label": args.label, "repeats": args.repeats, "environment": environment(), **fields}
     path = Path(args.out) / f"BENCH_{args.layer}_{args.label}.json"
     path.parent.mkdir(parents=True, exist_ok=True)

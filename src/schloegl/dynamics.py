@@ -41,13 +41,38 @@ the hot path is kept lean without changing a bit of any result:
   one multi-vector CSR product, each column of which is bitwise the
   single-vector product; the forcing is then added to it, as per step.
   A closed loop forms B u once per step, after its control law.
+
+A lockstep run from level 0 against a target initial state (``track_target``,
+``simulate_free`` and ``simulate_controlled`` with one) steps that target in a
+forked child process where that both pays and is safe (``_forks_target``):
+the target's free run never depends on the plant, and in the parent it would
+be a second banded solve per level on the same core, about 40% of a 57 x 57
+feedback run.  The child runs the plant loop free on the target cursor and
+hands each level to the parent through a shared ring of ``TARGET_RING`` rows;
+the same code on the same data gives the same bits.  A thread would not
+help: the band solve holds the GIL.  The target stays in process on a
+platform other than Linux (a fork without exec is unsafe on macOS), on one
+core, in a process-pool worker (its sibling workers hold the other cores),
+beside other Python threads (a lock one of them holds would stay locked in
+the child; OpenBLAS ends its own thread pool before a fork), under a custom
+forcing (a callback may keep state that the plant's and the target's calls
+share), and if the fork itself fails.  The receding-horizon loop keeps the
+in-process rolling source too: its windows request many levels at once and
+its target is a small share of the run.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import numbers
+import os
+import signal
+import sys
+import threading
 from dataclasses import dataclass
 from functools import cached_property
+from multiprocessing import parent_process
 from typing import Callable
 
 import numpy as np
@@ -77,6 +102,8 @@ __all__ = [
 BLOWUP_LIMIT = 1e8
 # Steps per block of the actuator loads of an open-loop run.
 LOAD_BLOCK = 32
+# Rows of the shared ring through which a forked child hands a lockstep target's levels to the plant.
+TARGET_RING = 8
 
 
 class BlowUpError(RuntimeError):
@@ -146,7 +173,9 @@ class ForcingSpec:
 
     The periodic indicator is 0.5 * 1{|sin 6t| > 1/2}(t) * 1{|x|^2 < 1/2}(x).
     Custom callbacks receive (t, x, y) with coordinate arrays and return
-    nodal values.
+    nodal values.  Every call of a custom callback is made in the calling
+    process: under one, a lockstep target is never stepped in a forked
+    child, so a callback may keep state or have side effects.
     """
 
     kind: str = "zero"
@@ -211,10 +240,13 @@ class IntegratorConfig:
     cost_beta: float = 0.0
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"time step must be positive, got {self.dt}")
-        if self.state_stride < 1:
-            raise ValueError(f"state stride must be >= 1, got {self.state_stride}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"time step must be positive and finite, got dt = {self.dt!r}")
+        if (not isinstance(self.state_stride, numbers.Integral) or isinstance(self.state_stride, bool)
+                or self.state_stride < 1):
+            raise ValueError(f"state stride must be an integer >= 1, got state_stride = {self.state_stride!r}")
+        if not 0 <= self.cost_beta < math.inf:
+            raise ValueError(f"control-cost weight must be finite and >= 0, got cost_beta = {self.cost_beta!r}")
 
 
 @dataclass
@@ -452,6 +484,8 @@ class _Recorder:
 
 
 def _n_steps_for(horizon: float, dt: float) -> int:
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got horizon = {horizon!r}")
     n = round(horizon / dt)
     if n < 1 or abs(n * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"horizon {horizon} is not a positive multiple of the step size {dt}")
@@ -512,6 +546,112 @@ class _TargetSource:
         return rows[:n_steps + 1]
 
 
+class _RingWriter:
+    """The child's ``states`` sink: level k + 1 goes into ring row (k + 1) % TARGET_RING, then a
+    b"+" on ``ready``; a row is overwritten only after a byte on ``free`` says its level was read."""
+
+    def __init__(self, rows: np.ndarray, ready: int, free: int):
+        self._rows, self._ready, self._free = rows, ready, free
+        self._credit = len(rows) - 1  # row 0 holds level 0
+
+    def __setitem__(self, k: int, y: np.ndarray) -> None:
+        if self._credit == 0:
+            freed = os.read(self._free, 4096)
+            if not freed:
+                raise EOFError("the plant process has gone")
+            self._credit = len(freed)
+        self._credit -= 1
+        self._rows[(k + 1) % len(self._rows)] = y
+        os.write(self._ready, b"+")
+
+
+class _ForkedTarget:
+    """The free run of ``cursor`` over ``n_steps`` levels, stepped in a forked child, read in lockstep.
+
+    ``window(n, 0)`` returns level n as a one-row read-only view of the ring,
+    valid until the next request; the requests are the levels 0, 1, ... of a
+    lockstep run, in order.  A blow-up of the target at level n raises the
+    in-process source's :class:`BlowUpError`, at time n * dt, when level n is
+    requested; any other failure of the child raises ``RuntimeError`` naming
+    it.  ``close`` kills the child unless it delivered every level, and reaps
+    it; the child also ends when the parent's end of a pipe closes.  Building
+    one raises ``OSError``, with no descriptor left open, if the pipes or the
+    fork cannot be made.
+    """
+
+    def __init__(self, cursor: _Cursor, n_steps: int, load: ForcingLoad):
+        self._dt = cursor.stepper.dt
+        self._n_steps = n_steps
+        ring = mmap.mmap(-1, TARGET_RING * cursor.y.nbytes)  # anonymous and shared with the child
+        self._rows = np.frombuffer(ring, dtype=np.float64).reshape(TARGET_RING, len(cursor.y))
+        self._rows[0] = cursor.y
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            self._pid = os.fork()
+        except OSError:  # no descriptor, process or memory to spare: nothing is left open
+            for fd in fds:
+                os.close(fd)
+            raise
+        self._ready_r, ready_w, free_r, self._free_w = fds
+        if self._pid == 0:
+            try:
+                os.close(self._ready_r)
+                os.close(self._free_w)
+                _run_plant(cursor, n_steps, load, states=_RingWriter(self._rows, ready_w, free_r))
+            except BlowUpError:
+                os.write(ready_w, b"!")
+            except BaseException as exc:
+                os.write(ready_w, b"?" + f"{type(exc).__name__}: {exc}".encode(errors="replace"))
+            finally:  # no atexit handlers, no flush of inherited stdio buffers
+                os._exit(0)
+        os.close(ready_w)
+        os.close(free_r)
+        self._rows.flags.writeable = False
+        self._ready = 0  # levels the child has delivered
+        self._level = 0  # the latest request
+        self._failure: Exception | None = None
+
+    def window(self, n0: int, n_steps: int) -> np.ndarray:
+        if n0 > self._level:  # the rows of the levels passed are free
+            try:
+                os.write(self._free_w, b"." * (n0 - self._level))
+            except BrokenPipeError:  # the child has ended: it needs no more rows
+                pass
+            self._level = n0
+        while self._ready < n0 and self._failure is None:
+            self._receive()
+        if n0 > self._ready:
+            raise self._failure
+        row = n0 % TARGET_RING
+        return self._rows[row:row + 1]
+
+    def _receive(self) -> None:
+        got = os.read(self._ready_r, 4096)
+        levels = len(got) - len(got.lstrip(b"+"))
+        self._ready += levels
+        tail = got[levels:]
+        if not got:
+            self._failure = RuntimeError(f"the target's child process ended at level {self._ready} "
+                                         f"of {self._n_steps} without a report")
+        elif tail[:1] == b"!":
+            self._failure = BlowUpError((self._ready + 1) * self._dt)  # the child cursor's time of the level
+        elif tail[:1] == b"?":
+            while more := os.read(self._ready_r, 4096):
+                tail += more
+            self._failure = RuntimeError(f"the target's child process failed at level {self._ready + 1}: "
+                                         f"{tail[1:].decode(errors='replace')}")
+
+    def close(self) -> None:
+        """Kill the child unless it delivered every level, reap it and close the pipes."""
+        if self._ready < self._n_steps:
+            os.kill(self._pid, signal.SIGKILL)  # not yet reaped, so the pid is still the child's
+        os.waitpid(self._pid, 0)
+        os.close(self._ready_r)
+        os.close(self._free_w)
+
+
 def _run_plant(cursor: _Cursor, n_steps: int, forcing: ForcingLoad, b=None, control=None,
                target: _TargetSource | None = None, rec: _Recorder | None = None,
                states: np.ndarray | None = None) -> None:
@@ -564,18 +704,39 @@ def _run_plant(cursor: _Cursor, n_steps: int, forcing: ForcingLoad, b=None, cont
             states[k] = y
 
 
+def _forks_target(forcing: ForcingSpec) -> bool:
+    """Whether a lockstep target under ``forcing`` is stepped in a forked child (see the module docstring):
+    on Linux, with a second core to run on, no other Python thread, outside a process-pool worker, and
+    for a forcing that is a pure function of time."""
+    return (sys.platform.startswith("linux") and forcing.kind != "custom" and parent_process() is None
+            and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1)
+
+
 def _simulate(y0: np.ndarray, n_steps: int, fe: FemOperators, params: SchloeglParams,
               forcing: ForcingSpec | None, cfg: IntegratorConfig, target=None,
               coupling=None, control=None) -> TrajectoryRecord:
     """Record of a run from level 0 against ``target`` (initial state, full-state record
-    or None), its control cost weighed by ``cfg.cost_beta``; plant and target share one stepper."""
+    or None), its control cost weighed by ``cfg.cost_beta``; plant and target share one stepper.
+    An initial state's free run is stepped in a forked child where ``_forks_target`` allows,
+    else in process; the record has the same bits either way."""
     stepper = CrankNicolsonAB2(fe, params, cfg.dt)
-    load = ForcingLoad(forcing or ForcingSpec.zero(), fe, cfg.dt)
-    if target is not None:
-        target = _TargetSource.of(target, stepper, load, n_steps)
+    forcing = forcing or ForcingSpec.zero()
+    load = ForcingLoad(forcing, fe, cfg.dt)
     b, count = (None, None) if coupling is None else (coupling.b, coupling.count)
     rec = _Recorder(cfg, n_steps, fe.mesh.n_nodes, count, track_error=target is not None)
-    _run_plant(_Cursor(stepper, y0), n_steps, load, b, control, target, rec)
+    source = None
+    if target is not None and not isinstance(target, TrajectoryRecord) and _forks_target(forcing):
+        try:
+            source = _ForkedTarget(_Cursor(stepper, target), n_steps, load)
+        except OSError:  # the fork failed: the target is stepped here
+            pass
+    if source is None and target is not None:
+        source = _TargetSource.of(target, stepper, load, n_steps)
+    try:
+        _run_plant(_Cursor(stepper, y0), n_steps, load, b, control, source, rec)
+    finally:
+        if isinstance(source, _ForkedTarget):
+            source.close()
     return rec.record
 
 

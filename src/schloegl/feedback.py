@@ -11,7 +11,8 @@ enters the plant lagged (evaluated at the step start), matching the
 Adams-Bashforth treatment of the non-diffusive terms.  The closed-loop
 run :func:`track_target` drives the plant loop of :mod:`.dynamics` with
 this law as its control policy against one ``target`` argument: an
-initial state, whose free run is co-simulated in lockstep, or a stored
+initial state, whose free run is co-simulated in lockstep (in a forked
+child process where that pays, see :mod:`.dynamics`), or a stored
 full-state record; plant and target share one stepper.
 """
 

@@ -136,8 +136,8 @@ class OcpProblem:
     n0: int = 0
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError(f"cost weight must be >= 0, got {self.beta}")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"cost weight must be finite and >= 0, got beta = {self.beta!r}")
         if self.target.ndim != 2 or self.target.shape[0] < 2:
             raise ValueError("target must cover the window at every level")
         nodes = self.stepper.fe.mesh.n_nodes
@@ -472,9 +472,12 @@ def simulate_controlled(y0: np.ndarray, controls: np.ndarray, coupling: Coupling
     With ``target_y0`` given, error norms and the running cost are logged
     against it: a target initial state, whose free dynamics is
     co-simulated, or a full-state :class:`TrajectoryRecord` covering the
-    replay on the same grid.  Plant loop and target source are those of
-    the receding-horizon plant, so replaying the logged receding-horizon
-    control with the run's own ``integ`` reproduces its record bitwise.
+    replay on the same grid.  The plant loop is that of the receding-horizon
+    plant, and a target initial state, stepped in a forked child where
+    :mod:`.dynamics` finds that pays and is safe, gives the bits of its
+    in-process rolling source, so
+    replaying the logged receding-horizon control with the run's own
+    ``integ`` reproduces its record bitwise.
     ``integ.cost_beta`` weighs the control; another ``beta`` is refused.
     """
     integ = integ or IntegratorConfig()

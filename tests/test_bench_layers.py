@@ -20,7 +20,8 @@ def _bench(*args, out: Path):
 
 def _summaries(result: dict) -> list[dict]:
     cases = result.get("cases", [])
-    return list(result.get("timings", {}).values()) + [c[p] for c in cases for p in ("wall", "forward", "adjoint")]
+    return list(result.get("timings", {}).values()) + [c[p] for c in cases for p in ("wall", "forward", "adjoint")
+                                                         if p in c]
 
 
 def _key_sets(result: dict):
@@ -30,7 +31,9 @@ def _key_sets(result: dict):
 
 
 @pytest.mark.parametrize("layer, args", [("setup", ("--repeats", "1", "--sizes", "4")),
-                                         ("window", ("--repeats", "2", "--cases", "4:40:3"))], ids=["setup", "window"])
+                                         ("window", ("--repeats", "2", "--cases", "4:40:3")),
+                                         ("loop", ("--repeats", "2", "--cases", "4:40"))],
+                         ids=["setup", "window", "loop"])
 def test_layer_on_a_4x4_mesh_writes_the_committed_keys(tmp_path, layer, args):
     out = _bench(layer, "--label", "smoke", *args, out=tmp_path)
     assert out.returncode == 0, out.stderr
@@ -38,7 +41,7 @@ def test_layer_on_a_4x4_mesh_writes_the_committed_keys(tmp_path, layer, args):
     committed = json.loads((ROOT / f"BENCH_{layer}_change.json").read_text())
     assert _key_sets(result) == _key_sets(committed)
     assert result["label"] == "smoke" and result["repeats"] == int(args[1])
-    unit = {"setup": "ms", "window": "s"}[layer]
+    unit = {"setup": "ms", "window": "s", "loop": "s"}[layer]
     for t in _summaries(result):
         low, q1, median, q3, samples = (t[f"{k}_{unit}"] for k in ("min", "q1", "median", "q3", "samples"))
         assert len(samples) == result["repeats"] and 0 < low <= q1 <= median <= q3
@@ -49,6 +52,11 @@ def test_layer_on_a_4x4_mesh_writes_the_committed_keys(tmp_path, layer, args):
         assert result["sizes"] == [4] and result["grids"] == committed["grids"]
         grids = {f"discretize_4_m{m}_r{r}" for m, r in committed["grids"]}
         assert set(result["timings"]) == {"build_fem_4", "stepper_4"} | grids
+    elif layer == "loop":
+        (case,) = result["cases"]
+        assert (case["nx"], case["levels"], case["nodes"]) == (4, 40, 25)
+        assert case["same_result_every_run"] and float(case["J_total"]) > 0 and float(case["final_err_l2"]) > 0
+        assert result["peak_rss_mb"] > 0 and result["child_peak_rss_mb"] >= 0
     else:
         (case,) = result["cases"]
         assert (case["nx"], case["levels"], case["j_max"], case["nodes"]) == (4, 40, 3, 25)
@@ -63,6 +71,7 @@ def test_layer_on_a_4x4_mesh_writes_the_committed_keys(tmp_path, layer, args):
     ("window", "--cases", "4:40"), ("window", "--cases", "4:0:3"), ("window", "--cases", "a:b:c"),
     ("window", "--cases", ""), ("window", "--repeats", "0"), ("setup", "--repeats", "0"),
     ("setup", "--repeats", "2,3"), ("setup", "--sizes", "16,0"), ("setup", "--sizes", "x"),
+    ("loop", "--cases", "4:40:3"), ("loop", "--cases", "4"), ("loop", "--repeats", "0"),
 ])
 def test_bad_option_refused(tmp_path, layer, option, value):
     out = _bench(layer, "--label", "bad", option, value, out=tmp_path)

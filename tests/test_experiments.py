@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from schloegl import dynamics
 from schloegl.experiments import (
     _KEYS,
     TABLE1_BETAS,
@@ -17,6 +18,7 @@ from schloegl.experiments import (
     ConfigError,
     ScenarioConfig,
     _fmt_readable,
+    _run_jobs,
     _write_snapshot,
     parse_bound,
     parse_config,
@@ -499,6 +501,34 @@ class TestTable1AndSweep:
         with pytest.raises(ConfigError, match="feedback.lambda"):
             run_sweep("lambda", [1.0, -1.0], base, tmp_path / "lambda")
         assert not (tmp_path / "cu").exists() and not (tmp_path / "lambda").exists()
+
+
+class TestForkedTargetRuns:
+    """Scenario runs whose target is stepped in a forked child, in this process and in a process pool."""
+
+    BASE = ScenarioConfig(nx=16, ny=16, dt=1e-2, t_final=0.5, forcing="periodic", norm="max", cu_tag="e^1.5",
+                          y0="constant:0", controller="saturated")
+
+    def test_target_blow_up_is_an_unstable_run(self, tmp_path, monkeypatch):
+        # the constant target from 13.25 blows up at level 10
+        cfg = dataclasses.replace(self.BASE, yhat0="constant:13.25")
+        forked = run_scenario(cfg, tmp_path / "forked").summary
+        monkeypatch.setattr(dynamics, "_forks_target", lambda forcing: False)
+        in_process = run_scenario(cfg, tmp_path / "in_process").summary
+        assert forked["status"] == in_process["status"] == "completed-unstable"
+        assert forked["blowup_time"] == in_process["blowup_time"] == 10 * 1e-2
+
+    def test_process_pool_runs_feedback_scenarios(self, tmp_path):
+        jobs = [(dataclasses.replace(self.BASE, yhat0="constant:2", y0="constant:-1", gain=gain), f"g{gain:g}")
+                for gain in (0.5, 175.0)]
+        runs = {workers: _run_jobs([(cfg, tmp_path / f"w{workers}" / d) for cfg, d in jobs], workers)
+                for workers in (1, 2)}
+        assert [s["status"] for s in runs[2]] == ["completed", "completed"]
+        assert [s["J_total"] for s in runs[2]] == [s["J_total"] for s in runs[1]]
+        assert runs[2][0]["J_total"] != runs[2][1]["J_total"]
+        for _, d in jobs:
+            series = [(tmp_path / f"w{workers}" / d / "series.csv").read_bytes() for workers in (1, 2)]
+            assert series[0] == series[1]
 
 
 class TestCli:

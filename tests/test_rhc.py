@@ -196,6 +196,12 @@ class TestOcpProblemShapes:
         with pytest.raises(ValueError, match="coupling rows: shape"):
             replace(prob, coupling=other)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -1e-3])
+    def test_non_finite_or_negative_cost_weight_refused(self, beta):
+        prob = make_problem(n_steps=3)
+        with pytest.raises(ValueError, match=rf"cost weight must be finite and >= 0, got beta = {beta!r}"):
+            replace(prob, beta=beta)
+
 
 class TestBitwiseOracles:
     """The carried reaction, the direct mat-vecs and the blocked adjoint keep every bit of
