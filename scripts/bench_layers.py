@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python3 scripts/bench_layers.py setup --label NAME [--repeats K] [--sizes 16,57,100] [--out DIR]
     PYTHONPATH=src python3 scripts/bench_layers.py window --label NAME [--repeats K] [--cases N:L:J,...] [--out DIR]
+    PYTHONPATH=src python3 scripts/bench_layers.py search --label NAME [--repeats K] [--cases N:L:J,...] [--out DIR]
     PYTHONPATH=src python3 scripts/bench_layers.py loop --label NAME [--repeats K] [--cases N:L,...] [--out DIR]
 
 The scenario is ``experiments._TABLE1_BASE``, its admissible set unbounded
@@ -12,12 +13,17 @@ each case, an N x N mesh, L levels warm-started from the saturated feedback
 and at most J iterations of ``bb_projected_gradient`` (by default 16:750:500
 and 57:1250:3), with its forward and adjoint seconds; one more solve under
 ``tracemalloc`` gives the allocation peak beyond the target rows, in MB and
-in window state arrays ((L + 1) x nodes float64).  ``loop`` runs
+in window state arrays ((L + 1) x nodes float64).  ``search`` solves the same
+windows under the e^1.5 max-norm ball (by default 16:750:500 and 57:1250:2),
+whose line search rejects most trials, and records the solve's forward and
+adjoint seconds, its iterations, evaluations, cost and the SHA-256 of its
+optimal amplitudes, then the peak resident memory of this process and of the
+largest child it reaped (the line search's trial lane, where the library
+forks one), in MB.  ``loop`` runs
 ``feedback.track_target`` of the scenario on each case's N x N mesh for L
 levels (by default 57:500), its target co-simulated from the initial state,
-and records the run's cost and final error, then the peak resident memory
-of this process and of the largest child it reaped (the forked target's
-process, where the library forks one), in MB.  After an untimed warm-up,
+and records the run's cost and final error, then the two peaks as ``search``
+does (the child is the forked target's process).  After an untimed warm-up,
 each timing is min-of-K, median and [Q1, Q3], written with the machine to
 ``DIR/BENCH_<layer>_NAME.json``.  Run with ``OPENBLAS_NUM_THREADS=1``, as the
 benchmark does; pointing ``PYTHONPATH`` at another checkout's ``src`` times that one.
@@ -26,6 +32,7 @@ benchmark does; pointing ``PYTHONPATH`` at another checkout's ``src`` times that
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -42,12 +49,15 @@ import scipy
 from schloegl import actuators, dynamics, experiments, feedback, geometry, rhc
 
 BASE = experiments._TABLE1_BASE
+# the scenario of the search layer: the Table-1 windows under the e^1.5 max-norm ball
+SEARCH = experiments._override(BASE, "search layer", cu_tag="e^1.5")
 PARAMS = dynamics.SchloeglParams(nu=BASE.nu, roots=BASE.zeta)
 # (m, width fraction) of every actuator grid the benchmark workloads build: Table 1's and the margin sweep's four
 GRIDS = ((BASE.m, BASE.r), (1, 0.5), (2, 0.5), (3, 0.5), (4, 0.5))
 # per layer: its list option, the integers in each comma-separated item, and the form it takes
 LISTS = {"setup": ("sizes", 1, "comma-separated integers >= 1"),
          "window": ("cases", 3, "comma-separated N:LEVELS:JMAX, each an integer >= 1"),
+         "search": ("cases", 3, "comma-separated N:LEVELS:JMAX, each an integer >= 1"),
          "loop": ("cases", 2, "comma-separated N:LEVELS, each an integer >= 1")}
 
 
@@ -102,8 +112,8 @@ def setup(repeats: int, sizes: list[int]) -> tuple[dict, list[str]]:
     return {"sizes": sizes, "grids": [list(g) for g in GRIDS], "timings": timings}, lines
 
 
-def window_problem(n: int, levels: int) -> tuple[rhc.OcpProblem, np.ndarray]:
-    """The first window of the scenario on an n x n mesh, and its warm start."""
+def window_problem(n: int, levels: int, cfg=BASE) -> tuple[rhc.OcpProblem, np.ndarray]:
+    """The first window of the scenario ``cfg`` on an n x n mesh, and its warm start."""
     fe = geometry.build_fem(n, n, BASE.nu)
     coupling = actuators.discretize_actuators(actuators.build_actuator_grid(BASE.m, BASE.r), fe.mesh)
     forcing = experiments.forcing_spec(BASE.forcing)
@@ -111,16 +121,42 @@ def window_problem(n: int, levels: int) -> tuple[rhc.OcpProblem, np.ndarray]:
                                     forcing, dynamics.IntegratorConfig(dt=BASE.dt, state_stride=1)).states
     prob = rhc.OcpProblem(coupling=coupling, stepper=dynamics.CrankNicolsonAB2(fe, PARAMS, BASE.dt),
                           y0=experiments.initial_field(BASE.y0, fe.mesh), y_prev=None, target=target,
-                          beta=BASE.rhc_beta, saturation=feedback.SaturationConfig(bound=BASE.cu, norm=BASE.norm),
+                          beta=BASE.rhc_beta, saturation=feedback.SaturationConfig(bound=cfg.cu, norm=cfg.norm),
                           load=dynamics.ForcingLoad(forcing, fe, BASE.dt))
     return prob, rhc.saturated_control_on_window(prob, BASE.gain)
 
 
-def window_case(n: int, levels: int, j_max: int, repeats: int) -> dict:
-    prob, u_init = window_problem(n, levels)
+def timed_solves(n: int, levels: int, j_max: int, repeats: int, cfg=BASE):
+    """After a warm-up, ``repeats`` timed solves of the first window of ``cfg``: the problem, the solve,
+    its results and the case fields they give (mesh, timings, counts, stop message and cost)."""
+    prob, u_init = window_problem(n, levels, cfg)
     solve = partial(rhc.bb_projected_gradient, prob, u_init, tol=BASE.rhc_tol, j_max=j_max)
     solve()  # warm-up: first-call allocations and the stepper's lazily built kernels
     runs = [_timed(solve) for _ in range(repeats)]
+    results = [r for r, _ in runs]
+    res = results[0]
+    return prob, solve, results, {
+        "nx": n, "levels": levels, "j_max": j_max, "nodes": prob.stepper.fe.mesh.n_nodes,
+        "wall": summary([s for _, s in runs], "s"),
+        "forward": summary([r.forward_s for r in results], "s"),
+        "adjoint": summary([r.adjoint_s for r in results], "s"),
+        "iterations": res.iterations, "evaluations": res.n_evaluations, "message": res.message,
+        "cost": repr(res.cost)}
+
+
+def same_result(results: list) -> bool:
+    return all(r.cost == results[0].cost and np.array_equal(r.u, results[0].u) for r in results)
+
+
+def solve_line(c: dict) -> str:
+    return (f"{c['nx']}x{c['nx']} {c['levels']} levels: wall min {c['wall']['min_s']:.3f} s "
+            f"median {c['wall']['median_s']:.3f} [{c['wall']['q1_s']:.3f}, {c['wall']['q3_s']:.3f}]  "
+            f"forward {c['forward']['median_s']:.3f}  adjoint {c['adjoint']['median_s']:.3f}  "
+            f"{c['iterations']} it / {c['evaluations']} ev  cost {c['cost']}")
+
+
+def window_case(n: int, levels: int, j_max: int, repeats: int) -> dict:
+    prob, solve, results, case = timed_solves(n, levels, j_max, repeats)
     tracemalloc.start()
     try:
         traced = solve()
@@ -128,28 +164,30 @@ def window_case(n: int, levels: int, j_max: int, repeats: int) -> dict:
     finally:
         tracemalloc.stop()
     window_bytes = prob.target.nbytes  # one window of states
-    results = [r for r, _ in runs]
-    res = results[0]
-    return {"nx": n, "levels": levels, "j_max": j_max, "nodes": prob.stepper.fe.mesh.n_nodes,
-            "wall": summary([s for _, s in runs], "s"),
-            "forward": summary([r.forward_s for r in results], "s"),
-            "adjoint": summary([r.adjoint_s for r in results], "s"),
-            "iterations": res.iterations, "evaluations": res.n_evaluations, "message": res.message,
-            "cost": repr(res.cost),
-            "same_result_every_run": all(r.cost == res.cost and np.array_equal(r.u, res.u)
-                                         for r in results + [traced]),
+    return {**case, "same_result_every_run": same_result(results + [traced]),
             "window_array_mb": window_bytes / 1e6, "tracemalloc_peak_mb": peak / 1e6,
             "peak_in_window_arrays": peak / window_bytes}
 
 
 def window(repeats: int, cases: list[list[int]]) -> tuple[dict, list[str]]:
     results = [window_case(*c, repeats) for c in cases]
-    lines = [f"{c['nx']}x{c['nx']} {c['levels']} levels: wall min {c['wall']['min_s']:.3f} s "
-             f"median {c['wall']['median_s']:.3f} [{c['wall']['q1_s']:.3f}, {c['wall']['q3_s']:.3f}]  "
-             f"forward {c['forward']['median_s']:.3f}  adjoint {c['adjoint']['median_s']:.3f}  "
-             f"{c['iterations']} it / {c['evaluations']} ev  cost {c['cost']}  "
-             f"peak {c['tracemalloc_peak_mb']:.1f} MB = {c['peak_in_window_arrays']:.2f} windows" for c in results]
+    lines = [f"{solve_line(c)}  peak {c['tracemalloc_peak_mb']:.1f} MB = {c['peak_in_window_arrays']:.2f} windows"
+             for c in results]
     return {"cases": results}, lines
+
+
+def search_case(n: int, levels: int, j_max: int, repeats: int) -> dict:
+    _, _, results, case = timed_solves(n, levels, j_max, repeats, SEARCH)
+    return {**case, "u_sha256": hashlib.sha256(results[0].u.tobytes()).hexdigest(),
+            "same_result_every_run": same_result(results)}
+
+
+def search(repeats: int, cases: list[list[int]]) -> tuple[dict, list[str]]:
+    results = [search_case(*c, repeats) for c in cases]
+    rss = peak_rss()
+    lines = [f"{solve_line(c)}  u {c['u_sha256'][:12]}" for c in results]
+    lines.append(f"peak RSS {rss['peak_rss_mb']:.2f} MB, largest child's {rss['child_peak_rss_mb']:.2f} MB")
+    return {"cases": results, **rss}, lines
 
 
 def loop_case(n: int, levels: int, repeats: int) -> dict:
@@ -169,11 +207,16 @@ def loop_case(n: int, levels: int, repeats: int) -> dict:
                                          for f in ("states", "err_norm", "controls"))}
 
 
+def peak_rss() -> dict:
+    """Peak resident memory of this process and of the largest child it reaped, in MB."""
+    # ru_maxrss is in kB on Linux; the children's is that of the largest child reaped
+    return {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "child_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0}
+
+
 def loop(repeats: int, cases: list[list[int]]) -> tuple[dict, list[str]]:
     results = [loop_case(*c, repeats) for c in cases]
-    # ru_maxrss is in kB on Linux; the children's is that of the largest child reaped
-    rss = {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-           "child_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0}
+    rss = peak_rss()
     lines = [f"{c['nx']}x{c['nx']} {c['levels']} levels: wall min {c['wall']['min_s']:.3f} s "
              f"median {c['wall']['median_s']:.3f} [{c['wall']['q1_s']:.3f}, {c['wall']['q3_s']:.3f}]  "
              f"J {c['J_total']}  final error {c['final_err_l2']}" for c in results]
@@ -186,7 +229,7 @@ def main(argv=None) -> int:
     layers = ap.add_subparsers(dest="layer", required=True)
     sp = {}
     for layer, repeats, what in (("setup", 9, "timed rounds per size"), ("window", 5, "timed solves per case"),
-                                 ("loop", 5, "timed runs per case")):
+                                 ("search", 5, "timed solves per case"), ("loop", 5, "timed runs per case")):
         sp[layer] = layers.add_parser(layer, help=f"time the {layer} layer")
         sp[layer].add_argument("--label", required=True, help=f"names the output file BENCH_{layer}_<label>.json")
         sp[layer].add_argument("--repeats", type=int, default=repeats, help=f"{what} (min-of-k)")
@@ -194,6 +237,8 @@ def main(argv=None) -> int:
     sp["setup"].add_argument("--sizes", default="16,57,100", help="comma-separated n of the n x n meshes")
     sp["window"].add_argument("--cases", default="16:750:500,57:1250:3",
                               help="comma-separated N:LEVELS:JMAX window cases")
+    sp["search"].add_argument("--cases", default="16:750:500,57:1250:2",
+                              help="comma-separated N:LEVELS:JMAX window cases under the e^1.5 max-norm ball")
     sp["loop"].add_argument("--cases", default="57:500", help="comma-separated N:LEVELS closed-loop cases")
     args = ap.parse_args(argv)
     option, width, form = LISTS[args.layer]
@@ -208,7 +253,7 @@ def main(argv=None) -> int:
     if args.layer == "setup":
         fields, lines = setup(args.repeats, [c[0] for c in items])
     else:
-        fields, lines = {"window": window, "loop": loop}[args.layer](args.repeats, items)
+        fields, lines = {"window": window, "search": search, "loop": loop}[args.layer](args.repeats, items)
     result = {"label": args.label, "repeats": args.repeats, "environment": environment(), **fields}
     path = Path(args.out) / f"BENCH_{args.layer}_{args.label}.json"
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -44,21 +44,27 @@ the hot path is kept lean without changing a bit of any result:
 
 A lockstep run from level 0 against a target initial state (``track_target``,
 ``simulate_free`` and ``simulate_controlled`` with one) steps that target in a
-forked child process where that both pays and is safe (``_forks_target``):
+forked child process where that both pays and is safe:
 the target's free run never depends on the plant, and in the parent it would
 be a second banded solve per level on the same core, about 40% of a 57 x 57
 feedback run.  The child runs the plant loop free on the target cursor and
 hands each level to the parent through a shared ring of ``TARGET_RING`` rows;
 the same code on the same data gives the same bits.  A thread would not
-help: the band solve holds the GIL.  The target stays in process on a
-platform other than Linux (a fork without exec is unsafe on macOS), on one
-core, in a process-pool worker (its sibling workers hold the other cores),
-beside other Python threads (a lock one of them holds would stay locked in
-the child; OpenBLAS ends its own thread pool before a fork), under a custom
-forcing (a callback may keep state that the plant's and the target's calls
-share), and if the fork itself fails.  The receding-horizon loop keeps the
-in-process rolling source too: its windows request many levels at once and
-its target is a small share of the run.
+help: the band solve holds the GIL.  The receding-horizon loop keeps the
+in-process rolling source: its windows request many levels at once and its
+target is a small share of the run.
+
+``_may_fork`` is the one gate of forked work, and it has two users: the
+lockstep target here and the trial lane of the receding-horizon line search
+(:mod:`.rhc`), which evaluates a backtracking trial in a child while the
+parent evaluates the one before it.  Both set up, end and reap their child
+through ``_Child``.  Nothing forks on a platform other than Linux (a fork
+without exec is unsafe on macOS), on one core, in a process-pool worker (its
+sibling workers hold the other cores), beside other Python threads (a lock
+one of them holds would stay locked in the child; OpenBLAS ends its own
+thread pool before a fork) or under a custom forcing (a callback may keep
+state that the parent's and the child's calls share); if the fork itself
+fails, the work is done in process.
 """
 
 from __future__ import annotations
@@ -174,8 +180,9 @@ class ForcingSpec:
     The periodic indicator is 0.5 * 1{|sin 6t| > 1/2}(t) * 1{|x|^2 < 1/2}(x).
     Custom callbacks receive (t, x, y) with coordinate arrays and return
     nodal values.  Every call of a custom callback is made in the calling
-    process: under one, a lockstep target is never stepped in a forked
-    child, so a callback may keep state or have side effects.
+    process: under one, neither a lockstep target nor a line-search trial is
+    evaluated in a forked child, so a callback may keep state or have side
+    effects.
     """
 
     kind: str = "zero"
@@ -565,6 +572,59 @@ class _RingWriter:
         os.write(self._ready, b"+")
 
 
+class _Child:
+    """A forked child process running ``work(recv, send)``, and the parent's ends of two pipes to it.
+
+    In the child, ``recv`` reads what the parent writes to ``self.send``, and
+    what ``work`` writes to ``send`` the parent reads from ``self.recv``.  The
+    child ends through ``os._exit`` (no atexit handlers, no flush of inherited
+    stdio buffers), after reporting a :class:`BlowUpError` that escapes
+    ``work`` as b"!" and any other exception as b"?" with its name and message.
+    Building one raises ``OSError``, with no descriptor left open, if the pipes
+    or the fork cannot be made.
+    """
+
+    def __init__(self, work: Callable[[int, int], None]):
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:  # no descriptor, process or memory to spare: nothing is left open
+            for fd in fds:
+                os.close(fd)
+            raise
+        self.recv, send, recv, self.send = fds
+        if pid == 0:
+            try:
+                os.close(self.recv)
+                os.close(self.send)
+                work(recv, send)
+            except BlowUpError:
+                os.write(send, b"!")
+            except BaseException as exc:
+                os.write(send, b"?" + f"{type(exc).__name__}: {exc}".encode(errors="replace"))
+            finally:
+                os._exit(0)
+        self.pid = pid
+        os.close(send)
+        os.close(recv)
+
+    def report(self, got: bytes) -> str:
+        """The failure report that ``got``, read from ``recv``, opens with b"?", read to its end."""
+        while more := os.read(self.recv, 4096):
+            got += more
+        return got[1:].decode(errors="replace")
+
+    def reap(self, done: bool) -> None:
+        """Close the parent's ends, kill the child unless it is ``done`` (it then ends by itself), and reap it."""
+        os.close(self.recv)
+        os.close(self.send)
+        if not done:
+            os.kill(self.pid, signal.SIGKILL)  # not yet reaped, so the pid is still the child's
+        os.waitpid(self.pid, 0)
+
+
 class _ForkedTarget:
     """The free run of ``cursor`` over ``n_steps`` levels, stepped in a forked child, read in lockstep.
 
@@ -575,8 +635,7 @@ class _ForkedTarget:
     requested; any other failure of the child raises ``RuntimeError`` naming
     it.  ``close`` kills the child unless it delivered every level, and reaps
     it; the child also ends when the parent's end of a pipe closes.  Building
-    one raises ``OSError``, with no descriptor left open, if the pipes or the
-    fork cannot be made.
+    one raises ``OSError``, as :class:`_Child` does, if the fork cannot be made.
     """
 
     def __init__(self, cursor: _Cursor, n_steps: int, load: ForcingLoad):
@@ -585,29 +644,8 @@ class _ForkedTarget:
         ring = mmap.mmap(-1, TARGET_RING * cursor.y.nbytes)  # anonymous and shared with the child
         self._rows = np.frombuffer(ring, dtype=np.float64).reshape(TARGET_RING, len(cursor.y))
         self._rows[0] = cursor.y
-        fds = []
-        try:
-            fds += os.pipe()
-            fds += os.pipe()
-            self._pid = os.fork()
-        except OSError:  # no descriptor, process or memory to spare: nothing is left open
-            for fd in fds:
-                os.close(fd)
-            raise
-        self._ready_r, ready_w, free_r, self._free_w = fds
-        if self._pid == 0:
-            try:
-                os.close(self._ready_r)
-                os.close(self._free_w)
-                _run_plant(cursor, n_steps, load, states=_RingWriter(self._rows, ready_w, free_r))
-            except BlowUpError:
-                os.write(ready_w, b"!")
-            except BaseException as exc:
-                os.write(ready_w, b"?" + f"{type(exc).__name__}: {exc}".encode(errors="replace"))
-            finally:  # no atexit handlers, no flush of inherited stdio buffers
-                os._exit(0)
-        os.close(ready_w)
-        os.close(free_r)
+        self._child = _Child(lambda free, ready: _run_plant(cursor, n_steps, load,
+                                                            states=_RingWriter(self._rows, ready, free)))
         self._rows.flags.writeable = False
         self._ready = 0  # levels the child has delivered
         self._level = 0  # the latest request
@@ -616,7 +654,7 @@ class _ForkedTarget:
     def window(self, n0: int, n_steps: int) -> np.ndarray:
         if n0 > self._level:  # the rows of the levels passed are free
             try:
-                os.write(self._free_w, b"." * (n0 - self._level))
+                os.write(self._child.send, b"." * (n0 - self._level))
             except BrokenPipeError:  # the child has ended: it needs no more rows
                 pass
             self._level = n0
@@ -628,7 +666,7 @@ class _ForkedTarget:
         return self._rows[row:row + 1]
 
     def _receive(self) -> None:
-        got = os.read(self._ready_r, 4096)
+        got = os.read(self._child.recv, 4096)
         levels = len(got) - len(got.lstrip(b"+"))
         self._ready += levels
         tail = got[levels:]
@@ -638,18 +676,12 @@ class _ForkedTarget:
         elif tail[:1] == b"!":
             self._failure = BlowUpError((self._ready + 1) * self._dt)  # the child cursor's time of the level
         elif tail[:1] == b"?":
-            while more := os.read(self._ready_r, 4096):
-                tail += more
             self._failure = RuntimeError(f"the target's child process failed at level {self._ready + 1}: "
-                                         f"{tail[1:].decode(errors='replace')}")
+                                         f"{self._child.report(tail)}")
 
     def close(self) -> None:
-        """Kill the child unless it delivered every level, reap it and close the pipes."""
-        if self._ready < self._n_steps:
-            os.kill(self._pid, signal.SIGKILL)  # not yet reaped, so the pid is still the child's
-        os.waitpid(self._pid, 0)
-        os.close(self._ready_r)
-        os.close(self._free_w)
+        """Close the pipes, kill the child unless it delivered every level, and reap it."""
+        self._child.reap(done=self._ready >= self._n_steps)
 
 
 def _run_plant(cursor: _Cursor, n_steps: int, forcing: ForcingLoad, b=None, control=None,
@@ -704,10 +736,11 @@ def _run_plant(cursor: _Cursor, n_steps: int, forcing: ForcingLoad, b=None, cont
             states[k] = y
 
 
-def _forks_target(forcing: ForcingSpec) -> bool:
-    """Whether a lockstep target under ``forcing`` is stepped in a forked child (see the module docstring):
-    on Linux, with a second core to run on, no other Python thread, outside a process-pool worker, and
-    for a forcing that is a pure function of time."""
+def _may_fork(forcing: ForcingSpec) -> bool:
+    """Whether a run under ``forcing`` may hand work to a forked child (see the module docstring): on
+    Linux, with a second core to run on, no other Python thread, outside a process-pool worker, and for
+    a forcing that is a pure function of time.  The one gate of both forked helpers, the lockstep target
+    and the receding-horizon line search's trial lane."""
     return (sys.platform.startswith("linux") and forcing.kind != "custom" and parent_process() is None
             and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1)
 
@@ -717,7 +750,7 @@ def _simulate(y0: np.ndarray, n_steps: int, fe: FemOperators, params: SchloeglPa
               coupling=None, control=None) -> TrajectoryRecord:
     """Record of a run from level 0 against ``target`` (initial state, full-state record
     or None), its control cost weighed by ``cfg.cost_beta``; plant and target share one stepper.
-    An initial state's free run is stepped in a forked child where ``_forks_target`` allows,
+    An initial state's free run is stepped in a forked child where ``_may_fork`` allows,
     else in process; the record has the same bits either way."""
     stepper = CrankNicolsonAB2(fe, params, cfg.dt)
     forcing = forcing or ForcingSpec.zero()
@@ -725,7 +758,7 @@ def _simulate(y0: np.ndarray, n_steps: int, fe: FemOperators, params: SchloeglPa
     b, count = (None, None) if coupling is None else (coupling.b, coupling.count)
     rec = _Recorder(cfg, n_steps, fe.mesh.n_nodes, count, track_error=target is not None)
     source = None
-    if target is not None and not isinstance(target, TrajectoryRecord) and _forks_target(forcing):
+    if target is not None and not isinstance(target, TrajectoryRecord) and _may_fork(forcing):
         try:
             source = _ForkedTarget(_Cursor(stepper, target), n_steps, load)
         except OSError:  # the fork failed: the target is stepped here

@@ -50,17 +50,40 @@ The optimizer keeps at most one window of states besides the target
 rows: the states of an evaluation are dropped once its gradient is
 formed, and those of a rejected line-search trial before the next trial
 is simulated.
+
+Where ``dynamics._may_fork`` allows, the backtracking trials after the
+first of an iteration run two at a time: the solve evaluates trial k while
+a forked child, its trial lane, evaluates trial k + 1 at the next step,
+and the solve then judges trial k and trial k + 1 in the serial order.  A
+trial depends only on the iterate, the gradient and its step, and the
+child runs the same code on the same data, so the outcome is bitwise that
+of the serial search; so is the evaluation count, in which a child's trial
+that the serial search would not have reached is not counted.  The solve
+forms the child's trial again when it judges it, so it holds one trial's
+arrays at a time.  The child is forked at the first hand-over of a solve,
+takes the problem copy-on-write and is reaped when the solve returns.  When its trial is
+accepted, it runs the adjoint sweep on its own states and hands back only
+B^T p, so the solve still holds one window of states.  The first trial of
+an iteration runs alone: unbounded and Euclidean windows accept it almost
+always, and a second busy process slows each process on a two-core host.
+A solve's ``forward_s`` and ``adjoint_s`` are the time it ran the forward
+windows and adjoint sweeps itself or waited on the child for them.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import numbers
+import os
+import struct
 import time
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import dynamics
 from .actuators import CouplingMatrix
 from .dynamics import (
     BlowUpError,
@@ -70,6 +93,7 @@ from .dynamics import (
     IntegratorConfig,
     SchloeglParams,
     TrajectoryRecord,
+    _Child,
     _Cursor,
     _n_steps_for,
     _Recorder,
@@ -280,9 +304,13 @@ def project_admissible(u: np.ndarray, sat: SaturationConfig) -> np.ndarray:
 class OptimizeResult:
     """How one :func:`bb_projected_gradient` solve ended, as the solve reports it: best
     iterate and its cost, iterations, forward evaluations and the stop message, the wall
-    time ``wall_s`` of the solve and the parts of it spent in :func:`evaluate_cost`
-    (``forward_s``) and in :func:`solve_adjoint` (``adjoint_s``); one per window in
-    :attr:`RhcResult.window_reports`."""
+    time ``wall_s`` of the solve and the parts of it spent on forward windows (``forward_s``)
+    and on adjoint sweeps (``adjoint_s``); one per window in :attr:`RhcResult.window_reports`.
+    A line-search trial may be evaluated in the solve's trial lane, a forked child (see the
+    module docstring): ``forward_s`` and ``adjoint_s`` count the time the solve ran
+    :func:`evaluate_cost` and :func:`solve_adjoint` itself or waited on the child for them,
+    and ``n_evaluations`` counts the trials the serial line search evaluates, so a child's
+    trial that was not needed is not counted."""
 
     u: np.ndarray
     cost: float
@@ -295,33 +323,136 @@ class OptimizeResult:
     adjoint_s: float
 
 
+def _check_solver_knobs(tol, j_max) -> None:
+    """Refuse a stopping tolerance that is not finite and > 0, and an iteration cap that is not an integer >= 1."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"stopping tolerance must be finite and > 0, got tol = {tol!r}")
+    if not isinstance(j_max, numbers.Integral) or isinstance(j_max, bool) or j_max < 1:
+        raise ValueError(f"iteration cap must be an integer >= 1, got j_max = {j_max!r}")
+
+
+class _TrialLane:
+    """The line-search trials of one window solve that run in a forked child, on the second core.
+
+    ``submit(u)`` hands the child the amplitudes of a trial through a shared
+    slot of count x n_steps floats, forking the child on first use, and
+    ``cost()`` returns the trial's :func:`evaluate_cost` cost, inf for a
+    blown-up trial as in process.  ``gradient()`` then returns
+    :func:`solve_adjoint` of the trial's states, made in the child and handed
+    back through a second slot, so the states never leave it.  One request is
+    open at a time: ``submit`` first reads and drops the answer to an open one.
+    Any other failure of the child raises ``RuntimeError`` naming it.
+    ``usable`` is ``dynamics._may_fork`` of the problem's forcing, and turns
+    false when the fork fails; ``submit`` then returns False.  Leaving the
+    ``with`` block kills the child unless it is idle, and reaps it.
+    """
+
+    def __init__(self, prob: OcpProblem):
+        self._prob = prob
+        self._child: _Child | None = None
+        self._open = False  # a request whose answer is unread
+        self.usable = dynamics._may_fork(prob.load.spec)
+
+    def __enter__(self) -> "_TrialLane":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._child is not None:
+            self._child.reap(done=not self._open)
+
+    def _serve(self, recv: int, send: int) -> None:
+        """The child: answer each request until the parent's end of the pipe closes."""
+        states = None
+        while request := os.read(recv, 1):
+            if request == b"u":
+                states = None  # the previous trial's window goes before this one is formed
+                try:
+                    cost, states = evaluate_cost(self._u, self._prob)
+                except BlowUpError:
+                    cost = math.inf
+                os.write(send, b"c" + struct.pack("d", cost))
+            else:
+                self._btp[:] = solve_adjoint(states, self._prob)
+                os.write(send, b"g")
+
+    def _ask(self, request: bytes) -> None:
+        os.write(self._child.send, request)
+        self._open = True
+
+    def _answer(self) -> bytes:
+        got = os.read(self._child.recv, 4096)  # one answer, written at once
+        self._open = False
+        if got[:1] in (b"c", b"g"):
+            return got
+        if got[:1] == b"?":
+            raise RuntimeError(f"the line-search child process failed: {self._child.report(got)}")
+        raise RuntimeError("the line-search child process ended without a report")
+
+    def submit(self, u: np.ndarray) -> bool:
+        """Hand the child the trial ``u``; False, with nothing handed over, unless ``usable``."""
+        if self._child is None and self.usable:
+            shape = (self._prob.coupling.count, self._prob.n_steps)
+            slots = mmap.mmap(-1, 2 * 8 * shape[0] * shape[1])  # anonymous and shared with the child
+            self._u, self._btp = np.frombuffer(slots, dtype=np.float64).reshape(2, *shape)
+            try:
+                self._child = _Child(self._serve)
+            except OSError:  # no fork: the solve runs serially
+                self.usable = False
+        if not self.usable:
+            return False
+        if self._open:
+            self._answer()  # the cost of a trial the line search did not need
+        self._u[:] = u
+        self._ask(b"u")
+        return True
+
+    def cost(self) -> float:
+        return struct.unpack("d", self._answer()[1:])[0]
+
+    def gradient(self) -> np.ndarray:
+        self._ask(b"g")
+        self._answer()
+        return self._btp.copy()
+
+
 def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-4,
                           j_max: int = 500) -> OptimizeResult:
     """Projected gradient with BB1 steps and nonmonotone Armijo line search.
 
     Stops when the L2-in-time norm of the iterate difference drops below
-    ``tol`` or the iteration cap is reached (then the best iterate is
-    returned with ``converged=False``).
+    ``tol`` (finite, > 0) or the iteration cap ``j_max`` (an integer >= 1) is
+    reached (then the best iterate is returned with ``converged=False``).
+    Once a trial of an iteration is rejected, each trial evaluated here hands
+    the next one to :class:`_TrialLane` where it can take it, and the trials
+    are judged in the serial order (see the module docstring); the result is
+    bitwise that of the serial search.
     """
+    _check_solver_knobs(tol, j_max)
     start = time.perf_counter()
     a_min, a_max = BB_STEP_BOUNDS
-    clock = {evaluate_cost: 0.0, solve_adjoint: 0.0}
+    clock = {"forward": 0.0, "adjoint": 0.0}
 
-    def timed(fn, *args):
+    def timed(part, fn, *args):
         t0 = time.perf_counter()
         try:
             return fn(*args)
         finally:
-            clock[fn] += time.perf_counter() - t0
+            clock[part] += time.perf_counter() - t0
 
     def result(iterations, converged, message):
         return OptimizeResult(best_u, best_cost, iterations, converged, evals, message,
-                              wall_s=time.perf_counter() - start, forward_s=clock[evaluate_cost],
-                              adjoint_s=clock[solve_adjoint])
+                              wall_s=time.perf_counter() - start, forward_s=clock["forward"],
+                              adjoint_s=clock["adjoint"])
+
+    def trial(step):
+        """The trial at ``step`` from u: its iterate, its step d from u, and |d|^2."""
+        u_new = project_admissible(u - step * grad, prob.saturation)
+        d = u_new - u
+        return u_new, d, float(np.sum(d * d))
 
     u = project_admissible(u_init, prob.saturation)
-    cost, states = timed(evaluate_cost, u, prob)
-    grad = reduced_gradient(u, timed(solve_adjoint, states, prob), prob)
+    cost, states = timed("forward", evaluate_cost, u, prob)
+    grad = reduced_gradient(u, timed("adjoint", solve_adjoint, states, prob), prob)
     states = None  # a window's states are dead once its gradient is formed
     evals = 1
     g_scale = float(np.max(np.abs(grad)))
@@ -331,45 +462,54 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
     best_u, best_cost = u, cost
     sqrt_dt = math.sqrt(prob.dt)
 
-    for it in range(1, j_max + 1):
-        ref = max(history)
-        step = alpha
-        for _ in range(LINE_SEARCH_TRIALS):
-            u_new = project_admissible(u - step * grad, prob.saturation)
-            d = u_new - u
-            d_sq = float(np.sum(d * d))
-            if d_sq == 0.0:
-                return result(it, True, "stationary point")
-            evals += 1
-            states = None  # the rejected trial's window goes before this one is formed
-            try:
-                cost_new, states = timed(evaluate_cost, u_new, prob)
-            except BlowUpError:
-                cost_new = math.inf  # rejected: backtrack towards the finite iterate
-            if cost_new <= ref + ARMIJO_SLOPE * float(np.sum(grad * d)):
-                break
-            step *= BACKTRACK_FACTOR
-        else:
-            return result(it, False, "line search failed")
+    with _TrialLane(prob) as lane:
+        for it in range(1, j_max + 1):
+            ref = max(history)
+            step, handed = alpha, False  # handed: the next trial is in the lane
+            for tried in range(LINE_SEARCH_TRIALS):
+                u_new, d, d_sq = trial(step)
+                if d_sq == 0.0:
+                    return result(it, True, "stationary point")
+                evals += 1
+                states = None  # the rejected trial's window goes before this one is formed
+                in_lane, handed = handed, False
+                if in_lane:
+                    cost_new = timed("forward", lane.cost)
+                else:
+                    if lane.usable and 0 < tried < LINE_SEARCH_TRIALS - 1:
+                        # once a trial was rejected, the next one is evaluated in the lane meanwhile
+                        ahead = trial(step * BACKTRACK_FACTOR)
+                        handed = ahead[2] != 0.0 and lane.submit(ahead[0])
+                        ahead = None  # the lane has its copy; the trial is formed again when it is judged
+                    try:
+                        cost_new, states = timed("forward", evaluate_cost, u_new, prob)
+                    except BlowUpError:
+                        cost_new = math.inf  # rejected: backtrack towards the finite iterate
+                if cost_new <= ref + ARMIJO_SLOPE * float(np.sum(grad * d)):
+                    break
+                step *= BACKTRACK_FACTOR
+            else:
+                return result(it, False, "line search failed")
 
-        grad_new = reduced_gradient(u_new, timed(solve_adjoint, states, prob), prob)
-        states = None
-        sty = float(np.sum(d * (grad_new - grad)))  # d = u_new - u, the accepted step
-        if sty <= 0:
-            alpha = alpha0
-        else:
-            a = d_sq / sty
-            alpha = a if a_min <= a <= a_max else alpha0
+            btp = timed("adjoint", lane.gradient) if in_lane else timed("adjoint", solve_adjoint, states, prob)
+            grad_new = reduced_gradient(u_new, btp, prob)
+            states = btp = None
+            sty = float(np.sum(d * (grad_new - grad)))  # d = u_new - u, the accepted step
+            if sty <= 0:
+                alpha = alpha0
+            else:
+                a = d_sq / sty
+                alpha = a if a_min <= a <= a_max else alpha0
 
-        diff = sqrt_dt * math.sqrt(d_sq)
-        u, cost, grad = u_new, cost_new, grad_new
-        history.append(cost)
-        if cost < best_cost:
-            best_cost, best_u = cost, u
-        if diff < tol:
-            return result(it, True, "step below tolerance")
+            diff = sqrt_dt * math.sqrt(d_sq)
+            u, cost, grad = u_new, cost_new, grad_new
+            history.append(cost)
+            if cost < best_cost:
+                best_cost, best_u = cost, u
+            if diff < tol:
+                return result(it, True, "step below tolerance")
 
-    return result(j_max, False, "iteration cap reached")
+        return result(j_max, False, "iteration cap reached")
 
 
 def saturated_control_on_window(prob: OcpProblem, gain: float) -> np.ndarray:
@@ -392,7 +532,8 @@ def saturated_control_on_window(prob: OcpProblem, gain: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RhcConfig:
-    """Sampling time, prediction horizon, total time, and inner-solver knobs."""
+    """Sampling time, prediction horizon, total time, and inner-solver knobs, checked as
+    :func:`bb_projected_gradient` checks them."""
 
     horizon: float
     delta: float
@@ -405,6 +546,7 @@ class RhcConfig:
             raise ValueError(f"need finite horizon > delta > 0, got T={self.horizon}, delta={self.delta}")
         if not 0 < self.t_final < math.inf:
             raise ValueError(f"total time must be finite and positive, got {self.t_final}")
+        _check_solver_knobs(self.tol, self.j_max)
 
 
 @dataclass

@@ -1,3 +1,6 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -40,3 +43,42 @@ def stepper_calls(monkeypatch):
         monkeypatch.setattr(CrankNicolsonAB2, name,
                             lambda self, *a, _f=original: calls.append(1) or _f(self, *a))
     return calls
+
+
+class ForkLog(list):
+    """The pids of the children forked in this process while the ``forks`` fixture is active."""
+
+    def assert_reaped(self):
+        for pid in self:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A :class:`ForkLog` that grows by the pid of every child ``os.fork`` makes from now on."""
+    pids, fork = ForkLog(), os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+@pytest.fixture
+def fork_time_limit():
+    """A hand-over where parent and child each wait on the other fails the test instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("a test with a forked child ran past 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

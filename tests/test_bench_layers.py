@@ -32,8 +32,9 @@ def _key_sets(result: dict):
 
 @pytest.mark.parametrize("layer, args", [("setup", ("--repeats", "1", "--sizes", "4")),
                                          ("window", ("--repeats", "2", "--cases", "4:40:3")),
+                                         ("search", ("--repeats", "2", "--cases", "4:40:3")),
                                          ("loop", ("--repeats", "2", "--cases", "4:40"))],
-                         ids=["setup", "window", "loop"])
+                         ids=["setup", "window", "search", "loop"])
 def test_layer_on_a_4x4_mesh_writes_the_committed_keys(tmp_path, layer, args):
     out = _bench(layer, "--label", "smoke", *args, out=tmp_path)
     assert out.returncode == 0, out.stderr
@@ -41,7 +42,7 @@ def test_layer_on_a_4x4_mesh_writes_the_committed_keys(tmp_path, layer, args):
     committed = json.loads((ROOT / f"BENCH_{layer}_change.json").read_text())
     assert _key_sets(result) == _key_sets(committed)
     assert result["label"] == "smoke" and result["repeats"] == int(args[1])
-    unit = {"setup": "ms", "window": "s", "loop": "s"}[layer]
+    unit = {"setup": "ms", "window": "s", "search": "s", "loop": "s"}[layer]
     for t in _summaries(result):
         low, q1, median, q3, samples = (t[f"{k}_{unit}"] for k in ("min", "q1", "median", "q3", "samples"))
         assert len(samples) == result["repeats"] and 0 < low <= q1 <= median <= q3
@@ -57,6 +58,13 @@ def test_layer_on_a_4x4_mesh_writes_the_committed_keys(tmp_path, layer, args):
         assert (case["nx"], case["levels"], case["nodes"]) == (4, 40, 25)
         assert case["same_result_every_run"] and float(case["J_total"]) > 0 and float(case["final_err_l2"]) > 0
         assert result["peak_rss_mb"] > 0 and result["child_peak_rss_mb"] >= 0
+    elif layer == "search":
+        (case,) = result["cases"]
+        assert (case["nx"], case["levels"], case["j_max"], case["nodes"]) == (4, 40, 3, 25)
+        assert 1 <= case["iterations"] <= 3 and case["evaluations"] >= case["iterations"]
+        assert case["same_result_every_run"] and float(case["cost"]) > 0
+        assert len(case["u_sha256"]) == 64 and int(case["u_sha256"], 16) >= 0
+        assert result["peak_rss_mb"] > 0 and result["child_peak_rss_mb"] >= 0
     else:
         (case,) = result["cases"]
         assert (case["nx"], case["levels"], case["j_max"], case["nodes"]) == (4, 40, 3, 25)
@@ -69,7 +77,8 @@ def test_layer_on_a_4x4_mesh_writes_the_committed_keys(tmp_path, layer, args):
 
 @pytest.mark.parametrize("layer, option, value", [
     ("window", "--cases", "4:40"), ("window", "--cases", "4:0:3"), ("window", "--cases", "a:b:c"),
-    ("window", "--cases", ""), ("window", "--repeats", "0"), ("setup", "--repeats", "0"),
+    ("window", "--cases", ""), ("window", "--repeats", "0"), ("search", "--cases", "4:40"),
+    ("search", "--repeats", "0"), ("setup", "--repeats", "0"),
     ("setup", "--repeats", "2,3"), ("setup", "--sizes", "16,0"), ("setup", "--sizes", "x"),
     ("loop", "--cases", "4:40:3"), ("loop", "--cases", "4"), ("loop", "--repeats", "0"),
 ])

@@ -10,7 +10,6 @@ import errno
 import math
 import os
 import re
-import signal
 import threading
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -468,33 +467,14 @@ class TestBoundaryRefusals:
         assert IntegratorConfig(state_stride=np.int64(3)).state_stride == 3
 
 
-def _recorded_forks(monkeypatch) -> list[int]:
-    """The pids of the children forked from now on, in this process."""
-    pids, fork = [], os.fork
-
-    def recording():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording)
-    return pids
-
-
-def _assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
 def _in_process(monkeypatch):
     """From now on, lockstep targets are stepped in this process, as where no fork pays or is safe."""
-    monkeypatch.setattr(dynamics, "_forks_target", lambda forcing: False)
+    monkeypatch.setattr(dynamics, "_may_fork", lambda forcing: False)
 
 
-@pytest.mark.skipif(not dynamics._forks_target(ForcingSpec.zero()),
+@pytest.mark.skipif(not dynamics._may_fork(ForcingSpec.zero()),
                     reason="this platform steps lockstep targets in process")
+@pytest.mark.usefixtures("fork_time_limit")
 class TestForkedTarget:
     """A lockstep run against a target initial state steps the target in a forked child:
     the bits of the stored-record run, the in-process errors, and no child left behind."""
@@ -503,22 +483,8 @@ class TestForkedTarget:
     FORCING = ForcingSpec.periodic_indicator()
     CFG = IntegratorConfig(dt=1e-3, state_stride=7, cost_beta=1e-3)
 
-    @pytest.fixture(autouse=True)
-    def time_limit(self):
-        """A hand-over where each side waits on the other fails the test instead of stalling the suite."""
-        def expire(signum, frame):
-            raise TimeoutError("a forked-target test ran past 60 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(60)
-        try:
-            yield
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-
     @pytest.mark.parametrize("run", ["track_target", "simulate_free", "simulate_controlled"])
-    def test_bitwise_the_run_against_the_stored_record(self, fe16, params, coupling16, monkeypatch, run):
+    def test_bitwise_the_run_against_the_stored_record(self, fe16, params, coupling16, run, forks):
         n, horizon = fe16.mesh.n_nodes, 0.3
         y0 = fe16.mesh.interpolate(lambda x, y: -1.0 + 0.5 * x * y)
         yhat0 = np.full(n, 2.0)
@@ -532,18 +498,17 @@ class TestForkedTarget:
             "simulate_controlled": lambda tgt: simulate_controlled(y0, controls, coupling16, fe16, params,
                                                                    self.FORCING, self.CFG, target_y0=tgt),
         }
-        pids = _recorded_forks(monkeypatch)
         forked = runs[run](yhat0)
-        assert len(pids) == 1  # the target was stepped in a child
+        assert len(forks) == 1  # the target was stepped in a child
         read = runs[run](stored)
-        assert len(pids) == 1  # a stored record is read in this process
-        _assert_reaped(pids)
+        assert len(forks) == 1  # a stored record is read in this process
+        forks.assert_reaped()
         for f in dataclasses.fields(TrajectoryRecord):
             a, b = getattr(forked, f.name), getattr(read, f.name)
             assert (a is None and b is None) or np.array_equal(a, b), f.name
         assert forked.err_norm[-1] > 0 and forked.n_steps == 300
 
-    def test_target_blow_up_is_the_in_process_error(self, fe16, params, coupling16, monkeypatch):
+    def test_target_blow_up_is_the_in_process_error(self, fe16, params, coupling16, monkeypatch, forks):
         # the constant run from 13.25 at dt = 1e-2 blows up at level 10, past the ring's rows
         assert TARGET_RING < 10
         n = fe16.mesh.n_nodes
@@ -552,18 +517,17 @@ class TestForkedTarget:
             track_target(np.zeros(n), np.full(n, 13.25), self.LAW, coupling16, fe16, params, self.FORCING,
                          IntegratorConfig(dt=1e-2), horizon=0.5)
 
-        pids = _recorded_forks(monkeypatch)
         with pytest.raises(BlowUpError) as forked:
             run()
-        assert len(pids) == 1
-        _assert_reaped(pids)
+        assert len(forks) == 1
+        forks.assert_reaped()
         _in_process(monkeypatch)
         with pytest.raises(BlowUpError) as in_process:
             run()
         assert forked.value.time == in_process.value.time == 10 * 1e-2
         assert str(forked.value) == str(in_process.value) == "state blew up at t = 0.1"
 
-    def test_control_that_raises_leaves_no_child(self, fe16, params, coupling16, monkeypatch):
+    def test_control_that_raises_leaves_no_child(self, fe16, params, coupling16, monkeypatch, forks):
         calls = []
         law_of = feedback.saturated_feedback
 
@@ -573,16 +537,15 @@ class TestForkedTarget:
                 raise KeyError("control failed")
             return law_of(z, law, coupling)
 
-        pids = _recorded_forks(monkeypatch)
         monkeypatch.setattr(feedback, "saturated_feedback", raising_at_step_50)
         n = fe16.mesh.n_nodes
         with pytest.raises(KeyError, match="control failed"):
             track_target(np.zeros(n), np.full(n, 2.0), self.LAW, coupling16, fe16, params, self.FORCING,
                          self.CFG, horizon=0.3)
-        assert len(pids) == 1 and len(calls) == 51
-        _assert_reaped(pids)
+        assert len(forks) == 1 and len(calls) == 51
+        forks.assert_reaped()
 
-    def test_other_child_failure_named(self, fe16, params, monkeypatch):
+    def test_other_child_failure_named(self, fe16, params, monkeypatch, forks):
         hand_over = dynamics._RingWriter.__setitem__
 
         def failing_at_level_22(writer, k, y):  # the ring writer is called in the child only
@@ -591,13 +554,12 @@ class TestForkedTarget:
             hand_over(writer, k, y)
 
         monkeypatch.setattr(dynamics._RingWriter, "__setitem__", failing_at_level_22)
-        pids = _recorded_forks(monkeypatch)
         n = fe16.mesh.n_nodes
         with pytest.raises(RuntimeError, match=r"child process failed at level 22: ZeroDivisionError: hand-over failed"):
             simulate_free(np.zeros(n), 0.1, fe16, params, self.FORCING, IntegratorConfig(dt=1e-3),
                           target=np.full(n, 2.0))
-        assert len(pids) == 1
-        _assert_reaped(pids)
+        assert len(forks) == 1
+        forks.assert_reaped()
 
     def test_failed_fork_steps_the_target_in_process(self, fe16, params, coupling16, monkeypatch):
         n = fe16.mesh.n_nodes
@@ -619,31 +581,30 @@ class TestForkedTarget:
             a, b = getattr(forked, f.name), getattr(unforked, f.name)
             assert (a is None and b is None) or np.array_equal(a, b), f.name
 
-    def test_custom_forcing_keeps_the_target_in_process(self, fe16, params, monkeypatch):
+    def test_custom_forcing_keeps_the_target_in_process(self, fe16, params, forks):
         calls = []
 
         def counted(t, x, y):
             calls.append(t)
             return np.zeros_like(x)
 
-        pids = _recorded_forks(monkeypatch)
         n = fe16.mesh.n_nodes
         simulate_free(np.zeros(n), 0.05, fe16, params, ForcingSpec.custom(counted), IntegratorConfig(dt=1e-3))
         alone = len(calls)
         simulate_free(np.zeros(n), 0.05, fe16, params, ForcingSpec.custom(counted), IntegratorConfig(dt=1e-3),
                       target=np.full(n, 2.0))
-        assert not pids and len(calls) == 3 * alone  # the target's calls are made here too
+        assert not forks and len(calls) == 3 * alone  # the target's calls are made here too
 
     def test_not_forked_in_a_pool_worker_or_beside_another_thread(self):
         with ProcessPoolExecutor(max_workers=1) as pool:
-            assert pool.submit(dynamics._forks_target, ForcingSpec.zero()).result() is False
+            assert pool.submit(dynamics._may_fork, ForcingSpec.zero()).result() is False
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            assert not dynamics._forks_target(ForcingSpec.zero())
+            assert not dynamics._may_fork(ForcingSpec.zero())
         finally:
             release.set()
             other.join()
-        assert dynamics._forks_target(ForcingSpec.zero())
-        assert not dynamics._forks_target(ForcingSpec.custom(lambda t, x, y: np.zeros_like(x)))
+        assert dynamics._may_fork(ForcingSpec.zero())
+        assert not dynamics._may_fork(ForcingSpec.custom(lambda t, x, y: np.zeros_like(x)))

@@ -1,8 +1,13 @@
 """Window optimal-control problems, adjoint gradients, and the RHC loop."""
 
+import errno
 import hashlib
 import math
+import os
+import re
+import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import FrozenInstanceError, fields, replace
 from functools import partial
 
@@ -35,7 +40,7 @@ from schloegl import (
     solve_adjoint,
     track_target,
 )
-from schloegl import rhc
+from schloegl import dynamics, rhc
 from schloegl.dynamics import CrankNicolsonAB2, ForcingLoad, eval_forcing
 from schloegl.rhc import ADJOINT_BLOCK
 
@@ -459,6 +464,184 @@ class TestBBSolver:
             saturated_control_on_window(prob, 175.0)
 
 
+def backtracking_window(forcing=None):
+    """A 6 x 6 max-norm window with AB2 history, whose line search rejects most trials, and its warm start."""
+    from schloegl.rhc import saturated_control_on_window
+
+    bound = math.exp(1.0)
+    prob = make_problem(nx=6, n_steps=70, bound=bound, target_start=2.0, with_history=True)
+    prob = replace(prob, saturation=SaturationConfig(bound=bound, norm="max"),
+                   y0=np.full(prob.stepper.fe.mesh.n_nodes, -1.0))
+    if forcing is not None:
+        prob = replace(prob, load=ForcingLoad(forcing, prob.stepper.fe, prob.dt))
+    return prob, saturated_control_on_window(prob, 175.0)
+
+
+def assert_same_outcome(a, b):
+    """Every field of two :class:`OptimizeResult` but the timers is equal, the iterate bitwise."""
+    for f in fields(a):
+        if not f.name.endswith("_s"):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, f.name
+
+
+def solve_with_and_without_lane(monkeypatch, prob, u_init, **knobs):
+    """The solve with ``dynamics._may_fork`` forced on, then forced off."""
+    out = []
+    for lane in (True, False):
+        monkeypatch.setattr(dynamics, "_may_fork", lambda forcing, lane=lane: lane)
+        out.append(bb_projected_gradient(prob, u_init, **knobs))
+    return out
+
+
+def _forks_of_a_backtracking_solve() -> int:
+    """The children forked by a backtracking window solve, made in a process of its own (a pool worker)."""
+    forked = []
+    os.register_at_fork(after_in_parent=lambda: forked.append(1))
+    bb_projected_gradient(*backtracking_window(), tol=1e-6, j_max=3)
+    return len(forked)
+
+
+@pytest.mark.skipif(not dynamics._may_fork(ForcingSpec.zero()), reason="this platform evaluates every trial in process")
+@pytest.mark.usefixtures("fork_time_limit")
+class TestTrialLane:
+    """Once the first trial of an iteration is rejected, trials are evaluated two at a time, the
+    second in a forked child: the serial search's outcome bit for bit, its errors, no child left."""
+
+    def test_bitwise_the_serial_search(self, monkeypatch, forks):
+        prob, u0 = backtracking_window()
+        laned, serial = solve_with_and_without_lane(monkeypatch, prob, u0, tol=1e-6, j_max=40)
+        assert len(forks) == 1  # one lane for the solve, forked at its first paired round
+        forks.assert_reaped()
+        assert serial.n_evaluations > 2 * serial.iterations  # most trials were rejected
+        assert_same_outcome(laned, serial)
+
+    @pytest.mark.parametrize("trials", [3, 4])
+    def test_trial_cap_as_in_the_serial_search(self, monkeypatch, forks, trials):
+        # 3: a paired round ends the search; 4: a last trial runs alone
+        monkeypatch.setattr(rhc, "LINE_SEARCH_TRIALS", trials)
+        laned, serial = solve_with_and_without_lane(monkeypatch, *backtracking_window(), tol=1e-6, j_max=40)
+        assert serial.message == "line search failed" and len(forks) == 1
+        forks.assert_reaped()
+        assert_same_outcome(laned, serial)
+
+    @pytest.mark.parametrize("scale, stationary_in", [(1.0, "lane"), (2.0, "parent")])
+    def test_stationary_point_as_in_the_serial_search(self, monkeypatch, forks, scale, stationary_in):
+        # with a huge Armijo slope every trial that moves u is rejected, until a step no longer moves it;
+        # that trial is the second of a round (the lane's, then not handed over) or the first
+        monkeypatch.setattr(rhc, "ARMIJO_SLOPE", 1e300)
+        prob = make_problem(nx=6, n_steps=10)
+        u0 = np.full((prob.coupling.count, prob.n_steps), scale)
+        laned, serial = solve_with_and_without_lane(monkeypatch, prob, u0, j_max=3)
+        assert (serial.message, serial.iterations) == ("stationary point", 1)
+        stationary_trial = serial.n_evaluations - 1  # trials 0, 1, ... were evaluated before it
+        assert {0: "lane", 1: "parent"}[stationary_trial % 2] == stationary_in
+        assert len(forks) == 1
+        forks.assert_reaped()
+        assert_same_outcome(laned, serial)
+
+    def test_blown_up_trial_in_the_lane_as_in_process(self, monkeypatch, forks):
+        # with a slow backtrack, several trials in a row blow up, some of them in the lane
+        monkeypatch.setattr(rhc, "BACKTRACK_FACTOR", 0.8)
+        prob = TestBBSolver.constant_tracking_problem(dt=0.05, c=3.0)
+        evaluate, blow_ups = rhc.evaluate_cost, []
+
+        def counted(u, p):
+            try:
+                return evaluate(u, p)
+            except BlowUpError:
+                blow_ups.append(dynamics._may_fork(p.load.spec))  # a child appends to its own copy
+                raise
+
+        monkeypatch.setattr(rhc, "evaluate_cost", counted)
+        laned, serial = solve_with_and_without_lane(monkeypatch, prob, np.zeros((prob.coupling.count, prob.n_steps)),
+                                                    j_max=5)
+        assert len(forks) == 1
+        forks.assert_reaped()
+        assert_same_outcome(laned, serial)
+        assert math.isfinite(serial.cost)
+        assert 0 < blow_ups.count(True) < blow_ups.count(False)  # the lane's blow-ups are not seen here
+
+    def test_gradient_of_a_lane_trial_is_the_in_process_adjoint(self, forks):
+        prob, u0 = backtracking_window()
+        u = project_admissible(u0 + 0.5, prob.saturation)
+        cost, states = evaluate_cost(u, prob)
+        with rhc._TrialLane(prob) as lane:
+            assert lane.submit(u)
+            assert lane.cost() == cost
+            assert np.array_equal(lane.gradient(), solve_adjoint(states, prob))
+        assert len(forks) == 1
+        forks.assert_reaped()
+
+    def test_other_child_failure_named(self, monkeypatch, forks):
+        evaluate, parent = rhc.evaluate_cost, os.getpid()
+
+        def failing_in_a_child(u, p):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("trial failed")
+            return evaluate(u, p)
+
+        monkeypatch.setattr(rhc, "evaluate_cost", failing_in_a_child)
+        with pytest.raises(RuntimeError, match="line-search child process failed: ZeroDivisionError: trial failed"):
+            bb_projected_gradient(*backtracking_window(), tol=1e-6, j_max=40)
+        assert len(forks) == 1
+        forks.assert_reaped()
+
+    def test_no_child_left_after_a_return_or_a_raise(self, monkeypatch, forks):
+        prob, u0 = backtracking_window()
+        bb_projected_gradient(prob, u0, tol=1e-6, j_max=40)
+        assert len(forks) == 1
+        evaluate, parent = rhc.evaluate_cost, os.getpid()
+
+        def raising_beside_an_open_trial(u, p):
+            # the parent's first trial after the second fork: the lane's trial is then open
+            if len(forks) == 2 and os.getpid() == parent:
+                raise KeyError("forward failed")
+            return evaluate(u, p)
+
+        monkeypatch.setattr(rhc, "evaluate_cost", raising_beside_an_open_trial)
+        with pytest.raises(KeyError, match="forward failed"):
+            bb_projected_gradient(prob, u0, tol=1e-6, j_max=40)
+        assert len(forks) == 2
+        forks.assert_reaped()
+
+    def test_failed_fork_runs_the_search_serially(self, monkeypatch):
+        prob, u0 = backtracking_window()
+        laned = bb_projected_gradient(prob, u0, tol=1e-6, j_max=40)
+        attempts = []
+
+        def no_fork():
+            attempts.append(1)
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        descriptors = len(os.listdir("/proc/self/fd"))
+        serial = bb_projected_gradient(prob, u0, tol=1e-6, j_max=40)
+        assert len(os.listdir("/proc/self/fd")) == descriptors  # the pipes made before the fork are closed
+        assert len(attempts) == 1  # after a failed fork the solve does not try again
+        assert_same_outcome(laned, serial)
+
+    def test_no_lane_in_a_pool_worker_beside_another_thread_or_under_custom_forcing(self, forks):
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(_forks_of_a_backtracking_solve).result() == 0
+        forked_by_the_pool = len(forks)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            bb_projected_gradient(*backtracking_window(), tol=1e-6, j_max=3)
+        finally:
+            release.set()
+            other.join()
+        out = bb_projected_gradient(*backtracking_window(ForcingSpec.custom(lambda t, x, y: np.zeros_like(x))),
+                                    tol=1e-6, j_max=3)
+        assert out.n_evaluations > 2 * out.iterations  # trials were rejected, yet none went to a child
+        assert len(forks) == forked_by_the_pool
+        bb_projected_gradient(*backtracking_window(), tol=1e-6, j_max=3)
+        assert len(forks) == forked_by_the_pool + 1  # here, alone and under a pure forcing, the lane forks
+        forks.assert_reaped()
+
+
 class TestRunRhc:
     # the warm-start gain and the unbounded admissible set of every run below
     LAW = FeedbackLaw(gain=175.0)
@@ -492,6 +675,16 @@ class TestRunRhc:
         kwargs = dict(horizon=0.3, delta=0.1, t_final=0.4)
         with pytest.raises(ValueError, match="finite"):
             RhcConfig(**dict(kwargs, **{field: value}))
+
+    @pytest.mark.parametrize("field, value", [("tol", math.nan), ("tol", -1.0), ("tol", math.inf), ("j_max", 0),
+                                              ("j_max", -3), ("j_max", 2.5), ("j_max", True)])
+    def test_solver_knob_refused(self, field, value):
+        match = re.escape(f"{field} = {value!r}")
+        with pytest.raises(ValueError, match=match):
+            RhcConfig(**dict(horizon=0.3, delta=0.1, t_final=0.4), **{field: value})
+        prob = make_problem(nx=4, n_steps=5)
+        with pytest.raises(ValueError, match=match):
+            bb_projected_gradient(prob, np.zeros((prob.coupling.count, prob.n_steps)), **{field: value})
 
     def test_bitwise_replay_and_ordering(self, fe16, params):
         cm = self.setup_case(fe16, params)
