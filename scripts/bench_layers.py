@@ -17,14 +17,17 @@ in window state arrays ((L + 1) x nodes float64).  ``search`` solves the same
 windows under the e^1.5 max-norm ball (by default 16:750:500 and 57:1250:2),
 whose line search rejects most trials, and records the solve's forward and
 adjoint seconds, its iterations, evaluations, cost and the SHA-256 of its
-optimal amplitudes, then the peak resident memory of this process and of the
-largest child it reaped (the line search's trial lane, where the library
-forks one), in MB.  ``loop`` runs
+optimal amplitudes; one more, untimed solve reads the private dirty memory of
+the line search's trial lane (the child the library forks, if it does) after
+each of its evaluations and adjoint sweeps, the memory a fork adds to the
+run, against one window of states, in MB; the peak resident memory of this
+process closes the layer.  ``loop`` runs
 ``feedback.track_target`` of the scenario on each case's N x N mesh for L
 levels (by default 57:500), its target co-simulated from the initial state,
-and records the run's cost and final error, then the two peaks as ``search``
-does (the child is the forked target's process).  After an untimed warm-up,
-each timing is min-of-K, median and [Q1, Q3], written with the machine to
+and records the run's cost and final error, then the peak resident memory of
+this process and of the largest child it reaped (the forked target's
+process; this counts the pages it shares with this one too), in MB.  After
+an untimed warm-up, each timing is min-of-K, median and [Q1, Q3], written with the machine to
 ``DIR/BENCH_<layer>_NAME.json``.  Run with ``OPENBLAS_NUM_THREADS=1``, as the
 benchmark does; pointing ``PYTHONPATH`` at another checkout's ``src`` times that one.
 """
@@ -34,6 +37,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import mmap
 import os
 import platform
 import resource
@@ -176,18 +180,50 @@ def window(repeats: int, cases: list[list[int]]) -> tuple[dict, list[str]]:
     return {"cases": results}, lines
 
 
+def private_dirty_mb() -> float:
+    """The private dirty memory of this process, in MB: the pages it wrote that no other process maps."""
+    with open("/proc/self/smaps_rollup") as fh:
+        return sum(int(ln.split()[1]) for ln in fh if ln.startswith("Private_Dirty:")) / 1024.0
+
+
+def child_private_mb(solve) -> tuple[object, float]:
+    """``solve()`` with the private dirty memory of its forked children read after each of their
+    evaluations and adjoint sweeps, while they hold the states: the result and the largest reading
+    in MB (0.0 if nothing forked)."""
+    parent = os.getpid()
+    largest = np.frombuffer(mmap.mmap(-1, 8), dtype=np.float64)  # anonymous, so the children write the parent's
+
+    def read_in_child(fn):
+        def run(*args):
+            out = fn(*args)
+            if os.getpid() != parent:
+                largest[0] = max(largest[0], private_dirty_mb())
+            return out
+        return run
+
+    saved = rhc.evaluate_cost, rhc.solve_adjoint
+    rhc.evaluate_cost, rhc.solve_adjoint = map(read_in_child, saved)
+    try:
+        return solve(), float(largest[0])
+    finally:
+        rhc.evaluate_cost, rhc.solve_adjoint = saved
+
+
 def search_case(n: int, levels: int, j_max: int, repeats: int) -> dict:
-    _, _, results, case = timed_solves(n, levels, j_max, repeats, SEARCH)
+    prob, solve, results, case = timed_solves(n, levels, j_max, repeats, SEARCH)
+    read, child_mb = child_private_mb(solve)  # untimed: reading the memory map takes a few ms
     return {**case, "u_sha256": hashlib.sha256(results[0].u.tobytes()).hexdigest(),
-            "same_result_every_run": same_result(results)}
+            "same_result_every_run": same_result(results + [read]),
+            "window_array_mb": prob.target.nbytes / 1e6, "child_private_mb": child_mb}
 
 
 def search(repeats: int, cases: list[list[int]]) -> tuple[dict, list[str]]:
     results = [search_case(*c, repeats) for c in cases]
-    rss = peak_rss()
-    lines = [f"{solve_line(c)}  u {c['u_sha256'][:12]}" for c in results]
-    lines.append(f"peak RSS {rss['peak_rss_mb']:.2f} MB, largest child's {rss['child_peak_rss_mb']:.2f} MB")
-    return {"cases": results, **rss}, lines
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # kB on Linux
+    lines = [f"{solve_line(c)}  u {c['u_sha256'][:12]}  child {c['child_private_mb']:.1f} MB private "
+             f"(a window: {c['window_array_mb']:.1f} MB)" for c in results]
+    lines.append(f"peak RSS {peak:.2f} MB")
+    return {"cases": results, "peak_rss_mb": peak}, lines
 
 
 def loop_case(n: int, levels: int, repeats: int) -> dict:

@@ -57,7 +57,8 @@ target is a small share of the run.
 ``_may_fork`` is the one gate of forked work, and it has two users: the
 lockstep target here and the trial lane of the receding-horizon line search
 (:mod:`.rhc`), which evaluates a backtracking trial in a child while the
-parent evaluates the one before it.  Both set up, end and reap their child
+parent evaluates the one before it, and hands a trial over only while a
+core is free for it.  Both set up, end and reap their child
 through ``_Child``.  Nothing forks on a platform other than Linux (a fork
 without exec is unsafe on macOS), on one core, in a process-pool worker (its
 sibling workers hold the other cores), beside other Python threads (a lock

@@ -61,13 +61,20 @@ of the serial search; so is the evaluation count, in which a child's trial
 that the serial search would not have reached is not counted.  The solve
 forms the child's trial again when it judges it, so it holds one trial's
 arrays at a time.  The child is forked at the first hand-over of a solve,
-takes the problem copy-on-write and is reaped when the solve returns.  When its trial is
-accepted, it runs the adjoint sweep on its own states and hands back only
-B^T p, so the solve still holds one window of states.  The first trial of
-an iteration runs alone: unbounded and Euclidean windows accept it almost
-always, and a second busy process slows each process on a two-core host.
-A solve's ``forward_s`` and ``adjoint_s`` are the time it ran the forward
-windows and adjoint sweeps itself or waited on the child for them.
+takes the problem copy-on-write and is reaped when the solve returns.  When
+its trial is accepted, it runs the adjoint sweep on its own states and hands
+back only B^T p, so the solve's own process holds one window of states; the
+child holds a second, that of its latest trial, until its next request.
+A trial is handed over only while a core is free for the child (nothing
+else is runnable on the host, see :func:`_core_free`): beside another busy
+process the pair runs no faster than the serial search, and the child's
+trials that are not needed are lost work.  A child that fails or dies is
+reaped and the rest of the solve runs serially, as after a failed fork.
+The first trial of an iteration runs alone: unbounded and Euclidean
+windows accept it almost always, and a second busy process slows each
+process on a two-core host.  A solve's ``forward_s`` and ``adjoint_s`` are
+the time it ran the forward windows and adjoint sweeps itself or waited on
+the child for them.
 """
 
 from __future__ import annotations
@@ -331,6 +338,18 @@ def _check_solver_knobs(tol, j_max) -> None:
         raise ValueError(f"iteration cap must be an integer >= 1, got j_max = {j_max!r}")
 
 
+def _core_free() -> bool:
+    """Whether a core is free now for a child of this process: fewer tasks are runnable on the host,
+    this process included, than there are cores it may run on (the fourth field of /proc/loadavg
+    counts them).  Without that reading a core counts as free."""
+    try:
+        with open("/proc/loadavg", "rb") as fh:
+            runnable = int(fh.read().split()[3].split(b"/")[0])
+    except (OSError, ValueError, IndexError):
+        return True
+    return runnable < len(os.sched_getaffinity(0))
+
+
 class _TrialLane:
     """The line-search trials of one window solve that run in a forked child, on the second core.
 
@@ -341,10 +360,14 @@ class _TrialLane:
     :func:`solve_adjoint` of the trial's states, made in the child and handed
     back through a second slot, so the states never leave it.  One request is
     open at a time: ``submit`` first reads and drops the answer to an open one.
-    Any other failure of the child raises ``RuntimeError`` naming it.
-    ``usable`` is ``dynamics._may_fork`` of the problem's forcing, and turns
-    false when the fork fails; ``submit`` then returns False.  Leaving the
-    ``with`` block kills the child unless it is idle, and reaps it.
+    ``usable`` is ``dynamics._may_fork`` of the problem's forcing.  It turns
+    false when the fork fails, and when the child fails or dies (a
+    ``MemoryError`` in it, a kill): the child is then reaped, ``submit``
+    returns False, and ``cost()`` or ``gradient()`` returns None for the trial
+    it held, which the solve then evaluates in process, as the serial search
+    does.  ``submit`` also returns False, handing nothing over, while no core
+    is free for the child.  Leaving the ``with`` block kills the child unless
+    it is idle, and reaps it.
     """
 
     def __init__(self, prob: OcpProblem):
@@ -375,22 +398,36 @@ class _TrialLane:
                 self._btp[:] = solve_adjoint(states, self._prob)
                 os.write(send, b"g")
 
-    def _ask(self, request: bytes) -> None:
-        os.write(self._child.send, request)
+    def _ask(self, request: bytes) -> bool:
+        try:
+            os.write(self._child.send, request)
+        except BrokenPipeError:  # the child has died
+            self._give_up()
+            return False
         self._open = True
+        return True
 
-    def _answer(self) -> bytes:
+    def _answer(self) -> bytes | None:
         got = os.read(self._child.recv, 4096)  # one answer, written at once
         self._open = False
         if got[:1] in (b"c", b"g"):
             return got
-        if got[:1] == b"?":
-            raise RuntimeError(f"the line-search child process failed: {self._child.report(got)}")
-        raise RuntimeError("the line-search child process ended without a report")
+        self._give_up()  # a failure report, or no answer at all: the child died
+        return None
+
+    def _give_up(self) -> None:
+        """Reap the failed child; the rest of the solve runs serially."""
+        self._child.reap(done=False)
+        self._child, self._open, self.usable = None, False, False
 
     def submit(self, u: np.ndarray) -> bool:
-        """Hand the child the trial ``u``; False, with nothing handed over, unless ``usable``."""
-        if self._child is None and self.usable:
+        """Hand the child the trial ``u``; False, with nothing handed over, unless ``usable`` and a
+        core is free for the child (:func:`_core_free`)."""
+        if self._open:
+            self._answer()  # to a trial the line search did not need; if the child failed, it is no longer usable
+        if not (self.usable and _core_free()):
+            return False
+        if self._child is None:
             shape = (self._prob.coupling.count, self._prob.n_steps)
             slots = mmap.mmap(-1, 2 * 8 * shape[0] * shape[1])  # anonymous and shared with the child
             self._u, self._btp = np.frombuffer(slots, dtype=np.float64).reshape(2, *shape)
@@ -398,21 +435,16 @@ class _TrialLane:
                 self._child = _Child(self._serve)
             except OSError:  # no fork: the solve runs serially
                 self.usable = False
-        if not self.usable:
-            return False
-        if self._open:
-            self._answer()  # the cost of a trial the line search did not need
+                return False
         self._u[:] = u
-        self._ask(b"u")
-        return True
+        return self._ask(b"u")
 
-    def cost(self) -> float:
-        return struct.unpack("d", self._answer()[1:])[0]
+    def cost(self) -> float | None:
+        got = self._answer()
+        return None if got is None else struct.unpack("d", got[1:])[0]
 
-    def gradient(self) -> np.ndarray:
-        self._ask(b"g")
-        self._answer()
-        return self._btp.copy()
+    def gradient(self) -> np.ndarray | None:
+        return self._btp.copy() if self._ask(b"g") and self._answer() is not None else None
 
 
 def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-4,
@@ -423,7 +455,8 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
     ``tol`` (finite, > 0) or the iteration cap ``j_max`` (an integer >= 1) is
     reached (then the best iterate is returned with ``converged=False``).
     Once a trial of an iteration is rejected, each trial evaluated here hands
-    the next one to :class:`_TrialLane` where it can take it, and the trials
+    the next one to :class:`_TrialLane` where it can take it (a core is free
+    for it), and the trials
     are judged in the serial order (see the module docstring); the result is
     bitwise that of the serial search.
     """
@@ -473,9 +506,9 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
                 evals += 1
                 states = None  # the rejected trial's window goes before this one is formed
                 in_lane, handed = handed, False
-                if in_lane:
-                    cost_new = timed("forward", lane.cost)
-                else:
+                cost_new = timed("forward", lane.cost) if in_lane else None
+                if cost_new is None:  # evaluated here: the trial was not handed over, or the lane failed on it
+                    in_lane = False
                     if lane.usable and 0 < tried < LINE_SEARCH_TRIALS - 1:
                         # once a trial was rejected, the next one is evaluated in the lane meanwhile
                         ahead = trial(step * BACKTRACK_FACTOR)
@@ -491,7 +524,11 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
             else:
                 return result(it, False, "line search failed")
 
-            btp = timed("adjoint", lane.gradient) if in_lane else timed("adjoint", solve_adjoint, states, prob)
+            btp = timed("adjoint", lane.gradient) if in_lane else None
+            if btp is None:
+                if in_lane:  # the lane failed on the accepted trial: its window is formed here again
+                    _, states = timed("forward", evaluate_cost, u_new, prob)
+                btp = timed("adjoint", solve_adjoint, states, prob)
             grad_new = reduced_gradient(u_new, btp, prob)
             states = btp = None
             sty = float(np.sum(d * (grad_new - grad)))  # d = u_new - u, the accepted step

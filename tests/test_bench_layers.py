@@ -64,7 +64,8 @@ def test_layer_on_a_4x4_mesh_writes_the_committed_keys(tmp_path, layer, args):
         assert 1 <= case["iterations"] <= 3 and case["evaluations"] >= case["iterations"]
         assert case["same_result_every_run"] and float(case["cost"]) > 0
         assert len(case["u_sha256"]) == 64 and int(case["u_sha256"], 16) >= 0
-        assert result["peak_rss_mb"] > 0 and result["child_peak_rss_mb"] >= 0
+        assert case["window_array_mb"] == 41 * 25 * 8 / 1e6 and case["child_private_mb"] >= 0
+        assert result["peak_rss_mb"] > 0
     else:
         (case,) = result["cases"]
         assert (case["nx"], case["levels"], case["j_max"], case["nodes"]) == (4, 40, 3, 25)

@@ -2,9 +2,11 @@
 
 import errno
 import hashlib
+import io
 import math
 import os
 import re
+import signal
 import threading
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -464,6 +466,9 @@ class TestBBSolver:
             saturated_control_on_window(prob, 175.0)
 
 
+CORE_FREE = rhc._core_free  # TestTrialLane patches it
+
+
 def backtracking_window(forcing=None):
     """A 6 x 6 max-norm window with AB2 history, whose line search rejects most trials, and its warm start."""
     from schloegl.rhc import saturated_control_on_window
@@ -507,6 +512,11 @@ def _forks_of_a_backtracking_solve() -> int:
 class TestTrialLane:
     """Once the first trial of an iteration is rejected, trials are evaluated two at a time, the
     second in a forked child: the serial search's outcome bit for bit, its errors, no child left."""
+
+    @pytest.fixture(autouse=True)
+    def free_core(self, monkeypatch):
+        """A core counts as free for the lane, whatever else runs on the host meanwhile."""
+        monkeypatch.setattr(rhc, "_core_free", lambda: True)
 
     def test_bitwise_the_serial_search(self, monkeypatch, forks):
         prob, u0 = backtracking_window()
@@ -573,19 +583,54 @@ class TestTrialLane:
         assert len(forks) == 1
         forks.assert_reaped()
 
-    def test_other_child_failure_named(self, monkeypatch, forks):
-        evaluate, parent = rhc.evaluate_cost, os.getpid()
+    @pytest.mark.parametrize("fails_in", ["every trial", "a trial not needed", "the adjoint", "a kill",
+                                          "a kill while idle"])
+    def test_failed_child_leaves_the_rest_to_the_serial_search(self, monkeypatch, forks, fails_in):
+        # the lane gives up once, and a trial it held that the search needs is evaluated in process
+        prob, u0 = backtracking_window()
+        evaluate, adjoint, parent = rhc.evaluate_cost, rhc.solve_adjoint, os.getpid()
+        needed = set()  # the amplitudes of every trial the serial search evaluates
 
-        def failing_in_a_child(u, p):
-            if os.getpid() != parent:
-                raise ZeroDivisionError("trial failed")
+        def recorded(u, p):
+            needed.add(u.tobytes())
             return evaluate(u, p)
 
-        monkeypatch.setattr(rhc, "evaluate_cost", failing_in_a_child)
-        with pytest.raises(RuntimeError, match="line-search child process failed: ZeroDivisionError: trial failed"):
-            bb_projected_gradient(*backtracking_window(), tol=1e-6, j_max=40)
-        assert len(forks) == 1
+        monkeypatch.setattr(rhc, "evaluate_cost", recorded)
+        monkeypatch.setattr(dynamics, "_may_fork", lambda forcing: False)
+        serial = bb_projected_gradient(prob, u0, tol=1e-6, j_max=40)
+
+        def fail(in_child):
+            if in_child and os.getpid() != parent:
+                if fails_in == "a kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise MemoryError("no room for the trial's window")
+
+        def failing_evaluate(u, p):
+            fail(fails_in in ("every trial", "a kill") or (fails_in == "a trial not needed" and u.tobytes() not in needed))
+            return evaluate(u, p)
+
+        def failing_adjoint(states, p):
+            fail(fails_in == "the adjoint")
+            return adjoint(states, p)
+
+        give_ups, give_up, ask = [], rhc._TrialLane._give_up, rhc._TrialLane._ask
+        monkeypatch.setattr(rhc._TrialLane, "_give_up", lambda lane: give_ups.append(1) or give_up(lane))
+
+        def killed_before_the_adjoint(lane, request):
+            # the child answered its accepted trial and waits; it dies before the parent asks for B^T p
+            if fails_in == "a kill while idle" and request == b"g":
+                os.kill(lane._child.pid, signal.SIGKILL)
+                os.waitid(os.P_PID, lane._child.pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+            return ask(lane, request)
+
+        monkeypatch.setattr(rhc._TrialLane, "_ask", killed_before_the_adjoint)
+        monkeypatch.setattr(rhc, "evaluate_cost", failing_evaluate)
+        monkeypatch.setattr(rhc, "solve_adjoint", failing_adjoint)
+        monkeypatch.setattr(dynamics, "_may_fork", lambda forcing: True)
+        laned = bb_projected_gradient(prob, u0, tol=1e-6, j_max=40)
+        assert len(give_ups) == 1 and len(forks) == 1  # no second child after the failure
         forks.assert_reaped()
+        assert_same_outcome(laned, serial)
 
     def test_no_child_left_after_a_return_or_a_raise(self, monkeypatch, forks):
         prob, u0 = backtracking_window()
@@ -620,6 +665,37 @@ class TestTrialLane:
         assert len(os.listdir("/proc/self/fd")) == descriptors  # the pipes made before the fork are closed
         assert len(attempts) == 1  # after a failed fork the solve does not try again
         assert_same_outcome(laned, serial)
+
+    @pytest.mark.parametrize("free", [(False,), (True, False), (False, False, True)],
+                             ids=["never", "every other check", "every third check"])
+    def test_no_hand_over_while_no_core_is_free(self, monkeypatch, forks, free):
+        checks = []
+
+        def core_free():
+            checks.append(free[len(checks) % len(free)])
+            return checks[-1]
+
+        prob, u0 = backtracking_window()
+        monkeypatch.setattr(rhc, "_core_free", core_free)
+        laned, serial = solve_with_and_without_lane(monkeypatch, prob, u0, tol=1e-6, j_max=40)
+        assert False in checks and len(forks) == int(True in free)  # the child is forked at the first hand-over
+        forks.assert_reaped()
+        assert_same_outcome(laned, serial)
+
+    @pytest.mark.parametrize("loadavg, cores, free", [
+        (b"0.52 0.61 0.70 1/85 9440\n", 2, True), (b"1.52 1.61 1.70 2/85 9440\n", 2, False),
+        (b"2.01 2.10 2.20 3/90 9500\n", 4, True), (b"3.01 3.10 3.20 4/90 9500\n", 4, False),
+        (b"", 2, True), (None, 2, True)], ids=["alone", "beside one", "4 cores", "4 cores full", "empty", "no file"])
+    def test_core_free_counts_the_runnable_tasks(self, monkeypatch, loadavg, cores, free):
+        def fake_open(path, mode):
+            assert path == "/proc/loadavg"
+            if loadavg is None:
+                raise FileNotFoundError(path)
+            return io.BytesIO(loadavg)
+
+        monkeypatch.setattr(rhc, "open", fake_open, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        assert CORE_FREE() is free
 
     def test_no_lane_in_a_pool_worker_beside_another_thread_or_under_custom_forcing(self, forks):
         with ProcessPoolExecutor(max_workers=1) as pool:
