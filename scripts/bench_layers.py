@@ -24,11 +24,11 @@ run, against one window of states, in MB; the peak resident memory of this
 process closes the layer.  ``loop`` runs
 ``feedback.track_target`` of the scenario on each case's N x N mesh for L
 levels (by default 57:500), its target co-simulated from the initial state,
-and records the run's cost and final error, then the peak resident memory of
-this process and of the largest child it reaped (the forked target's
-process; this counts the pages it shares with this one too), in MB.  After
-an untimed warm-up, each timing is min-of-K, median and [Q1, Q3], written with the machine to
-``DIR/BENCH_<layer>_NAME.json``.  Run with ``OPENBLAS_NUM_THREADS=1``, as the
+and records the run's cost and final error; one more, untimed run reads the
+private dirty memory of the target's child (if the library forks one) every
+``CHILD_READ_EVERY`` levels, in MB; the peak resident memory of this process
+closes the layer.  After an untimed warm-up, each timing is min-of-K, median
+and [Q1, Q3], written with the machine to ``DIR/BENCH_<layer>_NAME.json``.  Run with ``OPENBLAS_NUM_THREADS=1``, as the
 benchmark does; pointing ``PYTHONPATH`` at another checkout's ``src`` times that one.
 """
 
@@ -63,6 +63,8 @@ LISTS = {"setup": ("sizes", 1, "comma-separated integers >= 1"),
          "window": ("cases", 3, "comma-separated N:LEVELS:JMAX, each an integer >= 1"),
          "search": ("cases", 3, "comma-separated N:LEVELS:JMAX, each an integer >= 1"),
          "loop": ("cases", 2, "comma-separated N:LEVELS, each an integer >= 1")}
+# levels between two readings of the private memory of the loop layer's target child
+CHILD_READ_EVERY = 50
 
 
 def _timed(fn, *args):
@@ -186,32 +188,40 @@ def private_dirty_mb() -> float:
         return sum(int(ln.split()[1]) for ln in fh if ln.startswith("Private_Dirty:")) / 1024.0
 
 
-def child_private_mb(solve) -> tuple[object, float]:
-    """``solve()`` with the private dirty memory of its forked children read after each of their
-    evaluations and adjoint sweeps, while they hold the states: the result and the largest reading
-    in MB (0.0 if nothing forked)."""
+def child_private_mb(run, owner, names: tuple[str, ...], when=lambda *args: True) -> tuple[object, float]:
+    """``run()`` with the functions ``names`` of ``owner`` wrapped so that each call a forked child makes
+    with ``when(*args)`` true reads the child's private dirty memory after it returns: the result and
+    the largest reading in MB (0.0 if nothing forked or nothing was read)."""
     parent = os.getpid()
     largest = np.frombuffer(mmap.mmap(-1, 8), dtype=np.float64)  # anonymous, so the children write the parent's
 
     def read_in_child(fn):
-        def run(*args):
+        def wrapped(*args):
             out = fn(*args)
-            if os.getpid() != parent:
+            if os.getpid() != parent and when(*args):
                 largest[0] = max(largest[0], private_dirty_mb())
             return out
-        return run
+        return wrapped
 
-    saved = rhc.evaluate_cost, rhc.solve_adjoint
-    rhc.evaluate_cost, rhc.solve_adjoint = map(read_in_child, saved)
+    saved = [getattr(owner, name) for name in names]
+    for name, fn in zip(names, saved):
+        setattr(owner, name, read_in_child(fn))
     try:
-        return solve(), float(largest[0])
+        return run(), float(largest[0])
     finally:
-        rhc.evaluate_cost, rhc.solve_adjoint = saved
+        for name, fn in zip(names, saved):
+            setattr(owner, name, fn)
+
+
+def peak_rss_mb() -> float:
+    """The peak resident memory of this process, in MB (ru_maxrss is in kB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def search_case(n: int, levels: int, j_max: int, repeats: int) -> dict:
     prob, solve, results, case = timed_solves(n, levels, j_max, repeats, SEARCH)
-    read, child_mb = child_private_mb(solve)  # untimed: reading the memory map takes a few ms
+    # untimed: reading the memory map takes a few ms; read while the lane's child holds a trial's states
+    read, child_mb = child_private_mb(solve, rhc, ("evaluate_cost", "solve_adjoint"))
     return {**case, "u_sha256": hashlib.sha256(results[0].u.tobytes()).hexdigest(),
             "same_result_every_run": same_result(results + [read]),
             "window_array_mb": prob.target.nbytes / 1e6, "child_private_mb": child_mb}
@@ -219,7 +229,7 @@ def search_case(n: int, levels: int, j_max: int, repeats: int) -> dict:
 
 def search(repeats: int, cases: list[list[int]]) -> tuple[dict, list[str]]:
     results = [search_case(*c, repeats) for c in cases]
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # kB on Linux
+    peak = peak_rss_mb()
     lines = [f"{solve_line(c)}  u {c['u_sha256'][:12]}  child {c['child_private_mb']:.1f} MB private "
              f"(a window: {c['window_array_mb']:.1f} MB)" for c in results]
     lines.append(f"peak RSS {peak:.2f} MB")
@@ -236,28 +246,28 @@ def loop_case(n: int, levels: int, repeats: int) -> dict:
                   experiments.forcing_spec(BASE.forcing), integ, levels * BASE.dt)
     run()  # warm-up
     runs = [_timed(run) for _ in range(repeats)]
-    rec = runs[0][0]
+    # untimed: the target's child reads its memory every CHILD_READ_EVERY levels, never after its last
+    # level, which this process may kill it at
+    read, child_mb = child_private_mb(run, dynamics._RingWriter, ("__setitem__",),
+                                      lambda writer, k, y: (k + 1) % CHILD_READ_EVERY == 0 and k + 1 < levels)
+    records = [r for r, _ in runs] + [read]
+    rec = records[0]
     return {"nx": n, "levels": levels, "nodes": fe.mesh.n_nodes, "wall": summary([s for _, s in runs], "s"),
             "J_total": repr(float(rec.running_cost[-1])), "final_err_l2": repr(float(rec.err_norm[-1])),
-            "same_result_every_run": all(np.array_equal(getattr(r, f), getattr(rec, f)) for r, _ in runs
-                                         for f in ("states", "err_norm", "controls"))}
-
-
-def peak_rss() -> dict:
-    """Peak resident memory of this process and of the largest child it reaped, in MB."""
-    # ru_maxrss is in kB on Linux; the children's is that of the largest child reaped
-    return {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            "child_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0}
+            "same_result_every_run": all(np.array_equal(getattr(r, f), getattr(rec, f)) for r in records
+                                         for f in ("states", "err_norm", "controls")),
+            "child_private_mb": child_mb}
 
 
 def loop(repeats: int, cases: list[list[int]]) -> tuple[dict, list[str]]:
     results = [loop_case(*c, repeats) for c in cases]
-    rss = peak_rss()
+    peak = peak_rss_mb()
     lines = [f"{c['nx']}x{c['nx']} {c['levels']} levels: wall min {c['wall']['min_s']:.3f} s "
              f"median {c['wall']['median_s']:.3f} [{c['wall']['q1_s']:.3f}, {c['wall']['q3_s']:.3f}]  "
-             f"J {c['J_total']}  final error {c['final_err_l2']}" for c in results]
-    lines.append(f"peak RSS {rss['peak_rss_mb']:.2f} MB, largest child's {rss['child_peak_rss_mb']:.2f} MB")
-    return {"cases": results, **rss}, lines
+             f"J {c['J_total']}  final error {c['final_err_l2']}  child {c['child_private_mb']:.1f} MB private"
+             for c in results]
+    lines.append(f"peak RSS {peak:.2f} MB")
+    return {"cases": results, "peak_rss_mb": peak}, lines
 
 
 def main(argv=None) -> int:

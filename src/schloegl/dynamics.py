@@ -44,28 +44,31 @@ the hot path is kept lean without changing a bit of any result:
 
 A lockstep run from level 0 against a target initial state (``track_target``,
 ``simulate_free`` and ``simulate_controlled`` with one) steps that target in a
-forked child process where that both pays and is safe:
-the target's free run never depends on the plant, and in the parent it would
-be a second banded solve per level on the same core, about 40% of a 57 x 57
-feedback run.  The child runs the plant loop free on the target cursor and
-hands each level to the parent through a shared ring of ``TARGET_RING`` rows;
-the same code on the same data gives the same bits.  A thread would not
-help: the band solve holds the GIL.  The receding-horizon loop keeps the
-in-process rolling source: its windows request many levels at once and its
-target is a small share of the run.
+forked child process where that both pays and is safe: the target's free run
+never depends on the plant, and in the parent it would be a second banded
+solve per level on the same core, about 40% of a 57 x 57 feedback run.  The
+child runs the plant loop free on the target cursor and hands each level to
+the parent through a shared ring of ``TARGET_RING`` rows; the same code on
+the same data gives the same bits.  A thread would not help: the band solve
+holds the GIL.  The receding-horizon loop keeps the in-process rolling
+source: its windows request many levels at once and its target is a small
+share of the run.
 
 ``_may_fork`` is the one gate of forked work, and it has two users: the
 lockstep target here and the trial lane of the receding-horizon line search
 (:mod:`.rhc`), which evaluates a backtracking trial in a child while the
 parent evaluates the one before it, and hands a trial over only while a
-core is free for it.  Both set up, end and reap their child
-through ``_Child``.  Nothing forks on a platform other than Linux (a fork
-without exec is unsafe on macOS), on one core, in a process-pool worker (its
-sibling workers hold the other cores), beside other Python threads (a lock
-one of them holds would stay locked in the child; OpenBLAS ends its own
-thread pool before a fork) or under a custom forcing (a callback may keep
-state that the parent's and the child's calls share); if the fork itself
-fails, the work is done in process.
+core is free for it.  Both set up, end and reap their child through
+``_Child``.  A child only runs ahead: whatever it does not deliver (it
+failed, blew up or was killed), the parent does itself with the same code
+on the same data, so no failure crosses the fork and a failed child only
+makes a run slower.  Nothing forks on a platform other than Linux (a fork without exec is unsafe
+on macOS), on one core, in a process-pool worker (its sibling workers hold
+the other cores), beside other Python threads (a lock one of them holds
+would stay locked in the child; OpenBLAS ends its own thread pool before a
+fork) or under a custom forcing (a callback may keep state that the
+parent's and the child's calls share); if the fork itself fails, the work
+is done in process.
 """
 
 from __future__ import annotations
@@ -109,7 +112,8 @@ __all__ = [
 BLOWUP_LIMIT = 1e8
 # Steps per block of the actuator loads of an open-loop run.
 LOAD_BLOCK = 32
-# Rows of the shared ring through which a forked child hands a lockstep target's levels to the plant.
+# Rows of the shared ring through which a forked child hands a lockstep target's levels to the plant; at
+# least 3, so that a child dying while it writes level r + 1 leaves the rows of levels r and r - 1 intact.
 TARGET_RING = 8
 
 
@@ -501,13 +505,19 @@ def _n_steps_for(horizon: float, dt: float) -> int:
 
 
 class _TargetSource:
-    """Target states by time level: rows of a stored record, or a rolling co-simulation.
+    """Target states by time level: rows of a stored record, or the free run from an initial state.
 
     ``window(n0, n_steps)`` returns levels n0..n0+n_steps as read-only rows;
     no request may start before the previous one.  The rolling source steps
     each level once, through the plant loop run free, and keeps only the
     levels from the latest request on, so lockstep use (n_steps = 0) holds
     one state.
+
+    After ``feed``, a forked child steps the free run into a shared ring and
+    the lockstep requests ``window(n, 0)``, n = 0, 1, ..., read one-row views
+    of it, valid until the next request.  Should the child end before level
+    n, the free run goes on here from the last two levels it delivered, with
+    the bits and errors of the in-process source.  ``close`` reaps the child.
     """
 
     def __init__(self, rows: np.ndarray, base: int = 0, cursor: _Cursor | None = None, load: ForcingLoad | None = None):
@@ -515,6 +525,7 @@ class _TargetSource:
         self._base = base
         self._cursor = cursor
         self._load = load
+        self._child: _Child | None = None
 
     @classmethod
     def of(cls, target, stepper: CrankNicolsonAB2, load: ForcingLoad, n_steps: int) -> "_TargetSource":
@@ -536,7 +547,40 @@ class _TargetSource:
             raise ValueError("target record must store every time level (state_stride=1)")
         return cls(target.states)
 
+    def feed(self, n_steps: int) -> None:
+        """Step the free run's levels 1..n_steps in a forked child; a stored record, or a failed fork, stays as is."""
+        cursor = self._cursor
+        if cursor is None:
+            return
+        ring = _shared_floats(TARGET_RING, len(cursor.y))
+        ring[0] = cursor.y
+        try:
+            self._child = _Child(lambda free, ready: _run_plant(cursor, n_steps, self._load,
+                                                                states=_RingWriter(ring, ready, free)))
+        except OSError:  # the fork failed: the target is stepped here
+            return
+        ring.flags.writeable = False
+        self._ring = ring
+        self._ready = 0  # levels the child has delivered
+        self._level = 0  # the latest request
+
     def window(self, n0: int, n_steps: int) -> np.ndarray:
+        if self._child is not None:
+            if n0 > self._level:  # the rows of the levels passed are free
+                try:
+                    os.write(self._child.send, b"." * (n0 - self._level))
+                except BrokenPipeError:  # the child has ended: it needs no more rows
+                    pass
+                self._level = n0
+            while self._ready < n0:
+                got = os.read(self._child.recv, 4096)
+                if not got:  # the child ended before level n0: its free run goes on here
+                    self._resume()
+                    break
+                self._ready += len(got)
+            else:  # level n0 is in the ring
+                row = n0 % TARGET_RING
+                return self._ring[row:row + 1]
         if n0 < self._base:
             raise ValueError(f"target level {n0} precedes the previous request at level {self._base}")
         rows = self._rows[n0 - self._base:]
@@ -552,6 +596,25 @@ class _TargetSource:
             rows = grown
         self._rows, self._base = rows, n0
         return rows[:n_steps + 1]
+
+    def _resume(self) -> None:
+        """Reap the ended child and go on in process from the levels r and r - 1 it delivered last."""
+        self.close()
+        r, ring = self._ready, self._ring
+        prev = ring[(r - 1) % TARGET_RING] if r else None
+        self._cursor = _Cursor(self._cursor.stepper, ring[r % TARGET_RING], prev, r)
+        self._rows, self._base = self._cursor.y[None], r
+
+    def close(self) -> None:
+        """Kill and reap the child, if one feeds the source."""
+        if self._child is not None:
+            self._child.reap()
+            self._child = None
+
+
+def _shared_floats(*shape: int) -> np.ndarray:
+    """A zeroed float64 array of ``shape`` in anonymous memory, shared with every child forked after this call."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=np.float64).reshape(shape)
 
 
 class _RingWriter:
@@ -577,12 +640,13 @@ class _Child:
     """A forked child process running ``work(recv, send)``, and the parent's ends of two pipes to it.
 
     In the child, ``recv`` reads what the parent writes to ``self.send``, and
-    what ``work`` writes to ``send`` the parent reads from ``self.recv``.  The
-    child ends through ``os._exit`` (no atexit handlers, no flush of inherited
-    stdio buffers), after reporting a :class:`BlowUpError` that escapes
-    ``work`` as b"!" and any other exception as b"?" with its name and message.
-    Building one raises ``OSError``, with no descriptor left open, if the pipes
-    or the fork cannot be made.
+    what ``work`` writes to ``send`` the parent reads from ``self.recv``.  A
+    child only runs ahead of its parent, which does itself whatever the child
+    does not deliver, so the child reports nothing: it ends through
+    ``os._exit`` (no atexit handlers, no flush of inherited stdio buffers)
+    when ``work`` returns or raises, and the parent sees the end of ``recv``.
+    Building one raises ``OSError``, with no descriptor left open, if the
+    pipes or the fork cannot be made.
     """
 
     def __init__(self, work: Callable[[int, int], None]):
@@ -601,88 +665,18 @@ class _Child:
                 os.close(self.recv)
                 os.close(self.send)
                 work(recv, send)
-            except BlowUpError:
-                os.write(send, b"!")
-            except BaseException as exc:
-                os.write(send, b"?" + f"{type(exc).__name__}: {exc}".encode(errors="replace"))
             finally:
                 os._exit(0)
         self.pid = pid
         os.close(send)
         os.close(recv)
 
-    def report(self, got: bytes) -> str:
-        """The failure report that ``got``, read from ``recv``, opens with b"?", read to its end."""
-        while more := os.read(self.recv, 4096):
-            got += more
-        return got[1:].decode(errors="replace")
-
-    def reap(self, done: bool) -> None:
-        """Close the parent's ends, kill the child unless it is ``done`` (it then ends by itself), and reap it."""
+    def reap(self) -> None:
+        """Close the parent's ends, kill the child (harmless if it has ended or idles) and reap it."""
         os.close(self.recv)
         os.close(self.send)
-        if not done:
-            os.kill(self.pid, signal.SIGKILL)  # not yet reaped, so the pid is still the child's
+        os.kill(self.pid, signal.SIGKILL)  # not yet reaped, so the pid is still the child's
         os.waitpid(self.pid, 0)
-
-
-class _ForkedTarget:
-    """The free run of ``cursor`` over ``n_steps`` levels, stepped in a forked child, read in lockstep.
-
-    ``window(n, 0)`` returns level n as a one-row read-only view of the ring,
-    valid until the next request; the requests are the levels 0, 1, ... of a
-    lockstep run, in order.  A blow-up of the target at level n raises the
-    in-process source's :class:`BlowUpError`, at time n * dt, when level n is
-    requested; any other failure of the child raises ``RuntimeError`` naming
-    it.  ``close`` kills the child unless it delivered every level, and reaps
-    it; the child also ends when the parent's end of a pipe closes.  Building
-    one raises ``OSError``, as :class:`_Child` does, if the fork cannot be made.
-    """
-
-    def __init__(self, cursor: _Cursor, n_steps: int, load: ForcingLoad):
-        self._dt = cursor.stepper.dt
-        self._n_steps = n_steps
-        ring = mmap.mmap(-1, TARGET_RING * cursor.y.nbytes)  # anonymous and shared with the child
-        self._rows = np.frombuffer(ring, dtype=np.float64).reshape(TARGET_RING, len(cursor.y))
-        self._rows[0] = cursor.y
-        self._child = _Child(lambda free, ready: _run_plant(cursor, n_steps, load,
-                                                            states=_RingWriter(self._rows, ready, free)))
-        self._rows.flags.writeable = False
-        self._ready = 0  # levels the child has delivered
-        self._level = 0  # the latest request
-        self._failure: Exception | None = None
-
-    def window(self, n0: int, n_steps: int) -> np.ndarray:
-        if n0 > self._level:  # the rows of the levels passed are free
-            try:
-                os.write(self._child.send, b"." * (n0 - self._level))
-            except BrokenPipeError:  # the child has ended: it needs no more rows
-                pass
-            self._level = n0
-        while self._ready < n0 and self._failure is None:
-            self._receive()
-        if n0 > self._ready:
-            raise self._failure
-        row = n0 % TARGET_RING
-        return self._rows[row:row + 1]
-
-    def _receive(self) -> None:
-        got = os.read(self._child.recv, 4096)
-        levels = len(got) - len(got.lstrip(b"+"))
-        self._ready += levels
-        tail = got[levels:]
-        if not got:
-            self._failure = RuntimeError(f"the target's child process ended at level {self._ready} "
-                                         f"of {self._n_steps} without a report")
-        elif tail[:1] == b"!":
-            self._failure = BlowUpError((self._ready + 1) * self._dt)  # the child cursor's time of the level
-        elif tail[:1] == b"?":
-            self._failure = RuntimeError(f"the target's child process failed at level {self._ready + 1}: "
-                                         f"{self._child.report(tail)}")
-
-    def close(self) -> None:
-        """Close the pipes, kill the child unless it delivered every level, and reap it."""
-        self._child.reap(done=self._ready >= self._n_steps)
 
 
 def _run_plant(cursor: _Cursor, n_steps: int, forcing: ForcingLoad, b=None, control=None,
@@ -758,18 +752,13 @@ def _simulate(y0: np.ndarray, n_steps: int, fe: FemOperators, params: SchloeglPa
     load = ForcingLoad(forcing, fe, cfg.dt)
     b, count = (None, None) if coupling is None else (coupling.b, coupling.count)
     rec = _Recorder(cfg, n_steps, fe.mesh.n_nodes, count, track_error=target is not None)
-    source = None
-    if target is not None and not isinstance(target, TrajectoryRecord) and _may_fork(forcing):
-        try:
-            source = _ForkedTarget(_Cursor(stepper, target), n_steps, load)
-        except OSError:  # the fork failed: the target is stepped here
-            pass
-    if source is None and target is not None:
-        source = _TargetSource.of(target, stepper, load, n_steps)
+    source = None if target is None else _TargetSource.of(target, stepper, load, n_steps)
+    if source is not None and _may_fork(forcing):
+        source.feed(n_steps)
     try:
         _run_plant(_Cursor(stepper, y0), n_steps, load, b, control, source, rec)
     finally:
-        if isinstance(source, _ForkedTarget):
+        if source is not None:
             source.close()
     return rec.record
 

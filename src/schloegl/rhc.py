@@ -68,8 +68,9 @@ child holds a second, that of its latest trial, until its next request.
 A trial is handed over only while a core is free for the child (nothing
 else is runnable on the host, see :func:`_core_free`): beside another busy
 process the pair runs no faster than the serial search, and the child's
-trials that are not needed are lost work.  A child that fails or dies is
-reaped and the rest of the solve runs serially, as after a failed fork.
+trials that are not needed are lost work.  A child that fails or dies ends
+without an answer (the cost and B^T p cross in shared memory, the pipes
+carry one-byte tokens), is reaped, and the rest of the solve runs serially.
 The first trial of an iteration runs alone: unbounded and Euclidean
 windows accept it almost always, and a second busy process slows each
 process on a two-core host.  A solve's ``forward_s`` and ``adjoint_s`` are
@@ -80,10 +81,8 @@ the child for them.
 from __future__ import annotations
 
 import math
-import mmap
 import numbers
 import os
-import struct
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -105,6 +104,7 @@ from .dynamics import (
     _n_steps_for,
     _Recorder,
     _run_plant,
+    _shared_floats,
     _simulate,
     _TargetSource,
     cubic_reaction_derivative,
@@ -356,18 +356,18 @@ class _TrialLane:
     ``submit(u)`` hands the child the amplitudes of a trial through a shared
     slot of count x n_steps floats, forking the child on first use, and
     ``cost()`` returns the trial's :func:`evaluate_cost` cost, inf for a
-    blown-up trial as in process.  ``gradient()`` then returns
-    :func:`solve_adjoint` of the trial's states, made in the child and handed
-    back through a second slot, so the states never leave it.  One request is
-    open at a time: ``submit`` first reads and drops the answer to an open one.
-    ``usable`` is ``dynamics._may_fork`` of the problem's forcing.  It turns
-    false when the fork fails, and when the child fails or dies (a
-    ``MemoryError`` in it, a kill): the child is then reaped, ``submit``
-    returns False, and ``cost()`` or ``gradient()`` returns None for the trial
-    it held, which the solve then evaluates in process, as the serial search
-    does.  ``submit`` also returns False, handing nothing over, while no core
-    is free for the child.  Leaving the ``with`` block kills the child unless
-    it is idle, and reaps it.
+    blown-up trial as in process, from a shared cell.  ``gradient()`` then
+    returns :func:`solve_adjoint` of the trial's states, made in the child and
+    handed back through a second slot, so the states never leave it.  One
+    request is open at a time: ``submit`` first reads and drops the answer to
+    an open one.  ``usable`` is ``dynamics._may_fork`` of the problem's
+    forcing.  It turns false when the fork fails, and when the child ends
+    without an answer (a ``MemoryError`` in it, a kill): the child is then
+    reaped, ``submit`` returns False, and ``cost()`` or ``gradient()``
+    returns None for the trial it held, which the solve then evaluates in
+    process, as the serial search does.  ``submit`` also returns False,
+    handing nothing over, while no core is free for the child.  Leaving the
+    ``with`` block kills and reaps the child.
     """
 
     def __init__(self, prob: OcpProblem):
@@ -381,7 +381,7 @@ class _TrialLane:
 
     def __exit__(self, *exc) -> None:
         if self._child is not None:
-            self._child.reap(done=not self._open)
+            self._child.reap()
 
     def _serve(self, recv: int, send: int) -> None:
         """The child: answer each request until the parent's end of the pipe closes."""
@@ -393,7 +393,8 @@ class _TrialLane:
                     cost, states = evaluate_cost(self._u, self._prob)
                 except BlowUpError:
                     cost = math.inf
-                os.write(send, b"c" + struct.pack("d", cost))
+                self._cost[0] = cost
+                os.write(send, b"c")
             else:
                 self._btp[:] = solve_adjoint(states, self._prob)
                 os.write(send, b"g")
@@ -407,17 +408,16 @@ class _TrialLane:
         self._open = True
         return True
 
-    def _answer(self) -> bytes | None:
-        got = os.read(self._child.recv, 4096)  # one answer, written at once
+    def _answer(self) -> bool:
+        got = os.read(self._child.recv, 1)
         self._open = False
-        if got[:1] in (b"c", b"g"):
-            return got
-        self._give_up()  # a failure report, or no answer at all: the child died
-        return None
+        if not got:  # no answer: the child has ended
+            self._give_up()
+        return bool(got)
 
     def _give_up(self) -> None:
         """Reap the failed child; the rest of the solve runs serially."""
-        self._child.reap(done=False)
+        self._child.reap()
         self._child, self._open, self.usable = None, False, False
 
     def submit(self, u: np.ndarray) -> bool:
@@ -428,9 +428,8 @@ class _TrialLane:
         if not (self.usable and _core_free()):
             return False
         if self._child is None:
-            shape = (self._prob.coupling.count, self._prob.n_steps)
-            slots = mmap.mmap(-1, 2 * 8 * shape[0] * shape[1])  # anonymous and shared with the child
-            self._u, self._btp = np.frombuffer(slots, dtype=np.float64).reshape(2, *shape)
+            self._u, self._btp = _shared_floats(2, self._prob.coupling.count, self._prob.n_steps)
+            self._cost = _shared_floats(1)
             try:
                 self._child = _Child(self._serve)
             except OSError:  # no fork: the solve runs serially
@@ -440,11 +439,10 @@ class _TrialLane:
         return self._ask(b"u")
 
     def cost(self) -> float | None:
-        got = self._answer()
-        return None if got is None else struct.unpack("d", got[1:])[0]
+        return float(self._cost[0]) if self._answer() else None
 
     def gradient(self) -> np.ndarray | None:
-        return self._btp.copy() if self._ask(b"g") and self._answer() is not None else None
+        return self._btp.copy() if self._ask(b"g") and self._answer() else None
 
 
 def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-4,
@@ -646,7 +644,7 @@ def simulate_controlled(y0: np.ndarray, controls: np.ndarray, coupling: Coupling
                         fe: FemOperators, params: SchloeglParams,
                         forcing: ForcingSpec | None = None, integ: IntegratorConfig | None = None,
                         target_y0=None, beta: float | None = None) -> TrajectoryRecord:
-    """Open-loop replay of a logged control sequence (one column per step).
+    """Open-loop replay of a logged control sequence, shape (count, n_steps >= 1): one column per step.
 
     With ``target_y0`` given, error norms and the running cost are logged
     against it: a target initial state, whose free dynamics is
@@ -654,13 +652,16 @@ def simulate_controlled(y0: np.ndarray, controls: np.ndarray, coupling: Coupling
     replay on the same grid.  The plant loop is that of the receding-horizon
     plant, and a target initial state, stepped in a forked child where
     :mod:`.dynamics` finds that pays and is safe, gives the bits of its
-    in-process rolling source, so
-    replaying the logged receding-horizon control with the run's own
-    ``integ`` reproduces its record bitwise.
-    ``integ.cost_beta`` weighs the control; another ``beta`` is refused.
+    in-process rolling source, so replaying the logged receding-horizon
+    control with the run's own ``integ`` reproduces its record bitwise.
+    ``integ.cost_beta`` weighs the control; another ``beta`` is refused, and
+    so is a control array of another shape, before anything is set up.
     """
     integ = integ or IntegratorConfig()
     if beta is not None and beta != integ.cost_beta:
         raise ValueError(f"beta = {beta!r} differs from the cost weight integ.cost_beta = {integ.cost_beta!r}")
     controls = np.asarray(controls, dtype=float)
+    if controls.ndim != 2 or controls.shape[0] != coupling.count or controls.shape[1] < 1:
+        raise ValueError(f"controls of shape {controls.shape}, expected (count, n_steps) = "
+                         f"({coupling.count}, n_steps >= 1)")
     return _simulate(y0, controls.shape[1], fe, params, forcing, integ, target_y0, coupling, controls)

@@ -45,6 +45,17 @@ def stepper_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """After each test, this process has no child left, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)  # reaps a finished child, so one test's leftover fails that test only
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind ({f'pid {pid}, ended' if pid else 'still running'})")
+
+
 class ForkLog(list):
     """The pids of the children forked in this process while the ``forks`` fixture is active."""
 

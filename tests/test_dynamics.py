@@ -10,6 +10,7 @@ import errno
 import math
 import os
 import re
+import signal
 import threading
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -484,7 +485,7 @@ class TestForkedTarget:
     CFG = IntegratorConfig(dt=1e-3, state_stride=7, cost_beta=1e-3)
 
     @pytest.mark.parametrize("run", ["track_target", "simulate_free", "simulate_controlled"])
-    def test_bitwise_the_run_against_the_stored_record(self, fe16, params, coupling16, run, forks):
+    def test_bitwise_the_run_against_the_stored_record(self, fe16, params, coupling16, run, forks, stepper_calls):
         n, horizon = fe16.mesh.n_nodes, 0.3
         y0 = fe16.mesh.interpolate(lambda x, y: -1.0 + 0.5 * x * y)
         yhat0 = np.full(n, 2.0)
@@ -498,8 +499,10 @@ class TestForkedTarget:
             "simulate_controlled": lambda tgt: simulate_controlled(y0, controls, coupling16, fe16, params,
                                                                    self.FORCING, self.CFG, target_y0=tgt),
         }
+        stepped = len(stepper_calls)
         forked = runs[run](yhat0)
         assert len(forks) == 1  # the target was stepped in a child
+        assert len(stepper_calls) - stepped == 300  # and not here: this process stepped the plant only
         read = runs[run](stored)
         assert len(forks) == 1  # a stored record is read in this process
         forks.assert_reaped()
@@ -545,21 +548,43 @@ class TestForkedTarget:
         assert len(forks) == 1 and len(calls) == 51
         forks.assert_reaped()
 
-    def test_other_child_failure_named(self, fe16, params, monkeypatch, forks):
+    @pytest.mark.parametrize("level, how", [(1, "raise"), (2, "raise"), (22, "raise"), (30, "kill")],
+                             ids=["raise at level 1", "raise at level 2", "raise at level 22",
+                                  "killed handing over level 30"])
+    def test_failed_child_leaves_the_in_process_record(self, fe16, params, coupling16, monkeypatch, forks,
+                                                       stepper_calls, level, how):
+        # the child ends before delivering `level`: the target's free run goes on here from level - 1
+        assert 3 <= TARGET_RING < 22  # the fallback at level 22 reads rows the ring has reused
+        n_steps = 100
+        y0 = fe16.mesh.interpolate(lambda x, y: -1.0 + 0.5 * x * y)
+        yhat0 = fe16.mesh.interpolate(lambda x, y: 1.5 + 0.5 * x - 0.25 * y)
+
+        def run():
+            return track_target(y0, yhat0, self.LAW, coupling16, fe16, params, self.FORCING, self.CFG,
+                                horizon=n_steps * self.CFG.dt)
+
+        unfailed = run()
+        assert len(forks) == 1 and len(stepper_calls) == n_steps
         hand_over = dynamics._RingWriter.__setitem__
 
-        def failing_at_level_22(writer, k, y):  # the ring writer is called in the child only
-            if k + 1 == 22:
-                raise ZeroDivisionError("hand-over failed")
+        def failing(writer, k, y):  # the ring writer is called in the child only
+            if k + 1 == level:
+                if how == "raise":
+                    raise MemoryError("no room for the level")
+                # the row of the level is written, with NaN, then the child dies before it says so
+                os.write = lambda fd, data: os.kill(os.getpid(), signal.SIGKILL)
+                y = np.full_like(y, np.nan)
             hand_over(writer, k, y)
 
-        monkeypatch.setattr(dynamics._RingWriter, "__setitem__", failing_at_level_22)
-        n = fe16.mesh.n_nodes
-        with pytest.raises(RuntimeError, match=r"child process failed at level 22: ZeroDivisionError: hand-over failed"):
-            simulate_free(np.zeros(n), 0.1, fe16, params, self.FORCING, IntegratorConfig(dt=1e-3),
-                          target=np.full(n, 2.0))
-        assert len(forks) == 1
+        monkeypatch.setattr(dynamics._RingWriter, "__setitem__", failing)
+        failed = run()
+        assert len(forks) == 2
         forks.assert_reaped()
+        # this process stepped the plant and the target's levels the child did not deliver
+        assert len(stepper_calls) == 2 * n_steps + n_steps - (level - 1)
+        for f in dataclasses.fields(TrajectoryRecord):
+            a, b = getattr(failed, f.name), getattr(unfailed, f.name)
+            assert (a is None and b is None) or np.array_equal(a, b), f.name
 
     def test_failed_fork_steps_the_target_in_process(self, fe16, params, coupling16, monkeypatch):
         n = fe16.mesh.n_nodes

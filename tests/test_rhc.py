@@ -897,6 +897,19 @@ class TestRunRhc:
             simulate_controlled(y0, np.zeros((cm.count, 10)), cm, fe, params, integ=integ,
                                 target_y0=target_y0)
 
+    @pytest.mark.parametrize("shape", [(4,), (4, 0), (3, 10), (5, 10), (4, 10, 1)],
+                             ids=["1-D", "no step", "a count short", "a count over", "3-D"])
+    def test_replay_refuses_a_malformed_control_array(self, fe16, params, monkeypatch, forks, shape):
+        cm = discretize_actuators(build_actuator_grid(2, 0.5), fe16.mesh)
+        assert cm.count == 4
+        monkeypatch.setattr(dynamics, "CrankNicolsonAB2", lambda *a: pytest.fail("set up before the check"))
+        n = fe16.mesh.n_nodes
+        refusal = re.escape(f"controls of shape {shape}, expected (count, n_steps) = (4, n_steps >= 1)")
+        with pytest.raises(ValueError, match=refusal):
+            simulate_controlled(np.zeros(n), np.zeros(shape), cm, fe16, params, ForcingSpec.periodic_indicator(),
+                                target_y0=np.full(n, 2.0))
+        assert not forks
+
     def test_error_dynamics_formulation_equivalent(self, fe16, params):
         # simulating the error system with the shifted reaction reproduces
         # y - target and hence the same cost (the two receding-horizon
