@@ -586,6 +586,35 @@ class TestForkedTarget:
             a, b = getattr(failed, f.name), getattr(unfailed, f.name)
             assert (a is None and b is None) or np.array_equal(a, b), f.name
 
+    def test_other_child_failure_named(self, fe16, params, monkeypatch, forks):
+        # a child failure other than a target blow-up is named nowhere: the free run against the
+        # target goes on here from level 21 and gives the in-process record
+        n = fe16.mesh.n_nodes
+
+        def run():
+            return simulate_free(np.zeros(n), 0.1, fe16, params, self.FORCING, IntegratorConfig(dt=1e-3),
+                                 target=np.full(n, 2.0))
+
+        with monkeypatch.context() as m:
+            _in_process(m)
+            in_process = run()
+        assert len(forks) == 0
+        hand_over = dynamics._RingWriter.__setitem__
+
+        def failing_at_level_22(writer, k, y):  # the ring writer is called in the child only
+            if k + 1 == 22:
+                raise ZeroDivisionError("hand-over failed")
+            hand_over(writer, k, y)
+
+        monkeypatch.setattr(dynamics._RingWriter, "__setitem__", failing_at_level_22)
+        failed = run()
+        assert len(forks) == 1
+        forks.assert_reaped()
+        for f in dataclasses.fields(TrajectoryRecord):
+            a, b = getattr(failed, f.name), getattr(in_process, f.name)
+            assert (a is None and b is None) or np.array_equal(a, b), f.name
+        assert failed.err_norm[-1] > 0
+
     def test_failed_fork_steps_the_target_in_process(self, fe16, params, coupling16, monkeypatch):
         n = fe16.mesh.n_nodes
         y0, yhat0 = np.zeros(n), np.full(n, 2.0)
