@@ -17,12 +17,12 @@ in window state arrays ((L + 1) x nodes float64).  ``search`` solves the same
 windows under the e^1.5 max-norm ball (by default 16:750:500 and 57:1250:2),
 whose line search rejects most trials, and records the solve's forward and
 adjoint seconds, its iterations, evaluations, cost and the SHA-256 of its
-optimal amplitudes; one more, untimed solve reads the private dirty memory of
-the line search's trial lane (the child the library forks, if it does) after
-each of its evaluations and adjoint sweeps, the memory a fork adds to the
-run, against one window of states, in MB; the peak resident memory of this
-process closes the layer.  ``loop`` runs
-``feedback.track_target`` of the scenario on each case's N x N mesh for L
+optimal amplitudes; one more, untimed solve counts the evaluations and
+adjoint sweeps that the line search's trial lane (the child the library
+forks, if it does) begins, and reads the child's private dirty memory after
+each of them, the memory a fork adds to the run, against one window of
+states, in MB; the peak resident memory of this process closes the layer.
+``loop`` runs ``feedback.track_target`` of the scenario on each case's N x N mesh for L
 levels (by default 57:500), its target co-simulated from the initial state,
 and records the run's cost and final error; one more, untimed run reads the
 private dirty memory of the target's child (if the library forks one) every
@@ -188,26 +188,31 @@ def private_dirty_mb() -> float:
         return sum(int(ln.split()[1]) for ln in fh if ln.startswith("Private_Dirty:")) / 1024.0
 
 
-def child_private_mb(run, owner, names: tuple[str, ...], when=lambda *args: True) -> tuple[object, float]:
-    """``run()`` with the functions ``names`` of ``owner`` wrapped so that each call a forked child makes
-    with ``when(*args)`` true reads the child's private dirty memory after it returns: the result and
-    the largest reading in MB (0.0 if nothing forked or nothing was read)."""
+def child_private_mb(run, owner, names: tuple[str, ...], when=lambda *args: True) -> tuple[object, float, list[int]]:
+    """``run()`` with the functions ``names`` of ``owner`` wrapped so that a forked child counts the calls
+    it makes of each, and reads its private dirty memory after each call with ``when(*args)`` true
+    returns: the result, the largest reading in MB (0.0 if nothing forked or nothing was read) and, per
+    name, the calls the children made."""
     parent = os.getpid()
-    largest = np.frombuffer(mmap.mmap(-1, 8), dtype=np.float64)  # anonymous, so the children write the parent's
+    # the largest reading, then the calls of each name; anonymous, so the children write the parent's
+    cells = np.frombuffer(mmap.mmap(-1, 8 * (1 + len(names))), dtype=np.float64)
 
-    def read_in_child(fn):
+    def read_in_child(fn, calls):
         def wrapped(*args):
+            in_child = os.getpid() != parent
+            if in_child:
+                cells[calls] += 1
             out = fn(*args)
-            if os.getpid() != parent and when(*args):
-                largest[0] = max(largest[0], private_dirty_mb())
+            if in_child and when(*args):
+                cells[0] = max(cells[0], private_dirty_mb())
             return out
         return wrapped
 
     saved = [getattr(owner, name) for name in names]
-    for name, fn in zip(names, saved):
-        setattr(owner, name, read_in_child(fn))
+    for i, (name, fn) in enumerate(zip(names, saved), 1):
+        setattr(owner, name, read_in_child(fn, i))
     try:
-        return run(), float(largest[0])
+        return run(), float(cells[0]), [int(c) for c in cells[1:]]
     finally:
         for name, fn in zip(names, saved):
             setattr(owner, name, fn)
@@ -221,16 +226,19 @@ def peak_rss_mb() -> float:
 def search_case(n: int, levels: int, j_max: int, repeats: int) -> dict:
     prob, solve, results, case = timed_solves(n, levels, j_max, repeats, SEARCH)
     # untimed: reading the memory map takes a few ms; read while the lane's child holds a trial's states
-    read, child_mb = child_private_mb(solve, rhc, ("evaluate_cost", "solve_adjoint"))
+    read, child_mb, (child_evaluations, child_adjoints) = child_private_mb(solve, rhc, ("evaluate_cost",
+                                                                                       "solve_adjoint"))
     return {**case, "u_sha256": hashlib.sha256(results[0].u.tobytes()).hexdigest(),
             "same_result_every_run": same_result(results + [read]),
-            "window_array_mb": prob.target.nbytes / 1e6, "child_private_mb": child_mb}
+            "window_array_mb": prob.target.nbytes / 1e6, "child_private_mb": child_mb,
+            "child_evaluations": child_evaluations, "child_adjoints": child_adjoints}
 
 
 def search(repeats: int, cases: list[list[int]]) -> tuple[dict, list[str]]:
     results = [search_case(*c, repeats) for c in cases]
     peak = peak_rss_mb()
-    lines = [f"{solve_line(c)}  u {c['u_sha256'][:12]}  child {c['child_private_mb']:.1f} MB private "
+    lines = [f"{solve_line(c)}  u {c['u_sha256'][:12]}  child {c['child_evaluations']} ev / "
+             f"{c['child_adjoints']} adj, {c['child_private_mb']:.1f} MB private "
              f"(a window: {c['window_array_mb']:.1f} MB)" for c in results]
     lines.append(f"peak RSS {peak:.2f} MB")
     return {"cases": results, "peak_rss_mb": peak}, lines
@@ -248,8 +256,8 @@ def loop_case(n: int, levels: int, repeats: int) -> dict:
     runs = [_timed(run) for _ in range(repeats)]
     # untimed: the target's child reads its memory every CHILD_READ_EVERY levels, never after its last
     # level, which this process may kill it at
-    read, child_mb = child_private_mb(run, dynamics._RingWriter, ("__setitem__",),
-                                      lambda writer, k, y: (k + 1) % CHILD_READ_EVERY == 0 and k + 1 < levels)
+    read, child_mb, _ = child_private_mb(run, dynamics._RingWriter, ("__setitem__",),
+                                         lambda writer, k, y: (k + 1) % CHILD_READ_EVERY == 0 and k + 1 < levels)
     records = [r for r, _ in runs] + [read]
     rec = records[0]
     return {"nx": n, "levels": levels, "nodes": fe.mesh.n_nodes, "wall": summary([s for _, s in runs], "s"),

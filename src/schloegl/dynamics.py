@@ -54,21 +54,22 @@ holds the GIL.  The receding-horizon loop keeps the in-process rolling
 source: its windows request many levels at once and its target is a small
 share of the run.
 
-``_may_fork`` is the one gate of forked work, and it has two users: the
-lockstep target here and the trial lane of the receding-horizon line search
-(:mod:`.rhc`), which evaluates a backtracking trial in a child while the
-parent evaluates the one before it, and hands a trial over only while a
-core is free for it.  Both set up, end and reap their child through
-``_Child``.  A child only runs ahead: whatever it does not deliver (it
-failed, blew up or was killed), the parent does itself with the same code
-on the same data, so no failure crosses the fork and a failed child only
-makes a run slower.  Nothing forks on a platform other than Linux (a fork without exec is unsafe
-on macOS), on one core, in a process-pool worker (its sibling workers hold
-the other cores), beside other Python threads (a lock one of them holds
-would stay locked in the child; OpenBLAS ends its own thread pool before a
-fork) or under a custom forcing (a callback may keep state that the
-parent's and the child's calls share); if the fork itself fails, the work
-is done in process.
+``_may_fork`` and ``_core_free`` make every decision about forking.
+``_may_fork``, whether a run may fork at all, is asked by the lockstep
+target's ``_TargetSource.feed`` and by the trial lane of the receding-horizon
+line search (:mod:`.rhc`), which costs a backtracking trial in a child while
+the parent costs the one before it; ``_core_free``, whether a core is free
+now, by the lane before each hand-over.  Both helpers set up, end and reap
+their child through ``_Child``.  A child only runs ahead: whatever it does
+not deliver (it failed, blew up or was killed), the parent does itself with
+the same code on the same data, so no failure crosses the fork and a failed
+child only makes a run slower.  Nothing forks on a platform other than
+Linux (a fork without exec is unsafe on macOS), on one core, in a
+process-pool worker (its sibling workers hold the other cores), beside other
+Python threads (a lock one of them holds would stay locked in the child;
+OpenBLAS ends its own thread pool before a fork) or under a custom forcing
+(a callback may keep state that the parent's and the child's calls share);
+if the fork itself fails, the work is done in process.
 """
 
 from __future__ import annotations
@@ -185,9 +186,9 @@ class ForcingSpec:
     The periodic indicator is 0.5 * 1{|sin 6t| > 1/2}(t) * 1{|x|^2 < 1/2}(x).
     Custom callbacks receive (t, x, y) with coordinate arrays and return
     nodal values.  Every call of a custom callback is made in the calling
-    process: under one, neither a lockstep target nor a line-search trial is
-    evaluated in a forked child, so a callback may keep state or have side
-    effects.
+    process: ``_may_fork`` refuses a fork under one, so neither a lockstep
+    target nor a line-search trial is costed in a forked child, and a callback
+    may keep state or have side effects.
     """
 
     kind: str = "zero"
@@ -548,9 +549,9 @@ class _TargetSource:
         return cls(target.states)
 
     def feed(self, n_steps: int) -> None:
-        """Step the free run's levels 1..n_steps in a forked child; a stored record, or a failed fork, stays as is."""
+        """Step the free run's levels 1..n_steps in a forked child, where ``_may_fork`` allows and the fork works."""
         cursor = self._cursor
-        if cursor is None:
+        if cursor is None or not _may_fork(self._load.spec):
             return
         ring = _shared_floats(TARGET_RING, len(cursor.y))
         ring[0] = cursor.y
@@ -740,6 +741,18 @@ def _may_fork(forcing: ForcingSpec) -> bool:
             and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1)
 
 
+def _core_free() -> bool:
+    """Whether a core is free now for a child of this process: fewer tasks are runnable on the host,
+    this process included, than there are cores it may run on (the fourth field of /proc/loadavg
+    counts them).  Without that reading a core counts as free."""
+    try:
+        with open("/proc/loadavg", "rb") as fh:
+            runnable = int(fh.read().split()[3].split(b"/")[0])
+    except (OSError, ValueError, IndexError):
+        return True
+    return runnable < len(os.sched_getaffinity(0))
+
+
 def _simulate(y0: np.ndarray, n_steps: int, fe: FemOperators, params: SchloeglParams,
               forcing: ForcingSpec | None, cfg: IntegratorConfig, target=None,
               coupling=None, control=None) -> TrajectoryRecord:
@@ -753,7 +766,7 @@ def _simulate(y0: np.ndarray, n_steps: int, fe: FemOperators, params: SchloeglPa
     b, count = (None, None) if coupling is None else (coupling.b, coupling.count)
     rec = _Recorder(cfg, n_steps, fe.mesh.n_nodes, count, track_error=target is not None)
     source = None if target is None else _TargetSource.of(target, stepper, load, n_steps)
-    if source is not None and _may_fork(forcing):
+    if source is not None:
         source.feed(n_steps)
     try:
         _run_plant(_Cursor(stepper, y0), n_steps, load, b, control, source, rec)

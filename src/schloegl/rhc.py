@@ -51,31 +51,24 @@ rows: the states of an evaluation are dropped once its gradient is
 formed, and those of a rejected line-search trial before the next trial
 is simulated.
 
-Where ``dynamics._may_fork`` allows, the backtracking trials after the
-first of an iteration run two at a time: the solve evaluates trial k while
-a forked child, its trial lane, evaluates trial k + 1 at the next step,
-and the solve then judges trial k and trial k + 1 in the serial order.  A
-trial depends only on the iterate, the gradient and its step, and the
-child runs the same code on the same data, so the outcome is bitwise that
-of the serial search; so is the evaluation count, in which a child's trial
-that the serial search would not have reached is not counted.  The solve
-forms the child's trial again when it judges it, so it holds one trial's
-arrays at a time.  The child is forked at the first hand-over of a solve,
-takes the problem copy-on-write and is reaped when the solve returns.  When
-its trial is accepted, it runs the adjoint sweep on its own states and hands
-back only B^T p, so the solve's own process holds one window of states; the
-child holds a second, that of its latest trial, until its next request.
-A trial is handed over only while a core is free for the child (nothing
-else is runnable on the host, see :func:`_core_free`): beside another busy
-process the pair runs no faster than the serial search, and the child's
-trials that are not needed are lost work.  A child that fails or dies ends
-without an answer (the cost and B^T p cross in shared memory, the pipes
-carry one-byte tokens), is reaped, and the rest of the solve runs serially.
-The first trial of an iteration runs alone: unbounded and Euclidean
-windows accept it almost always, and a second busy process slows each
-process on a two-core host.  A solve's ``forward_s`` and ``adjoint_s`` are
-the time it ran the forward windows and adjoint sweeps itself or waited on
-the child for them.
+A window solve costs its line-search trials through one :class:`_TrialLane`,
+which runs the backtracking trials after the first of an iteration two at a
+time where ``dynamics._may_fork`` allows: while the solve costs trial k, a
+forked child costs trial k + 1, and the solve judges both in the serial
+order.  A trial depends only on the iterate, the gradient and its step, and
+the child runs the same code on the same data, so the outcome is bitwise
+that of the serial search, evaluation count included; the solve forms the
+child's trial again when it judges it, so it holds one trial's arrays at a
+time.  The child takes the problem copy-on-write.  When its trial is
+accepted, it hands back only B^T p, so the solve's own process holds one
+window of states and the child a second, that of its latest trial.  A trial
+is handed over only while ``dynamics._core_free`` sees a core free for the
+child: beside another busy process the pair runs no faster than the serial
+search, and the child's unneeded trials are lost work.  The first trial of
+an iteration runs alone: unbounded and Euclidean windows accept it almost
+always, and a second busy process slows each process on a two-core host.
+A solve's ``forward_s`` and ``adjoint_s`` are the time its lane took to
+cost trials and give B^T p, here or waiting on the child.
 """
 
 from __future__ import annotations
@@ -313,11 +306,11 @@ class OptimizeResult:
     iterate and its cost, iterations, forward evaluations and the stop message, the wall
     time ``wall_s`` of the solve and the parts of it spent on forward windows (``forward_s``)
     and on adjoint sweeps (``adjoint_s``); one per window in :attr:`RhcResult.window_reports`.
-    A line-search trial may be evaluated in the solve's trial lane, a forked child (see the
-    module docstring): ``forward_s`` and ``adjoint_s`` count the time the solve ran
-    :func:`evaluate_cost` and :func:`solve_adjoint` itself or waited on the child for them,
-    and ``n_evaluations`` counts the trials the serial line search evaluates, so a child's
-    trial that was not needed is not counted."""
+    A line-search trial may be costed by a forked child of the solve's trial lane (see the
+    module docstring): ``forward_s`` and ``adjoint_s`` count the time the lane took to cost
+    trials and to give B^T p, in process or waiting on the child, and ``n_evaluations``
+    counts the trials the serial line search evaluates, so a child's trial that was not
+    needed is not counted."""
 
     u: np.ndarray
     cost: float
@@ -338,43 +331,39 @@ def _check_solver_knobs(tol, j_max) -> None:
         raise ValueError(f"iteration cap must be an integer >= 1, got j_max = {j_max!r}")
 
 
-def _core_free() -> bool:
-    """Whether a core is free now for a child of this process: fewer tasks are runnable on the host,
-    this process included, than there are cores it may run on (the fourth field of /proc/loadavg
-    counts them).  Without that reading a core counts as free."""
+def _trial_cost(u: np.ndarray, prob: OcpProblem) -> tuple[float, np.ndarray | None]:
+    """:func:`evaluate_cost` of a line-search trial; ``(inf, None)`` for a blown-up one, which is rejected."""
     try:
-        with open("/proc/loadavg", "rb") as fh:
-            runnable = int(fh.read().split()[3].split(b"/")[0])
-    except (OSError, ValueError, IndexError):
-        return True
-    return runnable < len(os.sched_getaffinity(0))
+        return evaluate_cost(u, prob)
+    except BlowUpError:
+        return math.inf, None
 
 
 class _TrialLane:
-    """The line-search trials of one window solve that run in a forked child, on the second core.
+    """Where the line-search trials of one window solve are costed: in this process or in a forked child.
 
-    ``submit(u)`` hands the child the amplitudes of a trial through a shared
-    slot of count x n_steps floats, forking the child on first use, and
-    ``cost()`` returns the trial's :func:`evaluate_cost` cost, inf for a
-    blown-up trial as in process, from a shared cell.  ``gradient()`` then
-    returns :func:`solve_adjoint` of the trial's states, made in the child and
-    handed back through a second slot, so the states never leave it.  One
-    request is open at a time: ``submit`` first reads and drops the answer to
-    an open one.  ``usable`` is ``dynamics._may_fork`` of the problem's
-    forcing.  It turns false when the fork fails, and when the child ends
-    without an answer (a ``MemoryError`` in it, a kill): the child is then
-    reaped, ``submit`` returns False, and ``cost()`` or ``gradient()``
-    returns None for the trial it held, which the solve then evaluates in
-    process, as the serial search does.  ``submit`` also returns False,
-    handing nothing over, while no core is free for the child.  Leaving the
-    ``with`` block kills and reaps the child.
+    ``cost(u, ahead)`` is the :func:`_trial_cost` cost of the trial ``u``: the
+    child's answer if the previous call handed ``u`` over, else costed here
+    while ``ahead()``, the next trial's iterate (None: none), goes to the
+    child where it may.  ``gradient(u)`` is B^T p of the accepted trial ``u``,
+    the child's for its own trial; a trial the child still holds is dropped,
+    its answer read at the next hand-over.  The child is forked at the first
+    hand-over; amplitudes, B^T p and cost cross in shared memory, the pipes
+    carry one-byte tokens.  A child that ends without an answer (a
+    ``MemoryError`` in it, a kill) is reaped and its work done here, as when
+    the fork fails: its trial is costed, or the accepted trial's window formed
+    again, and nothing more is handed over.  Leaving the ``with`` block kills
+    and reaps the child.
     """
 
     def __init__(self, prob: OcpProblem):
         self._prob = prob
         self._child: _Child | None = None
+        self._usable = dynamics._may_fork(prob.load.spec)
+        self._states = None  # the window of the latest trial costed here
+        self._in_lane = False  # the latest trial was costed by the child
+        self._handed = False  # the child holds the trial after the latest one
         self._open = False  # a request whose answer is unread
-        self.usable = dynamics._may_fork(prob.load.spec)
 
     def __enter__(self) -> "_TrialLane":
         return self
@@ -389,11 +378,7 @@ class _TrialLane:
         while request := os.read(recv, 1):
             if request == b"u":
                 states = None  # the previous trial's window goes before this one is formed
-                try:
-                    cost, states = evaluate_cost(self._u, self._prob)
-                except BlowUpError:
-                    cost = math.inf
-                self._cost[0] = cost
+                self._cost[0], states = _trial_cost(self._u, self._prob)
                 os.write(send, b"c")
             else:
                 self._btp[:] = solve_adjoint(states, self._prob)
@@ -416,16 +401,17 @@ class _TrialLane:
         return bool(got)
 
     def _give_up(self) -> None:
-        """Reap the failed child; the rest of the solve runs serially."""
+        """Reap the failed child; the rest of the solve runs here."""
         self._child.reap()
-        self._child, self._open, self.usable = None, False, False
+        self._child, self._open, self._usable = None, False, False
 
-    def submit(self, u: np.ndarray) -> bool:
-        """Hand the child the trial ``u``; False, with nothing handed over, unless ``usable`` and a
-        core is free for the child (:func:`_core_free`)."""
+    def _hand_over(self, u: np.ndarray | None) -> bool:
+        """Hand the child the trial ``u`` (None: nothing), forking it on first use; whether it took it."""
+        if u is None:
+            return False
         if self._open:
             self._answer()  # to a trial the line search did not need; if the child failed, it is no longer usable
-        if not (self.usable and _core_free()):
+        if not (self._usable and dynamics._core_free()):
             return False
         if self._child is None:
             self._u, self._btp = _shared_floats(2, self._prob.coupling.count, self._prob.n_steps)
@@ -433,16 +419,28 @@ class _TrialLane:
             try:
                 self._child = _Child(self._serve)
             except OSError:  # no fork: the solve runs serially
-                self.usable = False
+                self._usable = False
                 return False
         self._u[:] = u
         return self._ask(b"u")
 
-    def cost(self) -> float | None:
-        return float(self._cost[0]) if self._answer() else None
+    def cost(self, u: np.ndarray, ahead) -> float:
+        self._states = None  # the previous trial's window goes before this one is formed
+        self._in_lane, self._handed = self._handed and self._answer(), False  # the child's answer, if it holds u
+        if self._in_lane:
+            return float(self._cost[0])
+        self._handed = self._usable and self._hand_over(ahead())
+        cost, self._states = _trial_cost(u, self._prob)
+        return cost
 
-    def gradient(self) -> np.ndarray | None:
-        return self._btp.copy() if self._ask(b"g") and self._answer() else None
+    def gradient(self, u: np.ndarray) -> np.ndarray:
+        self._handed = False  # the accepted trial is the latest: the one after it is not needed
+        if self._in_lane:
+            if self._ask(b"g") and self._answer():
+                return self._btp.copy()
+            self._states = evaluate_cost(u, self._prob)[1]  # the child failed on it: its window is formed here
+        btp, self._states = solve_adjoint(self._states, self._prob), None
+        return btp
 
 
 def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-4,
@@ -452,10 +450,9 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
     Stops when the L2-in-time norm of the iterate difference drops below
     ``tol`` (finite, > 0) or the iteration cap ``j_max`` (an integer >= 1) is
     reached (then the best iterate is returned with ``converged=False``).
-    Once a trial of an iteration is rejected, each trial evaluated here hands
-    the next one to :class:`_TrialLane` where it can take it (a core is free
-    for it), and the trials
-    are judged in the serial order (see the module docstring); the result is
+    The trials are costed, and the accepted one's B^T p formed, by the
+    solve's :class:`_TrialLane`, which may cost the next backtracking trial
+    in a forked child meanwhile (see the module docstring); the result is
     bitwise that of the serial search.
     """
     _check_solver_knobs(tol, j_max)
@@ -481,6 +478,13 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
         d = u_new - u
         return u_new, d, float(np.sum(d * d))
 
+    def ahead():
+        """The next backtracking trial's iterate; None at the first or last trial, or if it does not move u."""
+        if 0 < tried < LINE_SEARCH_TRIALS - 1:
+            u_next, _, d_sq_next = trial(step * BACKTRACK_FACTOR)
+            return u_next if d_sq_next != 0.0 else None
+        return None
+
     u = project_admissible(u_init, prob.saturation)
     cost, states = timed("forward", evaluate_cost, u, prob)
     grad = reduced_gradient(u, timed("adjoint", solve_adjoint, states, prob), prob)
@@ -496,39 +500,20 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
     with _TrialLane(prob) as lane:
         for it in range(1, j_max + 1):
             ref = max(history)
-            step, handed = alpha, False  # handed: the next trial is in the lane
+            step = alpha
             for tried in range(LINE_SEARCH_TRIALS):
                 u_new, d, d_sq = trial(step)
                 if d_sq == 0.0:
                     return result(it, True, "stationary point")
                 evals += 1
-                states = None  # the rejected trial's window goes before this one is formed
-                in_lane, handed = handed, False
-                cost_new = timed("forward", lane.cost) if in_lane else None
-                if cost_new is None:  # evaluated here: the trial was not handed over, or the lane failed on it
-                    in_lane = False
-                    if lane.usable and 0 < tried < LINE_SEARCH_TRIALS - 1:
-                        # once a trial was rejected, the next one is evaluated in the lane meanwhile
-                        ahead = trial(step * BACKTRACK_FACTOR)
-                        handed = ahead[2] != 0.0 and lane.submit(ahead[0])
-                        ahead = None  # the lane has its copy; the trial is formed again when it is judged
-                    try:
-                        cost_new, states = timed("forward", evaluate_cost, u_new, prob)
-                    except BlowUpError:
-                        cost_new = math.inf  # rejected: backtrack towards the finite iterate
+                cost_new = timed("forward", lane.cost, u_new, ahead)
                 if cost_new <= ref + ARMIJO_SLOPE * float(np.sum(grad * d)):
                     break
                 step *= BACKTRACK_FACTOR
             else:
                 return result(it, False, "line search failed")
 
-            btp = timed("adjoint", lane.gradient) if in_lane else None
-            if btp is None:
-                if in_lane:  # the lane failed on the accepted trial: its window is formed here again
-                    _, states = timed("forward", evaluate_cost, u_new, prob)
-                btp = timed("adjoint", solve_adjoint, states, prob)
-            grad_new = reduced_gradient(u_new, btp, prob)
-            states = btp = None
+            grad_new = reduced_gradient(u_new, timed("adjoint", lane.gradient, u_new), prob)
             sty = float(np.sum(d * (grad_new - grad)))  # d = u_new - u, the accepted step
             if sty <= 0:
                 alpha = alpha0

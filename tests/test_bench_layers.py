@@ -65,6 +65,7 @@ def test_layer_on_a_4x4_mesh_writes_the_committed_keys(tmp_path, layer, args):
         assert case["same_result_every_run"] and float(case["cost"]) > 0
         assert len(case["u_sha256"]) == 64 and int(case["u_sha256"], 16) >= 0
         assert case["window_array_mb"] == 41 * 25 * 8 / 1e6 and case["child_private_mb"] >= 0
+        assert 0 <= case["child_adjoints"] <= case["child_evaluations"]  # a child's B^T p follows its trial
         assert result["peak_rss_mb"] > 0
     else:
         (case,) = result["cases"]

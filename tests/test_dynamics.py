@@ -548,20 +548,22 @@ class TestForkedTarget:
         assert len(forks) == 1 and len(calls) == 51
         forks.assert_reaped()
 
-    @pytest.mark.parametrize("level, how", [(1, "raise"), (2, "raise"), (22, "raise"), (30, "kill")],
-                             ids=["raise at level 1", "raise at level 2", "raise at level 22",
-                                  "killed handing over level 30"])
+    @pytest.mark.parametrize("entry, level, how", [
+        ("track_target", 1, MemoryError), ("track_target", 2, MemoryError), ("track_target", 22, MemoryError),
+        ("simulate_free", 22, ZeroDivisionError), ("track_target", 30, "kill")],
+        ids=["raise at level 1", "raise at level 2", "raise at level 22", "simulate_free", "killed handing over level 30"])
     def test_failed_child_leaves_the_in_process_record(self, fe16, params, coupling16, monkeypatch, forks,
-                                                       stepper_calls, level, how):
+                                                       stepper_calls, entry, level, how):
         # the child ends before delivering `level`: the target's free run goes on here from level - 1
         assert 3 <= TARGET_RING < 22  # the fallback at level 22 reads rows the ring has reused
         n_steps = 100
         y0 = fe16.mesh.interpolate(lambda x, y: -1.0 + 0.5 * x * y)
         yhat0 = fe16.mesh.interpolate(lambda x, y: 1.5 + 0.5 * x - 0.25 * y)
-
-        def run():
-            return track_target(y0, yhat0, self.LAW, coupling16, fe16, params, self.FORCING, self.CFG,
-                                horizon=n_steps * self.CFG.dt)
+        horizon = n_steps * self.CFG.dt
+        run = {"track_target": lambda: track_target(y0, yhat0, self.LAW, coupling16, fe16, params, self.FORCING,
+                                                    self.CFG, horizon=horizon),
+               "simulate_free": lambda: simulate_free(y0, horizon, fe16, params, self.FORCING, self.CFG,
+                                                      target=yhat0)}[entry]
 
         unfailed = run()
         assert len(forks) == 1 and len(stepper_calls) == n_steps
@@ -569,8 +571,8 @@ class TestForkedTarget:
 
         def failing(writer, k, y):  # the ring writer is called in the child only
             if k + 1 == level:
-                if how == "raise":
-                    raise MemoryError("no room for the level")
+                if how != "kill":
+                    raise how("no room for the level")
                 # the row of the level is written, with NaN, then the child dies before it says so
                 os.write = lambda fd, data: os.kill(os.getpid(), signal.SIGKILL)
                 y = np.full_like(y, np.nan)
@@ -584,34 +586,6 @@ class TestForkedTarget:
         assert len(stepper_calls) == 2 * n_steps + n_steps - (level - 1)
         for f in dataclasses.fields(TrajectoryRecord):
             a, b = getattr(failed, f.name), getattr(unfailed, f.name)
-            assert (a is None and b is None) or np.array_equal(a, b), f.name
-
-    def test_other_child_failure_named(self, fe16, params, monkeypatch, forks):
-        # a child failure other than a target blow-up is named nowhere: the free run against the
-        # target goes on here from level 21 and gives the in-process record
-        n = fe16.mesh.n_nodes
-
-        def run():
-            return simulate_free(np.zeros(n), 0.1, fe16, params, self.FORCING, IntegratorConfig(dt=1e-3),
-                                 target=np.full(n, 2.0))
-
-        with monkeypatch.context() as m:
-            _in_process(m)
-            in_process = run()
-        assert len(forks) == 0
-        hand_over = dynamics._RingWriter.__setitem__
-
-        def failing_at_level_22(writer, k, y):  # the ring writer is called in the child only
-            if k + 1 == 22:
-                raise ZeroDivisionError("hand-over failed")
-            hand_over(writer, k, y)
-
-        monkeypatch.setattr(dynamics._RingWriter, "__setitem__", failing_at_level_22)
-        failed = run()
-        assert len(forks) == 1
-        forks.assert_reaped()
-        for f in dataclasses.fields(TrajectoryRecord):
-            a, b = getattr(failed, f.name), getattr(in_process, f.name)
             assert (a is None and b is None) or np.array_equal(a, b), f.name
         assert failed.err_norm[-1] > 0
 

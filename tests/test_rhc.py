@@ -466,7 +466,7 @@ class TestBBSolver:
             saturated_control_on_window(prob, 175.0)
 
 
-CORE_FREE = rhc._core_free  # TestTrialLane patches it
+CORE_FREE = dynamics._core_free  # TestTrialLane patches it
 
 
 def backtracking_window(forcing=None):
@@ -516,7 +516,7 @@ class TestTrialLane:
     @pytest.fixture(autouse=True)
     def free_core(self, monkeypatch):
         """A core counts as free for the lane, whatever else runs on the host meanwhile."""
-        monkeypatch.setattr(rhc, "_core_free", lambda: True)
+        monkeypatch.setattr(dynamics, "_core_free", lambda: True)
 
     def test_bitwise_the_serial_search(self, monkeypatch, forks):
         prob, u0 = backtracking_window()
@@ -572,14 +572,64 @@ class TestTrialLane:
         assert math.isfinite(serial.cost)
         assert 0 < blow_ups.count(True) < blow_ups.count(False)  # the lane's blow-ups are not seen here
 
-    def test_gradient_of_a_lane_trial_is_the_in_process_adjoint(self, forks):
+    @staticmethod
+    def parent_calls(monkeypatch):
+        """The amplitudes of every trial this process costs, and the adjoint sweeps it runs, from now on."""
+        evaluate, adjoint, parent, calls = rhc.evaluate_cost, rhc.solve_adjoint, os.getpid(), []
+
+        def evaluated(u, p):
+            if os.getpid() == parent:
+                calls.append(u.tobytes())
+            return evaluate(u, p)
+
+        def swept(states, p):
+            if os.getpid() == parent:
+                calls.append("adjoint")
+            return adjoint(states, p)
+
+        monkeypatch.setattr(rhc, "evaluate_cost", evaluated)
+        monkeypatch.setattr(rhc, "solve_adjoint", swept)
+        return calls
+
+    def test_gradient_of_a_lane_trial_is_the_in_process_adjoint(self, monkeypatch, forks):
         prob, u0 = backtracking_window()
         u = project_admissible(u0 + 0.5, prob.saturation)
         cost, states = evaluate_cost(u, prob)
+        calls = self.parent_calls(monkeypatch)
         with rhc._TrialLane(prob) as lane:
-            assert lane.submit(u)
-            assert lane.cost() == cost
-            assert np.array_equal(lane.gradient(), solve_adjoint(states, prob))
+            assert lane.cost(u0, lambda: u) == evaluate_cost(u0, prob)[0]  # u0 costed here, u handed over
+            assert lane.cost(u, lambda: pytest.fail("a trial handed over is not costed here")) == cost
+            assert np.array_equal(lane.gradient(u), solve_adjoint(states, prob))
+        assert calls == [u0.tobytes()]  # u's cost and B^T p came from the child
+        assert len(forks) == 1
+        forks.assert_reaped()
+
+    def test_trial_held_when_the_parents_trial_is_accepted_is_dropped(self, monkeypatch, forks):
+        # u1 is handed over while u0 is costed here; u0 is accepted, so u1's answer is never returned
+        prob, u0 = backtracking_window()
+        u1, u2, u3, u4 = (project_admissible(u0 + s, prob.saturation) for s in (0.5, 0.25, 0.125, 1.0))
+        c0, c1, c2, c3, c4 = (evaluate_cost(u, prob)[0] for u in (u0, u1, u2, u3, u4))
+        assert len({c0, c1, c2, c3, c4}) == 5
+        btp0 = solve_adjoint(evaluate_cost(u0, prob)[1], prob)
+        calls = self.parent_calls(monkeypatch)
+        with rhc._TrialLane(prob) as lane:
+            assert lane.cost(u0, lambda: u1) == c0
+            assert np.array_equal(lane.gradient(u0), btp0)
+            assert lane.cost(u2, lambda: None) == c2  # the next iteration's first trial, costed here
+            assert lane.cost(u3, lambda: u4) == c3  # u1's answer is read before u4 is handed over
+            assert lane.cost(u4, lambda: None) == c4
+        assert calls == [u0.tobytes(), "adjoint", u2.tobytes(), u3.tobytes()]
+        assert len(forks) == 1
+        forks.assert_reaped()
+
+    def test_hand_overs_of_the_backtracking_window(self, monkeypatch, forks):
+        # the traffic of the pinned solve: a lane that stops handing trials over fails here
+        requests, ask = [], rhc._TrialLane._ask
+        monkeypatch.setattr(rhc._TrialLane, "_ask",
+                            lambda lane, request: requests.append(request) or ask(lane, request))
+        out = bb_projected_gradient(*backtracking_window(), tol=1e-6, j_max=40)
+        assert (out.iterations, out.n_evaluations) == (7, 97)
+        assert (requests.count(b"u"), requests.count(b"g"), len(requests)) == (46, 3, 49)
         assert len(forks) == 1
         forks.assert_reaped()
 
@@ -676,7 +726,7 @@ class TestTrialLane:
             return checks[-1]
 
         prob, u0 = backtracking_window()
-        monkeypatch.setattr(rhc, "_core_free", core_free)
+        monkeypatch.setattr(dynamics, "_core_free", core_free)
         laned, serial = solve_with_and_without_lane(monkeypatch, prob, u0, tol=1e-6, j_max=40)
         assert False in checks and len(forks) == int(True in free)  # the child is forked at the first hand-over
         forks.assert_reaped()
@@ -693,7 +743,7 @@ class TestTrialLane:
                 raise FileNotFoundError(path)
             return io.BytesIO(loadavg)
 
-        monkeypatch.setattr(rhc, "open", fake_open, raising=False)
+        monkeypatch.setattr(dynamics, "open", fake_open, raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         assert CORE_FREE() is free
 
