@@ -17,9 +17,9 @@ storage (pbtrf) and every step solves with the band factor (pbtrs).
 Every trajectory of the package (plant, rolling target, receding-horizon
 window, replay) advances through one private plant loop, ``_run_plant``,
 the one caller of the step of a two-level cursor that counts the run's
-time levels, against one target source and one ``ForcingLoad``, which
-gives the load of level n at time n * dt.  The loop logs each level in
-place into the run's record, allocated once, strided snapshots included;
+time levels, against one ``ForcingLoad``, which gives the load of level n
+at time n * dt, and reads its target one row per level.  It logs each level
+in place into the run's record, allocated once, strided snapshots included;
 it logs amplitudes by the saturation's norm, :func:`.actuators.control_norm`.
 
 On small meshes a step costs per-call overhead more than arithmetic, so
@@ -42,34 +42,33 @@ the hot path is kept lean without changing a bit of any result:
   single-vector product; the forcing is then added to it, as per step.
   A closed loop forms B u once per step, after its control law.
 
-A lockstep run from level 0 against a target initial state (``track_target``,
-``simulate_free`` and ``simulate_controlled`` with one) steps that target in a
-forked child process where that both pays and is safe: the target's free run
-never depends on the plant, and in the parent it would be a second banded
-solve per level on the same core, about 40% of a 57 x 57 feedback run.  The
-child runs the plant loop free on the target cursor and hands each level to
-the parent through a shared ring of ``TARGET_RING`` rows; the same code on
-the same data gives the same bits.  A thread would not help: the band solve
-holds the GIL.  The receding-horizon loop keeps the in-process rolling
-source: its windows request many levels at once and its target is a small
-share of the run.
+A target is its initial state, and a lockstep run from level 0 against one
+(``track_target``, ``simulate_free`` and ``simulate_controlled`` with one)
+steps its free run in a forked child process where that both pays and is
+safe: the free run never depends on the plant, and in the parent it would be
+a second banded solve per level on the same core, about 40% of a 57 x 57
+feedback run.  The child runs the plant loop free on the target cursor and
+hands each level to the parent through a shared ring of ``TARGET_RING``
+rows; the same code on the same data gives the same bits.  A thread would
+not help: the band solve holds the GIL.  The receding-horizon loop keeps the
+in-process rolling source: its windows request many levels at once and its
+target is a small share of the run.
 
 ``_may_fork`` and ``_core_free`` make every decision about forking.
-``_may_fork``, whether a run may fork at all, is asked by the lockstep
+``_may_fork``, whether this process may fork at all, is asked by the lockstep
 target's ``_TargetSource.feed`` and by the trial lane of the receding-horizon
 line search (:mod:`.rhc`), which costs a backtracking trial in a child while
 the parent costs the one before it; ``_core_free``, whether a core is free
-now, by the lane before each hand-over.  Both helpers set up, end and reap
-their child through ``_Child``.  A child only runs ahead: whatever it does
-not deliver (it failed, blew up or was killed), the parent does itself with
-the same code on the same data, so no failure crosses the fork and a failed
-child only makes a run slower.  Nothing forks on a platform other than
-Linux (a fork without exec is unsafe on macOS), on one core, in a
-process-pool worker (its sibling workers hold the other cores), beside other
-Python threads (a lock one of them holds would stay locked in the child;
-OpenBLAS ends its own thread pool before a fork) or under a custom forcing
-(a callback may keep state that the parent's and the child's calls share);
-if the fork itself fails, the work is done in process.
+now beside the lane's idle child, by the lane before each hand-over.  Both
+helpers set up, end and reap their child through ``_Child``.  A child only
+runs ahead: whatever it does not deliver (it failed, blew up or was killed),
+the parent does itself with the same code on the same data, so no failure
+crosses the fork and a failed child only makes a run slower.  Nothing forks
+on a platform other than Linux (a fork without exec is unsafe on macOS), on
+one core, in a process-pool worker (its sibling workers hold the other
+cores) or beside other Python threads (a lock one of them holds would stay
+locked in the child; OpenBLAS ends its own thread pool before a fork); if
+the fork itself fails, the work is done in process.
 """
 
 from __future__ import annotations
@@ -181,18 +180,14 @@ def shifted_reaction_derivative(z, y_ref, params: SchloeglParams):
 
 @dataclass(frozen=True)
 class ForcingSpec:
-    """External force variants: zero, the periodic indicator, or a callback.
-
-    The periodic indicator is 0.5 * 1{|sin 6t| > 1/2}(t) * 1{|x|^2 < 1/2}(x).
-    Custom callbacks receive (t, x, y) with coordinate arrays and return
-    nodal values.  Every call of a custom callback is made in the calling
-    process: ``_may_fork`` refuses a fork under one, so neither a lockstep
-    target nor a line-search trial is costed in a forked child, and a callback
-    may keep state or have side effects.
-    """
+    """External force variants: zero, or the periodic indicator
+    0.5 * 1{|sin 6t| > 1/2}(t) * 1{|x|^2 < 1/2}(x); any other ``kind`` is refused."""
 
     kind: str = "zero"
-    fn: Callable | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("zero", "periodic"):
+            raise ValueError(f"unknown forcing kind {self.kind!r}, expected 'zero' or 'periodic'")
 
     @staticmethod
     def zero() -> "ForcingSpec":
@@ -201,10 +196,6 @@ class ForcingSpec:
     @staticmethod
     def periodic_indicator() -> "ForcingSpec":
         return ForcingSpec(kind="periodic")
-
-    @staticmethod
-    def custom(fn: Callable) -> "ForcingSpec":
-        return ForcingSpec(kind="custom", fn=fn)
 
     def time_gate(self, t: float) -> float:
         """Scalar time factor for the periodic variant (0 or 1)."""
@@ -216,12 +207,7 @@ def eval_forcing(spec: ForcingSpec, t: float, mesh: StructuredTriangulation) -> 
     if spec.kind == "zero":
         return np.zeros(mesh.n_nodes)
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    if spec.kind == "periodic":
-        spatial = 0.5 * (x * x + y * y < 0.5)
-        return spec.time_gate(t) * spatial
-    if spec.kind == "custom":
-        return np.asarray(spec.fn(t, x, y), dtype=float)
-    raise ValueError(f"unknown forcing kind {spec.kind!r}")
+    return spec.time_gate(t) * (0.5 * (x * x + y * y < 0.5))
 
 
 class ForcingLoad:
@@ -236,12 +222,9 @@ class ForcingLoad:
             self._base = fe.mass @ eval_forcing(spec, math.pi / 12, fe.mesh)
 
     def __call__(self, n: int) -> np.ndarray | None:
-        if self.spec.kind == "zero":
-            return None
-        t = n * self.dt
-        if self.spec.kind == "periodic":
-            return self._base if self.spec.time_gate(t) == 1.0 else None
-        return self.fe.mass @ eval_forcing(self.spec, t, self.fe.mesh)
+        if self.spec.kind == "periodic" and self.spec.time_gate(n * self.dt) == 1.0:
+            return self._base
+        return None
 
 
 @dataclass(frozen=True)
@@ -505,53 +488,45 @@ def _n_steps_for(horizon: float, dt: float) -> int:
     return n
 
 
+def _nodal_state(y, name: str, n_nodes: int) -> np.ndarray:
+    """``y`` as a float64 array; ``ValueError`` naming ``name`` unless it is a 1-D array of ``n_nodes`` floats."""
+    try:
+        a = np.asarray(y, dtype=float)
+    except (TypeError, ValueError):  # not numbers: a TrajectoryRecord, say
+        a = None
+    if a is None or a.shape != (n_nodes,):
+        got = type(y).__name__ if a is None else f"shape {a.shape}"
+        raise ValueError(f"{name} must be a state: a 1-D array of {n_nodes} floats, one per mesh node; got {got}")
+    return a
+
+
 class _TargetSource:
-    """Target states by time level: rows of a stored record, or the free run from an initial state.
+    """The target's states by time level: the free run from the initial state ``y0`` under ``load``.
 
     ``window(n0, n_steps)`` returns levels n0..n0+n_steps as read-only rows;
-    no request may start before the previous one.  The rolling source steps
-    each level once, through the plant loop run free, and keeps only the
-    levels from the latest request on, so lockstep use (n_steps = 0) holds
-    one state.
+    no request may start before the previous one.  The source steps each
+    level once, through the plant loop run free, and keeps only the levels
+    from the latest request on, so lockstep use holds one state.
 
+    ``row(n)`` is the state at level n for the lockstep reads n = 0, 1, ....
     After ``feed``, a forked child steps the free run into a shared ring and
-    the lockstep requests ``window(n, 0)``, n = 0, 1, ..., read one-row views
-    of it, valid until the next request.  Should the child end before level
-    n, the free run goes on here from the last two levels it delivered, with
-    the bits and errors of the in-process source.  ``close`` reaps the child.
+    ``row(n)`` is a view of a ring row, valid until the next read.  Should the
+    child end before level n, the free run goes on here from the last two
+    levels it delivered, with the bits and errors of the in-process source.
+    ``close`` reaps the child.
     """
 
-    def __init__(self, rows: np.ndarray, base: int = 0, cursor: _Cursor | None = None, load: ForcingLoad | None = None):
-        self._rows = rows  # states at levels self._base, self._base + 1, ...
-        self._base = base
-        self._cursor = cursor
+    def __init__(self, stepper: CrankNicolsonAB2, y0: np.ndarray, load: ForcingLoad):
+        self._cursor = _Cursor(stepper, y0)
+        self._rows = self._cursor.y[None]  # states at levels self._base, self._base + 1, ...
+        self._base = 0
         self._load = load
         self._child: _Child | None = None
-
-    @classmethod
-    def of(cls, target, stepper: CrankNicolsonAB2, load: ForcingLoad, n_steps: int) -> "_TargetSource":
-        """The free run from the state ``target``, or a full-state :class:`TrajectoryRecord`.
-
-        A record is refused unless it covers the ``n_steps`` steps the run
-        needs (checked first: a one-level record has no grid step), is on the
-        stepper's grid and stores every level.
-        """
-        if not isinstance(target, TrajectoryRecord):
-            cursor = _Cursor(stepper, target)
-            return cls(cursor.y[None], 0, cursor, load)
-        if target.n_steps < n_steps:
-            raise ValueError(f"target record covers {target.n_steps} steps, the run needs {n_steps}")
-        if abs(target.times[1] - target.times[0] - stepper.dt) > 1e-12:
-            raise ValueError(f"target record time grid step {target.times[1] - target.times[0]!r} "
-                             f"does not match the integrator step size {stepper.dt!r}")
-        if len(target.state_levels) != target.n_steps + 1:
-            raise ValueError("target record must store every time level (state_stride=1)")
-        return cls(target.states)
 
     def feed(self, n_steps: int) -> None:
         """Step the free run's levels 1..n_steps in a forked child, where ``_may_fork`` allows and the fork works."""
         cursor = self._cursor
-        if cursor is None or not _may_fork(self._load.spec):
+        if not _may_fork():
             return
         ring = _shared_floats(TARGET_RING, len(cursor.y))
         ring[0] = cursor.y
@@ -565,30 +540,30 @@ class _TargetSource:
         self._ready = 0  # levels the child has delivered
         self._level = 0  # the latest request
 
-    def window(self, n0: int, n_steps: int) -> np.ndarray:
+    def row(self, n: int) -> np.ndarray:
         if self._child is not None:
-            if n0 > self._level:  # the rows of the levels passed are free
+            if n > self._level:  # the rows of the levels passed are free
                 try:
-                    os.write(self._child.send, b"." * (n0 - self._level))
+                    os.write(self._child.send, b"." * (n - self._level))
                 except BrokenPipeError:  # the child has ended: it needs no more rows
                     pass
-                self._level = n0
-            while self._ready < n0:
+                self._level = n
+            while self._ready < n:
                 got = os.read(self._child.recv, 4096)
-                if not got:  # the child ended before level n0: its free run goes on here
+                if not got:  # the child ended before level n: its free run goes on here
                     self._resume()
                     break
                 self._ready += len(got)
-            else:  # level n0 is in the ring
-                row = n0 % TARGET_RING
-                return self._ring[row:row + 1]
+            else:  # level n is in the ring
+                return self._ring[n % TARGET_RING]
+        return self.window(n, 0)[0]
+
+    def window(self, n0: int, n_steps: int) -> np.ndarray:
         if n0 < self._base:
             raise ValueError(f"target level {n0} precedes the previous request at level {self._base}")
         rows = self._rows[n0 - self._base:]
         if len(rows) <= n_steps:
             cursor = self._cursor
-            if cursor is None:
-                raise ValueError("target record does not cover the requested window")
             grown = np.empty((n_steps + 1, len(cursor.y)))
             grown[:len(rows)] = rows
             if cursor.level < n0 - 1:  # a gap: the levels before n0 are stepped, not kept
@@ -681,7 +656,7 @@ class _Child:
 
 
 def _run_plant(cursor: _Cursor, n_steps: int, forcing: ForcingLoad, b=None, control=None,
-               target: _TargetSource | None = None, rec: _Recorder | None = None,
+               target: Callable[[int], np.ndarray] | None = None, rec: _Recorder | None = None,
                states: np.ndarray | None = None) -> None:
     """Advance ``cursor`` by ``n_steps`` steps: the plant loop of every run.
 
@@ -689,9 +664,9 @@ def _run_plant(cursor: _Cursor, n_steps: int, forcing: ForcingLoad, b=None, cont
     float64 CSR matrix, as a :class:`.actuators.CouplingMatrix` holds it)
     with the float64 amplitudes u of step k.  A closed loop passes the
     callable ``control(k, z)``, which returns u from z, the error against
-    ``target`` at level n (None without one); an open loop passes the
-    array whose column k is u, and its loads are formed ``LOAD_BLOCK``
-    steps at a time.  ``control=None`` runs the plant free.  ``rec``
+    ``target(n)``, the target's row at level n, read once per level (None
+    without a target); an open loop passes the array whose column k is u,
+    and its loads are formed ``LOAD_BLOCK`` steps at a time.  ``control=None`` runs the plant free.  ``rec``
     logs each new level, and level 0 before the first step; ``states``
     receives the new states in rows 0..n_steps-1.
     """
@@ -703,7 +678,7 @@ def _run_plant(cursor: _Cursor, n_steps: int, forcing: ForcingLoad, b=None, cont
     def error():
         if target is None:
             return None, None
-        z = cursor.y - target.window(cursor.level, 0)[0]
+        z = cursor.y - target(cursor.level)
         return z, float(z @ apply_mass(z))
 
     z, err_sq = error()
@@ -732,44 +707,47 @@ def _run_plant(cursor: _Cursor, n_steps: int, forcing: ForcingLoad, b=None, cont
             states[k] = y
 
 
-def _may_fork(forcing: ForcingSpec) -> bool:
-    """Whether a run under ``forcing`` may hand work to a forked child (see the module docstring): on
-    Linux, with a second core to run on, no other Python thread, outside a process-pool worker, and for
-    a forcing that is a pure function of time.  The one gate of both forked helpers, the lockstep target
-    and the receding-horizon line search's trial lane."""
-    return (sys.platform.startswith("linux") and forcing.kind != "custom" and parent_process() is None
+def _may_fork() -> bool:
+    """Whether this process may hand work to a forked child (see the module docstring): on Linux, with a
+    second core to run on, no other Python thread, and outside a process-pool worker.  The one gate of
+    both forked helpers, the lockstep target and the receding-horizon line search's trial lane."""
+    return (sys.platform.startswith("linux") and parent_process() is None
             and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1)
 
 
-def _core_free() -> bool:
-    """Whether a core is free now for a child of this process: fewer tasks are runnable on the host,
-    this process included, than there are cores it may run on (the fourth field of /proc/loadavg
-    counts them).  Without that reading a core counts as free."""
+def _core_free(children: int) -> bool:
+    """Whether a core is free now for a child of this process: fewer tasks are runnable on the host
+    (the fourth field of /proc/loadavg), this process included and its ``children`` idle children
+    (0 or 1, still runnable just after they answer) not, than it may run on.  Without that reading a
+    core counts as free."""
     try:
         with open("/proc/loadavg", "rb") as fh:
             runnable = int(fh.read().split()[3].split(b"/")[0])
     except (OSError, ValueError, IndexError):
         return True
-    return runnable < len(os.sched_getaffinity(0))
+    return runnable - children < len(os.sched_getaffinity(0))
 
 
 def _simulate(y0: np.ndarray, n_steps: int, fe: FemOperators, params: SchloeglParams,
               forcing: ForcingSpec | None, cfg: IntegratorConfig, target=None,
               coupling=None, control=None) -> TrajectoryRecord:
-    """Record of a run from level 0 against ``target`` (initial state, full-state record
-    or None), its control cost weighed by ``cfg.cost_beta``; plant and target share one stepper.
-    An initial state's free run is stepped in a forked child where ``_may_fork`` allows,
-    else in process; the record has the same bits either way."""
+    """Record of a run from level 0 against the free run from the target initial state ``target``
+    (None: no target), its control cost weighed by ``cfg.cost_beta``; plant and target share one
+    stepper.  The target is stepped in a forked child where ``_may_fork`` allows, else in process,
+    with the same bits.  ``y0`` and ``target`` are checked before anything is set up."""
+    y0 = _nodal_state(y0, "y0", fe.mesh.n_nodes)
+    if target is not None:
+        target = _nodal_state(target, "target", fe.mesh.n_nodes)
     stepper = CrankNicolsonAB2(fe, params, cfg.dt)
     forcing = forcing or ForcingSpec.zero()
     load = ForcingLoad(forcing, fe, cfg.dt)
     b, count = (None, None) if coupling is None else (coupling.b, coupling.count)
     rec = _Recorder(cfg, n_steps, fe.mesh.n_nodes, count, track_error=target is not None)
-    source = None if target is None else _TargetSource.of(target, stepper, load, n_steps)
+    source = None if target is None else _TargetSource(stepper, target, load)
     if source is not None:
         source.feed(n_steps)
     try:
-        _run_plant(_Cursor(stepper, y0), n_steps, load, b, control, source, rec)
+        _run_plant(_Cursor(stepper, y0), n_steps, load, b, control, None if source is None else source.row, rec)
     finally:
         if source is not None:
             source.close()
@@ -779,10 +757,9 @@ def _simulate(y0: np.ndarray, n_steps: int, fe: FemOperators, params: SchloeglPa
 def simulate_free(y0: np.ndarray, horizon: float, fe: FemOperators, params: SchloeglParams,
                   forcing: ForcingSpec | None = None, cfg: IntegratorConfig | None = None,
                   target=None) -> TrajectoryRecord:
-    """Uncontrolled trajectory from y0 over [0, horizon], logged against ``target`` if given.
-
-    ``target`` is as in :func:`.feedback.track_target`.  Raises :class:`BlowUpError`
-    with the offending time if the state leaves the finite range.
+    """Uncontrolled trajectory from y0 over [0, horizon], logged against the free run from the
+    target initial state ``target`` if given.  Raises :class:`BlowUpError` with the offending time
+    if the state leaves the finite range.
     """
     cfg = cfg or IntegratorConfig()
     return _simulate(y0, _n_steps_for(horizon, cfg.dt), fe, params, forcing, cfg, target)

@@ -10,10 +10,9 @@ too, and a non-finite input comes out all NaN.  The control
 enters the plant lagged (evaluated at the step start), matching the
 Adams-Bashforth treatment of the non-diffusive terms.  The closed-loop
 run :func:`track_target` drives the plant loop of :mod:`.dynamics` with
-this law as its control policy against one ``target`` argument: an
-initial state, whose free run is co-simulated in lockstep (in a forked
-child process where that pays, see :mod:`.dynamics`), or a stored
-full-state record; plant and target share one stepper.
+this law as its control policy against a target initial state, whose free
+run is co-simulated in lockstep (in a forked child process where that
+pays, see :mod:`.dynamics`); plant and target share one stepper.
 """
 
 from __future__ import annotations
@@ -134,13 +133,11 @@ def _feedback_control(law: FeedbackLaw, coupling: CouplingMatrix):
 def track_target(y0: np.ndarray, target, law: FeedbackLaw, coupling: CouplingMatrix,
                  fe: FemOperators, params: SchloeglParams, forcing: ForcingSpec | None = None,
                  cfg: IntegratorConfig | None = None, horizon: float = 1.0) -> TrajectoryRecord:
-    """Closed-loop run over [0, horizon] against ``target``.
+    """Closed-loop run over [0, horizon] against the target initial state ``target``.
 
-    ``target`` is either the target initial state, whose free trajectory
-    advances in lockstep with the plant (memory use independent of the
-    horizon), or a full-state :class:`TrajectoryRecord` on the same time
-    grid with every level stored (state_stride 1) covering the horizon;
-    any other record is refused before the first step.
+    The target's free trajectory advances in lockstep with the plant (memory
+    use independent of the horizon).  A ``y0`` or ``target`` that is not a
+    1-D array of one float per mesh node is refused before the first step.
     """
     cfg = cfg or IntegratorConfig()
     return _simulate(y0, _n_steps_for(horizon, cfg.dt), fe, params, forcing, cfg, target, coupling,

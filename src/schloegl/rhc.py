@@ -13,8 +13,8 @@ finite-difference checks are hard pass/fail.  The optimizer is a
 projected gradient method with BB1 stepsizes and a nonmonotone Armijo
 line search, in which a blown-up trial iterate counts as infinite cost.
 Forward windows, the warm start, the receding-horizon plant and the
-replay all run the plant loop of :mod:`.dynamics` against its target
-source, with one stepper and one ``ForcingLoad`` per run.  A window
+replay all run the plant loop of :mod:`.dynamics`, with one stepper, one
+``ForcingLoad`` and one target initial state's free run per run.  A window
 counts the run's time levels: one opening at level n0 applies the loads
 of levels n0, n0 + 1, ...  Windows after the first continue the AB2
 history of the plant, so the concatenated receding-horizon trajectory
@@ -63,12 +63,13 @@ time.  The child takes the problem copy-on-write.  When its trial is
 accepted, it hands back only B^T p, so the solve's own process holds one
 window of states and the child a second, that of its latest trial.  A trial
 is handed over only while ``dynamics._core_free`` sees a core free for the
-child: beside another busy process the pair runs no faster than the serial
-search, and the child's unneeded trials are lost work.  The first trial of
-an iteration runs alone: unbounded and Euclidean windows accept it almost
-always, and a second busy process slows each process on a two-core host.
-A solve's ``forward_s`` and ``adjoint_s`` are the time its lane took to
-cost trials and give B^T p, here or waiting on the child.
+child, the lane's own idle child not counted: beside another busy process
+the pair runs no faster than the serial search, and the child's unneeded
+trials are lost work.  The first trial of an iteration runs alone: unbounded
+and Euclidean windows accept it almost always, and a second busy process
+slows each process on a two-core host.  A solve's ``forward_s`` and
+``adjoint_s`` are the time its lane took to cost trials and give B^T p, here
+or waiting on the child.
 """
 
 from __future__ import annotations
@@ -95,6 +96,7 @@ from .dynamics import (
     _Child,
     _Cursor,
     _n_steps_for,
+    _nodal_state,
     _Recorder,
     _run_plant,
     _shared_floats,
@@ -359,7 +361,7 @@ class _TrialLane:
     def __init__(self, prob: OcpProblem):
         self._prob = prob
         self._child: _Child | None = None
-        self._usable = dynamics._may_fork(prob.load.spec)
+        self._usable = dynamics._may_fork()
         self._states = None  # the window of the latest trial costed here
         self._in_lane = False  # the latest trial was costed by the child
         self._handed = False  # the child holds the trial after the latest one
@@ -411,7 +413,7 @@ class _TrialLane:
             return False
         if self._open:
             self._answer()  # to a trial the line search did not need; if the child failed, it is no longer usable
-        if not (self._usable and dynamics._core_free()):
+        if not (self._usable and dynamics._core_free(int(self._child is not None))):
             return False
         if self._child is None:
             self._u, self._btp = _shared_floats(2, self._prob.coupling.count, self._prob.n_steps)
@@ -546,7 +548,7 @@ def saturated_control_on_window(prob: OcpProblem, gain: float) -> np.ndarray:
         return u[:, k]
 
     _run_plant(_Cursor(prob.stepper, prob.y0, prob.y_prev, prob.n0), prob.n_steps, prob.load,
-               prob.coupling.b, control, _TargetSource(prob.target, prob.n0))
+               prob.coupling.b, control, lambda n: prob.target[n - prob.n0])
     return u
 
 
@@ -583,12 +585,14 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, law: FeedbackLaw, coupling: 
 
     Arguments as for :func:`.feedback.track_target`; ``law.saturation`` is
     every window's admissible set, ``integ.cost_beta`` the control weight of
-    the window costs and the record.  ``target`` (an initial state, rolled
-    forward, or a full-state record covering t_final - delta + horizon) is
-    checked before the first step.  The first window starts from the closed
+    the window costs and the record.  The target initial state's free run is
+    rolled forward in process; it and ``y0`` are checked as in ``track_target``
+    before anything is set up.  The first window starts from the closed
     loop of ``law``; later windows shift the previous optimum and pad the
     tail with its last column.
     """
+    y0 = _nodal_state(y0, "y0", fe.mesh.n_nodes)
+    target = _nodal_state(target, "target", fe.mesh.n_nodes)
     integ = integ or IntegratorConfig()
     dt = integ.dt
     n_delta = _n_steps_for(cfg.delta, dt)
@@ -600,7 +604,7 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, law: FeedbackLaw, coupling: 
 
     stepper = CrankNicolsonAB2(fe, params, dt)
     fload = ForcingLoad(forcing or ForcingSpec.zero(), fe, dt)
-    source = _TargetSource.of(target, stepper, fload, n_total - n_delta + n_horizon)
+    source = _TargetSource(stepper, target, fload)
     plant = _Cursor(stepper, y0)
     rec = _Recorder(integ, n_total, fe.mesh.n_nodes, coupling.count, track_error=True)
     reports = []
@@ -620,7 +624,7 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, law: FeedbackLaw, coupling: 
         res = bb_projected_gradient(prob, u_init, tol=cfg.tol, j_max=cfg.j_max)
         reports.append(res)
         warm = res.u
-        _run_plant(plant, n_delta, fload, coupling.b, warm, source, rec)
+        _run_plant(plant, n_delta, fload, coupling.b, warm, source.row, rec)
 
     return RhcResult(record=rec.record, window_reports=reports)
 
@@ -631,14 +635,13 @@ def simulate_controlled(y0: np.ndarray, controls: np.ndarray, coupling: Coupling
                         target_y0=None, beta: float | None = None) -> TrajectoryRecord:
     """Open-loop replay of a logged control sequence, shape (count, n_steps >= 1): one column per step.
 
-    With ``target_y0`` given, error norms and the running cost are logged
-    against it: a target initial state, whose free dynamics is
-    co-simulated, or a full-state :class:`TrajectoryRecord` covering the
-    replay on the same grid.  The plant loop is that of the receding-horizon
-    plant, and a target initial state, stepped in a forked child where
-    :mod:`.dynamics` finds that pays and is safe, gives the bits of its
-    in-process rolling source, so replaying the logged receding-horizon
-    control with the run's own ``integ`` reproduces its record bitwise.
+    With the target initial state ``target_y0`` given, error norms and the
+    running cost are logged against its co-simulated free run.  The plant
+    loop is that of the receding-horizon plant, and the target, stepped in a
+    forked child where :mod:`.dynamics` finds that pays and is safe, gives
+    the bits of its in-process rolling source, so replaying the logged
+    receding-horizon control with the run's own ``integ`` reproduces its
+    record bitwise.
     ``integ.cost_beta`` weighs the control; another ``beta`` is refused, and
     so is a control array of another shape, before anything is set up.
     """

@@ -132,10 +132,10 @@ class TestForcing:
         outer = np.flatnonzero((nodes[:, 0] > 0.85) & (nodes[:, 1] > 0.85))
         assert np.all(h[outer] == 0.0)
 
-    def test_custom_callback(self, fe16):
-        spec = ForcingSpec.custom(lambda t, x, y: t * x)
-        h = eval_forcing(spec, 2.0, fe16.mesh)
-        assert np.allclose(h, 2.0 * fe16.mesh.nodes[:, 0])
+    @pytest.mark.parametrize("kind", ["custom", "Periodic", ""])
+    def test_unknown_kind_refused(self, kind):
+        with pytest.raises(ValueError, match=rf"unknown forcing kind {kind!r}, expected 'zero' or 'periodic'"):
+            ForcingSpec(kind=kind)
 
 
 class TestForcingLoad:
@@ -145,7 +145,6 @@ class TestForcingLoad:
         (ForcingSpec.periodic_indicator(), 0.7),            # gate open, |sin 6t| < 1
         (ForcingSpec.periodic_indicator(), 0.0),            # gate closed
         (ForcingSpec.periodic_indicator(), 0.5),            # gate closed
-        (ForcingSpec.custom(lambda t, x, y: np.sin(t) * x - y * y), 0.4),
     ])
     def test_matches_mass_times_nodal_forcing_bitwise(self, fe16, spec, t):
         # the load of level 4 on a grid that puts level 4 at time t (level 0 for t = 0)
@@ -179,14 +178,15 @@ class TestIntegrator:
         assert np.max(np.abs(norms - np.abs(oracle))) < 1e-10
 
     def test_scalar_reduction_with_forcing(self, fe16, params):
-        # spatially constant, time-varying forcing keeps the reduction exact
-        forcing = ForcingSpec.custom(lambda t, x, y: np.full_like(x, math.sin(3 * t)))
-        cfg = IntegratorConfig(dt=2e-3, state_stride=100)
-        n = 400
-        rec = simulate_free(np.full(fe16.mesh.n_nodes, 0.3), 0.8, fe16, params, forcing, cfg)
-        hvals = np.array([math.sin(3 * (k * 2e-3)) for k in range(n)])
-        oracle = scalar_cnab_trajectory(0.3, 2e-3, n, params, forcing_values=hvals)
-        assert abs(rec.final_state - oracle[-1]).max() < 1e-10
+        # spatially constant, time-varying forcing keeps the reduction exact; the plant loop
+        # takes the load of level k, M h(k dt), from any callable
+        dt, n = 2e-3, 400
+        hvals = np.array([math.sin(3 * (k * dt)) for k in range(n)])
+        cursor = _Cursor(CrankNicolsonAB2(fe16, params, dt), np.full(fe16.mesh.n_nodes, 0.3))
+        _run_plant(cursor, n, lambda k: fe16.mass @ np.full(fe16.mesh.n_nodes, hvals[k]))
+        oracle = scalar_cnab_trajectory(0.3, dt, n, params, forcing_values=hvals)
+        assert cursor.level == n
+        assert abs(cursor.y - oracle[-1]).max() < 1e-10
 
     def test_bistable_split(self, fe16, params):
         cfg = IntegratorConfig(dt=1e-3, state_stride=5000)
@@ -207,19 +207,18 @@ class TestIntegrator:
             simulate_free(np.zeros(fe16.mesh.n_nodes), 0.00151, fe16, params,
                           cfg=IntegratorConfig(dt=1e-3))
 
-    def test_free_run_against_either_target_form(self, fe16, params):
-        # a target initial state is co-simulated; its full-state record gives the same bits
+    def test_free_run_against_a_target_initial_state(self, fe16, params):
+        # the target initial state is co-simulated: every error is against the target's own free run
         cfg = IntegratorConfig(dt=1e-3, state_stride=1, cost_beta=1e-3)
         y0, yhat0 = np.full(fe16.mesh.n_nodes, 0.5), np.full(fe16.mesh.n_nodes, 2.0)
         forcing = ForcingSpec.periodic_indicator()
-        stored = simulate_free(yhat0, 0.3, fe16, params, forcing, cfg)
+        free = simulate_free(y0, 0.2, fe16, params, forcing, cfg)
+        target = simulate_free(yhat0, 0.2, fe16, params, forcing, cfg)
         rolled = simulate_free(y0, 0.2, fe16, params, forcing, cfg, target=yhat0)
-        read = simulate_free(y0, 0.2, fe16, params, forcing, cfg, target=stored)
         assert rolled.controls is None and not np.any(rolled.control_norms)
-        for name in ("states", "err_norm", "running_cost"):
-            assert np.array_equal(getattr(rolled, name), getattr(read, name)), name
-        assert rolled.err_norm[-1] == l2_norm(rolled.final_state - stored.state_at_level(200), fe16.mass)
-        assert simulate_free(y0, 0.2, fe16, params, forcing, cfg).err_norm is None
+        assert free.err_norm is None and np.array_equal(rolled.states, free.states)
+        assert np.array_equal(rolled.err_norm, [l2_norm(y - yhat, fe16.mass) for y, yhat in
+                                                zip(free.states, target.states)])
 
     def test_record_layout(self, fe16, params):
         cfg = IntegratorConfig(dt=1e-3, state_stride=7)
@@ -259,7 +258,7 @@ class TestIntegrator:
         forcing = ForcingSpec.periodic_indicator()
         yhat0 = fe16.mesh.interpolate(lambda x, y: 1.5 - x * y)
         full = simulate_free(yhat0, 0.6, fe16, params, forcing, IntegratorConfig(dt=dt, state_stride=1))
-        source = _TargetSource.of(yhat0, CrankNicolsonAB2(fe16, params, dt), ForcingLoad(forcing, fe16, dt), 60)
+        source = _TargetSource(CrankNicolsonAB2(fe16, params, dt), yhat0, ForcingLoad(forcing, fe16, dt))
         for n0, n_steps in requests:
             assert np.array_equal(source.window(n0, n_steps), full.states[n0:n0 + n_steps + 1]), (n0, n_steps)
 
@@ -467,29 +466,53 @@ class TestBoundaryRefusals:
     def test_integer_strides_of_any_integer_type_kept(self):
         assert IntegratorConfig(state_stride=np.int64(3)).state_stride == 3
 
+    @pytest.mark.parametrize("entry", ["track_target", "simulate_free", "simulate_controlled"])
+    @pytest.mark.parametrize("bad", ["short y0", "short target", "2-D target", "record as target"])
+    def test_state_of_another_form_refused_before_set_up(self, fe16, params, coupling16, forks, stepper_calls,
+                                                         entry, bad):
+        # a target is its initial state: one float per mesh node, refused otherwise before a fork or a step
+        n = fe16.mesh.n_nodes
+        record = simulate_free(np.full(n, 2.0), 0.01, fe16, params, cfg=IntegratorConfig(dt=1e-3, state_stride=1))
+        del stepper_calls[:]
+        y0, target = np.zeros(n), np.full(n, 2.0)
+        y0, target, name, got = {"short y0": (y0[1:], target, "y0", f"shape ({n - 1},)"),
+                                 "short target": (y0, target[:5], "target", "shape (5,)"),
+                                 "2-D target": (y0, target[None], "target", f"shape (1, {n})"),
+                                 "record as target": (y0, record, "target", "TrajectoryRecord")}[bad]
+        cfg = IntegratorConfig(dt=1e-3)
+        runs = {
+            "track_target": lambda: track_target(y0, target, FeedbackLaw(gain=1.0), coupling16, fe16, params,
+                                                 cfg=cfg, horizon=0.01),
+            "simulate_free": lambda: simulate_free(y0, 0.01, fe16, params, cfg=cfg, target=target),
+            "simulate_controlled": lambda: simulate_controlled(y0, np.zeros((coupling16.count, 10)), coupling16, fe16,
+                                                               params, integ=cfg, target_y0=target),
+        }
+        with pytest.raises(ValueError, match=rf"^{name} must be a state: a 1-D array of {n} floats, one per mesh "
+                                             rf"node; got {re.escape(got)}$"):
+            runs[entry]()
+        assert not forks and not stepper_calls
+
 
 def _in_process(monkeypatch):
     """From now on, lockstep targets are stepped in this process, as where no fork pays or is safe."""
-    monkeypatch.setattr(dynamics, "_may_fork", lambda forcing: False)
+    monkeypatch.setattr(dynamics, "_may_fork", lambda: False)
 
 
-@pytest.mark.skipif(not dynamics._may_fork(ForcingSpec.zero()),
-                    reason="this platform steps lockstep targets in process")
+@pytest.mark.skipif(not dynamics._may_fork(), reason="this platform steps lockstep targets in process")
 @pytest.mark.usefixtures("fork_time_limit")
 class TestForkedTarget:
     """A lockstep run against a target initial state steps the target in a forked child:
-    the bits of the stored-record run, the in-process errors, and no child left behind."""
+    the bits of the run that steps it in process, the in-process errors, and no child left behind."""
 
     LAW = FeedbackLaw(gain=175.0, saturation=SaturationConfig(bound=math.exp(1.5), norm="max"))
     FORCING = ForcingSpec.periodic_indicator()
     CFG = IntegratorConfig(dt=1e-3, state_stride=7, cost_beta=1e-3)
 
     @pytest.mark.parametrize("run", ["track_target", "simulate_free", "simulate_controlled"])
-    def test_bitwise_the_run_against_the_stored_record(self, fe16, params, coupling16, run, forks, stepper_calls):
+    def test_bitwise_the_in_process_run(self, fe16, params, coupling16, run, monkeypatch, forks, stepper_calls):
         n, horizon = fe16.mesh.n_nodes, 0.3
         y0 = fe16.mesh.interpolate(lambda x, y: -1.0 + 0.5 * x * y)
         yhat0 = np.full(n, 2.0)
-        stored = simulate_free(yhat0, horizon, fe16, params, self.FORCING, IntegratorConfig(dt=1e-3, state_stride=1))
         steps = np.arange(300)
         controls = np.stack([np.sin(0.05 * (j + 1) * steps) for j in range(coupling16.count)])
         runs = {
@@ -499,15 +522,15 @@ class TestForkedTarget:
             "simulate_controlled": lambda tgt: simulate_controlled(y0, controls, coupling16, fe16, params,
                                                                    self.FORCING, self.CFG, target_y0=tgt),
         }
-        stepped = len(stepper_calls)
         forked = runs[run](yhat0)
         assert len(forks) == 1  # the target was stepped in a child
-        assert len(stepper_calls) - stepped == 300  # and not here: this process stepped the plant only
-        read = runs[run](stored)
-        assert len(forks) == 1  # a stored record is read in this process
+        assert len(stepper_calls) == 300  # and not here: this process stepped the plant only
         forks.assert_reaped()
+        _in_process(monkeypatch)
+        in_process = runs[run](yhat0)
+        assert len(forks) == 1 and len(stepper_calls) == 300 + 600  # here, plant and target
         for f in dataclasses.fields(TrajectoryRecord):
-            a, b = getattr(forked, f.name), getattr(read, f.name)
+            a, b = getattr(forked, f.name), getattr(in_process, f.name)
             assert (a is None and b is None) or np.array_equal(a, b), f.name
         assert forked.err_norm[-1] > 0 and forked.n_steps == 300
 
@@ -609,30 +632,15 @@ class TestForkedTarget:
             a, b = getattr(forked, f.name), getattr(unforked, f.name)
             assert (a is None and b is None) or np.array_equal(a, b), f.name
 
-    def test_custom_forcing_keeps_the_target_in_process(self, fe16, params, forks):
-        calls = []
-
-        def counted(t, x, y):
-            calls.append(t)
-            return np.zeros_like(x)
-
-        n = fe16.mesh.n_nodes
-        simulate_free(np.zeros(n), 0.05, fe16, params, ForcingSpec.custom(counted), IntegratorConfig(dt=1e-3))
-        alone = len(calls)
-        simulate_free(np.zeros(n), 0.05, fe16, params, ForcingSpec.custom(counted), IntegratorConfig(dt=1e-3),
-                      target=np.full(n, 2.0))
-        assert not forks and len(calls) == 3 * alone  # the target's calls are made here too
-
     def test_not_forked_in_a_pool_worker_or_beside_another_thread(self):
         with ProcessPoolExecutor(max_workers=1) as pool:
-            assert pool.submit(dynamics._may_fork, ForcingSpec.zero()).result() is False
+            assert pool.submit(dynamics._may_fork).result() is False
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            assert not dynamics._may_fork(ForcingSpec.zero())
+            assert not dynamics._may_fork()
         finally:
             release.set()
             other.join()
-        assert dynamics._may_fork(ForcingSpec.zero())
-        assert not dynamics._may_fork(ForcingSpec.custom(lambda t, x, y: np.zeros_like(x)))
+        assert dynamics._may_fork()

@@ -513,7 +513,7 @@ class TestForkedTargetRuns:
         # the constant target from 13.25 blows up at level 10
         cfg = dataclasses.replace(self.BASE, yhat0="constant:13.25")
         forked = run_scenario(cfg, tmp_path / "forked").summary
-        monkeypatch.setattr(dynamics, "_may_fork", lambda forcing: False)
+        monkeypatch.setattr(dynamics, "_may_fork", lambda: False)
         in_process = run_scenario(cfg, tmp_path / "in_process").summary
         assert forked["status"] == in_process["status"] == "completed-unstable"
         assert forked["blowup_time"] == in_process["blowup_time"] == 10 * 1e-2

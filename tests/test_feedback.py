@@ -11,7 +11,6 @@ from schloegl import (
     IntegratorConfig,
     SaturationConfig,
     SchloeglParams,
-    TrajectoryRecord,
     build_actuator_grid,
     build_fem,
     compute_theory_constants,
@@ -23,7 +22,6 @@ from schloegl import (
     projection_norm_sq,
     radial_project,
     saturated_feedback,
-    simulate_free,
     track_target,
 )
 from schloegl.actuators import _column_norms
@@ -266,53 +264,6 @@ class TestClosedLoop:
         b = track_target(y0, yhat0, law_big, coupling16, fe16, params, cfg=cfg, horizon=0.3)
         assert np.array_equal(a.final_state, b.final_state)
         assert np.array_equal(a.controls, b.controls)
-
-    def test_replay_matches_cosimulation_bitwise(self, fe16, params, coupling16):
-        from schloegl import ForcingSpec
-
-        y0 = fe16.mesh.interpolate(lambda x, y: 1.0 + x)
-        yhat0 = np.full(fe16.mesh.n_nodes, 2.0)
-        law = FeedbackLaw(gain=100.0, saturation=SaturationConfig(bound=5.0))
-        forcing = ForcingSpec.periodic_indicator()
-        cfg = IntegratorConfig(dt=1e-3, state_stride=1)
-        # a stored record may run past the horizon; only its first levels are read
-        target = simulate_free(yhat0, 0.3, fe16, params, forcing, cfg)
-        a = track_target(y0, target, law, coupling16, fe16, params, forcing, cfg, horizon=0.25)
-        b = track_target(y0, yhat0, law, coupling16, fe16, params, forcing, cfg, horizon=0.25)
-        assert a.n_steps == b.n_steps == 250
-        assert np.array_equal(a.final_state, b.final_state)
-        assert np.array_equal(a.err_norm, b.err_norm)
-        assert np.array_equal(a.controls, b.controls)
-
-    def test_replay_requires_full_state_storage(self, fe16, params, coupling16):
-        y0 = np.zeros(fe16.mesh.n_nodes)
-        target = simulate_free(np.full(fe16.mesh.n_nodes, 2.0), 0.1, fe16, params,
-                               cfg=IntegratorConfig(dt=1e-3, state_stride=10))
-        with pytest.raises(ValueError, match="target record must store every time level"):
-            track_target(y0, target, FeedbackLaw(gain=1.0), coupling16, fe16, params,
-                         cfg=IntegratorConfig(dt=1e-3), horizon=0.1)
-
-    def test_target_record_refused_before_the_first_step(self, fe16, params, coupling16, stepper_calls):
-        y0 = np.zeros(fe16.mesh.n_nodes)
-        target = simulate_free(np.full(fe16.mesh.n_nodes, 2.0), 0.1, fe16, params,
-                               cfg=IntegratorConfig(dt=1e-3, state_stride=1))
-        del stepper_calls[:]
-        law = FeedbackLaw(gain=1.0)
-        with pytest.raises(ValueError, match="target record covers 100 steps, the run needs 101"):
-            track_target(y0, target, law, coupling16, fe16, params, cfg=IntegratorConfig(dt=1e-3), horizon=0.101)
-        with pytest.raises(ValueError, match="target record time grid"):
-            track_target(y0, target, law, coupling16, fe16, params, cfg=IntegratorConfig(dt=5e-4), horizon=0.05)
-        assert stepper_calls == []
-
-    def test_one_level_target_record_refused_as_too_short(self, fe16, params, coupling16):
-        # a one-level record has no grid step to check; its coverage is checked first
-        y = np.full(fe16.mesh.n_nodes, 2.0)
-        target = TrajectoryRecord(times=np.zeros(1), err_norm=None, control_norms=np.zeros(0),
-                                  running_cost=np.zeros(1), controls=None, states=y[None],
-                                  state_levels=np.zeros(1, dtype=int))
-        with pytest.raises(ValueError, match="target record covers 0 steps, the run needs 10"):
-            track_target(np.zeros(fe16.mesh.n_nodes), target, FeedbackLaw(gain=1.0), coupling16, fe16, params,
-                         cfg=IntegratorConfig(dt=1e-3), horizon=0.01)
 
     def test_decay_above_absorbing_radius_nonvacuous(self, params):
         # doubled trajectory-comparison initial error so the run starts

@@ -264,13 +264,19 @@ class TestBitwiseOracles:
             p[m - 1] = solve(rhs)
         return p
 
-    @staticmethod
-    def forced_problem(n_steps, with_history):
-        # the indicator forcing on two levels in three; a window with AB2 history opens at level 1
+    class TwoInThreeLoad(ForcingLoad):
+        """The indicator forcing's load on the levels n with n % 3 != 0, zero on the others."""
+
+        def __call__(self, n):
+            return self._base if n % 3 else None
+
+    @classmethod
+    def forced_problem(cls, n_steps, with_history):
+        # a window with AB2 history opens at level 1
         dt = 1e-3
         prob = make_problem(nx=8, n_steps=n_steps, dt=dt, m=3, with_history=with_history)
-        spec = ForcingSpec.custom(lambda t, x, y: 0.5 * (x * x + y * y < 0.5) * (round(t / dt) % 3 != 0))
-        return replace(prob, load=ForcingLoad(spec, prob.stepper.fe, dt), n0=int(with_history))
+        load = cls.TwoInThreeLoad(ForcingSpec.periodic_indicator(), prob.stepper.fe, dt)
+        return replace(prob, load=load, n0=int(with_history))
 
     @pytest.mark.parametrize("with_history", [False, True])
     @pytest.mark.parametrize("n_steps", [1, 2, 3, ADJOINT_BLOCK - 1, ADJOINT_BLOCK, ADJOINT_BLOCK + 1, 750])
@@ -469,7 +475,7 @@ class TestBBSolver:
 CORE_FREE = dynamics._core_free  # TestTrialLane patches it
 
 
-def backtracking_window(forcing=None):
+def backtracking_window():
     """A 6 x 6 max-norm window with AB2 history, whose line search rejects most trials, and its warm start."""
     from schloegl.rhc import saturated_control_on_window
 
@@ -477,8 +483,6 @@ def backtracking_window(forcing=None):
     prob = make_problem(nx=6, n_steps=70, bound=bound, target_start=2.0, with_history=True)
     prob = replace(prob, saturation=SaturationConfig(bound=bound, norm="max"),
                    y0=np.full(prob.stepper.fe.mesh.n_nodes, -1.0))
-    if forcing is not None:
-        prob = replace(prob, load=ForcingLoad(forcing, prob.stepper.fe, prob.dt))
     return prob, saturated_control_on_window(prob, 175.0)
 
 
@@ -494,7 +498,7 @@ def solve_with_and_without_lane(monkeypatch, prob, u_init, **knobs):
     """The solve with ``dynamics._may_fork`` forced on, then forced off."""
     out = []
     for lane in (True, False):
-        monkeypatch.setattr(dynamics, "_may_fork", lambda forcing, lane=lane: lane)
+        monkeypatch.setattr(dynamics, "_may_fork", lambda lane=lane: lane)
         out.append(bb_projected_gradient(prob, u_init, **knobs))
     return out
 
@@ -507,7 +511,7 @@ def _forks_of_a_backtracking_solve() -> int:
     return len(forked)
 
 
-@pytest.mark.skipif(not dynamics._may_fork(ForcingSpec.zero()), reason="this platform evaluates every trial in process")
+@pytest.mark.skipif(not dynamics._may_fork(), reason="this platform evaluates every trial in process")
 @pytest.mark.usefixtures("fork_time_limit")
 class TestTrialLane:
     """Once the first trial of an iteration is rejected, trials are evaluated two at a time, the
@@ -516,7 +520,7 @@ class TestTrialLane:
     @pytest.fixture(autouse=True)
     def free_core(self, monkeypatch):
         """A core counts as free for the lane, whatever else runs on the host meanwhile."""
-        monkeypatch.setattr(dynamics, "_core_free", lambda: True)
+        monkeypatch.setattr(dynamics, "_core_free", lambda children: True)
 
     def test_bitwise_the_serial_search(self, monkeypatch, forks):
         prob, u0 = backtracking_window()
@@ -560,7 +564,7 @@ class TestTrialLane:
             try:
                 return evaluate(u, p)
             except BlowUpError:
-                blow_ups.append(dynamics._may_fork(p.load.spec))  # a child appends to its own copy
+                blow_ups.append(dynamics._may_fork())  # a child appends to its own copy
                 raise
 
         monkeypatch.setattr(rhc, "evaluate_cost", counted)
@@ -646,7 +650,7 @@ class TestTrialLane:
             return evaluate(u, p)
 
         monkeypatch.setattr(rhc, "evaluate_cost", recorded)
-        monkeypatch.setattr(dynamics, "_may_fork", lambda forcing: False)
+        monkeypatch.setattr(dynamics, "_may_fork", lambda: False)
         serial = bb_projected_gradient(prob, u0, tol=1e-6, j_max=40)
 
         def fail(in_child):
@@ -676,7 +680,7 @@ class TestTrialLane:
         monkeypatch.setattr(rhc._TrialLane, "_ask", killed_before_the_adjoint)
         monkeypatch.setattr(rhc, "evaluate_cost", failing_evaluate)
         monkeypatch.setattr(rhc, "solve_adjoint", failing_adjoint)
-        monkeypatch.setattr(dynamics, "_may_fork", lambda forcing: True)
+        monkeypatch.setattr(dynamics, "_may_fork", lambda: True)
         laned = bb_projected_gradient(prob, u0, tol=1e-6, j_max=40)
         assert len(give_ups) == 1 and len(forks) == 1  # no second child after the failure
         forks.assert_reaped()
@@ -721,7 +725,7 @@ class TestTrialLane:
     def test_no_hand_over_while_no_core_is_free(self, monkeypatch, forks, free):
         checks = []
 
-        def core_free():
+        def core_free(children):
             checks.append(free[len(checks) % len(free)])
             return checks[-1]
 
@@ -732,11 +736,14 @@ class TestTrialLane:
         forks.assert_reaped()
         assert_same_outcome(laned, serial)
 
-    @pytest.mark.parametrize("loadavg, cores, free", [
-        (b"0.52 0.61 0.70 1/85 9440\n", 2, True), (b"1.52 1.61 1.70 2/85 9440\n", 2, False),
-        (b"2.01 2.10 2.20 3/90 9500\n", 4, True), (b"3.01 3.10 3.20 4/90 9500\n", 4, False),
-        (b"", 2, True), (None, 2, True)], ids=["alone", "beside one", "4 cores", "4 cores full", "empty", "no file"])
-    def test_core_free_counts_the_runnable_tasks(self, monkeypatch, loadavg, cores, free):
+    @pytest.mark.parametrize("loadavg, cores, children, free", [
+        (b"0.52 0.61 0.70 1/85 9440\n", 2, 0, True), (b"1.52 1.61 1.70 2/85 9440\n", 2, 0, False),
+        (b"2.01 2.10 2.20 3/90 9500\n", 4, 0, True), (b"3.01 3.10 3.20 4/90 9500\n", 4, 0, False),
+        (b"0.52 0.61 0.70 2/89 9440\n", 2, 1, True), (b"1.52 1.61 1.70 3/89 9440\n", 2, 1, False),
+        (b"", 2, 0, True), (None, 2, 0, True)],
+        ids=["alone", "beside one", "4 cores", "4 cores full", "beside its idle child", "beside its child and one",
+             "empty", "no file"])
+    def test_core_free_counts_the_runnable_tasks(self, monkeypatch, loadavg, cores, children, free):
         def fake_open(path, mode):
             assert path == "/proc/loadavg"
             if loadavg is None:
@@ -745,9 +752,9 @@ class TestTrialLane:
 
         monkeypatch.setattr(dynamics, "open", fake_open, raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-        assert CORE_FREE() is free
+        assert CORE_FREE(children) is free
 
-    def test_no_lane_in_a_pool_worker_beside_another_thread_or_under_custom_forcing(self, forks):
+    def test_no_lane_in_a_pool_worker_or_beside_another_thread(self, forks):
         with ProcessPoolExecutor(max_workers=1) as pool:
             assert pool.submit(_forks_of_a_backtracking_solve).result() == 0
         forked_by_the_pool = len(forks)
@@ -759,12 +766,9 @@ class TestTrialLane:
         finally:
             release.set()
             other.join()
-        out = bb_projected_gradient(*backtracking_window(ForcingSpec.custom(lambda t, x, y: np.zeros_like(x))),
-                                    tol=1e-6, j_max=3)
-        assert out.n_evaluations > 2 * out.iterations  # trials were rejected, yet none went to a child
         assert len(forks) == forked_by_the_pool
         bb_projected_gradient(*backtracking_window(), tol=1e-6, j_max=3)
-        assert len(forks) == forked_by_the_pool + 1  # here, alone and under a pure forcing, the lane forks
+        assert len(forks) == forked_by_the_pool + 1  # here, alone, the lane forks
         forks.assert_reaped()
 
 
@@ -866,46 +870,27 @@ class TestRunRhc:
                 expected = fe.mass @ eval_forcing(spec, (prob.n0 + k) * dt, fe.mesh)
                 assert np.array_equal(load, expected), (prob.n0, k)
 
-    def test_stored_target_record_matches_rolling_target(self, fe16, params):
-        cm = self.setup_case(fe16, params)
-        forcing = ForcingSpec.periodic_indicator()
-        sat = SaturationConfig(bound=math.exp(1.5), norm="max")
-        y0 = np.full(fe16.mesh.n_nodes, -1.0)
-        yhat0 = np.full(fe16.mesh.n_nodes, 2.0)
-        integ = IntegratorConfig(dt=1e-2, state_stride=5, cost_beta=1e-3)
-        cfg = RhcConfig(horizon=0.3, delta=0.1, t_final=0.3, tol=1e-3)
-        law = FeedbackLaw(gain=175.0, saturation=sat)
-        rolling = run_rhc(cfg, y0, yhat0, law, cm, fe16, params, forcing, integ)
-        target = simulate_free(yhat0, cfg.t_final + cfg.horizon, fe16, params, forcing,
-                               IntegratorConfig(dt=integ.dt, state_stride=1))
-        stored = run_rhc(cfg, y0, target, law, cm, fe16, params, forcing, integ)
-        assert np.array_equal(stored.record.controls, rolling.record.controls)
-        assert np.array_equal(stored.record.states, rolling.record.states)
-        assert np.array_equal(stored.record.err_norm, rolling.record.err_norm)
-        replay = simulate_controlled(y0, stored.record.controls.T, cm, fe16, params, forcing, integ,
-                                     target_y0=target)
-        assert np.array_equal(replay.err_norm, stored.record.err_norm)
-        assert replay.running_cost[-1] == stored.record.running_cost[-1]
-
-        # a record on a finer grid covers every window but is refused
-        fine = simulate_free(yhat0, cfg.t_final + cfg.horizon, fe16, params, forcing,
-                             IntegratorConfig(dt=integ.dt / 2, state_stride=1))
-        with pytest.raises(ValueError, match="time grid"):
-            run_rhc(cfg, y0, fine, law, cm, fe16, params, forcing, integ)
-
-    def test_short_target_record_refused_before_the_first_window(self, params, stepper_calls):
-        # the last window needs t_final - delta + horizon = 0.7 > 0.6: refuse
-        # the record before the warm start or the plant takes a step
+    @pytest.mark.parametrize("bad", ["short y0", "short target", "record as target"])
+    def test_state_of_another_form_refused_before_set_up(self, params, forks, stepper_calls, bad):
+        # y0 and the target initial state are refused before the warm start or the plant takes a step
         fe = build_fem(8, 8, 0.1)
+        n = fe.mesh.n_nodes
         cm = discretize_actuators(build_actuator_grid(2, 0.5), fe.mesh)
         integ = IntegratorConfig(dt=0.01, cost_beta=1e-3)
-        target = simulate_free(np.full(fe.mesh.n_nodes, 2.0), 0.6, fe, params,
-                               cfg=IntegratorConfig(dt=integ.dt, state_stride=1))
+        y0, target = np.full(n, 1.0), np.full(n, 2.0)
+        if bad == "short y0":
+            y0, name, got = y0[:5], "y0", "shape (5,)"
+        elif bad == "short target":
+            target, name, got = target[:5], "target", "shape (5,)"
+        else:
+            target = simulate_free(target, 0.6, fe, params, cfg=IntegratorConfig(dt=integ.dt, state_stride=1))
+            name, got = "target", "TrajectoryRecord"
         del stepper_calls[:]
         cfg = RhcConfig(horizon=0.3, delta=0.1, t_final=0.5)
-        with pytest.raises(ValueError, match="target record covers 60 steps, the run needs 70"):
-            run_rhc(cfg, np.full(fe.mesh.n_nodes, 1.0), target, self.LAW, cm, fe, params, integ=integ)
-        assert stepper_calls == []
+        with pytest.raises(ValueError, match=rf"^{name} must be a state: a 1-D array of {n} floats, one per mesh "
+                                             rf"node; got {re.escape(got)}$"):
+            run_rhc(cfg, y0, target, self.LAW, cm, fe, params, integ=integ)
+        assert not forks and not stepper_calls
 
     def test_rolling_target_steps_each_level_once(self, fe16, params, stepper_calls):
         # every stepper call is a plant step, a target step, a warm-start
