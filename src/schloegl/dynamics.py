@@ -59,7 +59,7 @@ target is a small share of the run.
 target's ``_TargetSource.feed`` and by the trial lane of the receding-horizon
 line search (:mod:`.rhc`), which costs a backtracking trial in a child while
 the parent costs the one before it; ``_core_free``, whether a core is free
-now beside the lane's idle child, by the lane before each hand-over.  Both
+now beside the lane's waiting child, by the lane before each hand-over.  Both
 helpers set up, end and reap their child through ``_Child``.  A child only
 runs ahead: whatever it does not deliver (it failed, blew up or was killed),
 the parent does itself with the same code on the same data, so no failure
@@ -715,17 +715,29 @@ def _may_fork() -> bool:
             and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1)
 
 
-def _core_free(children: int) -> bool:
+def _core_free(child: _Child | None) -> bool:
     """Whether a core is free now for a child of this process: fewer tasks are runnable on the host
-    (the fourth field of /proc/loadavg), this process included and its ``children`` idle children
-    (0 or 1, still runnable just after they answer) not, than it may run on.  Without that reading a
-    core counts as free."""
+    (the fourth field of /proc/loadavg), this process included, than it may run on.  ``child``, this
+    process's child waiting for work (None: none), is left out of that count only if its own state,
+    read after it, still shows it runnable, as it may just after it answers: nothing wakes it in
+    between, so the host counted it.  Without the host's reading a core counts as free."""
     try:
         with open("/proc/loadavg", "rb") as fh:
             runnable = int(fh.read().split()[3].split(b"/")[0])
     except (OSError, ValueError, IndexError):
         return True
-    return runnable - children < len(os.sched_getaffinity(0))
+    if child is not None and _runnable(child.pid):
+        runnable -= 1
+    return runnable < len(os.sched_getaffinity(0))
+
+
+def _runnable(pid: int) -> bool:
+    """Whether the process ``pid`` reads runnable (state R in /proc/<pid>/stat); False if unreadable."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            return fh.read().rpartition(b")")[2].split()[0] == b"R"
+    except (OSError, IndexError):
+        return False
 
 
 def _simulate(y0: np.ndarray, n_steps: int, fe: FemOperators, params: SchloeglParams,

@@ -63,7 +63,7 @@ time.  The child takes the problem copy-on-write.  When its trial is
 accepted, it hands back only B^T p, so the solve's own process holds one
 window of states and the child a second, that of its latest trial.  A trial
 is handed over only while ``dynamics._core_free`` sees a core free for the
-child, the lane's own idle child not counted: beside another busy process
+child, the lane's own waiting child not counted: beside another busy process
 the pair runs no faster than the serial search, and the child's unneeded
 trials are lost work.  The first trial of an iteration runs alone: unbounded
 and Euclidean windows accept it almost always, and a second busy process
@@ -413,7 +413,7 @@ class _TrialLane:
             return False
         if self._open:
             self._answer()  # to a trial the line search did not need; if the child failed, it is no longer usable
-        if not (self._usable and dynamics._core_free(int(self._child is not None))):
+        if not (self._usable and dynamics._core_free(self._child)):
             return False
         if self._child is None:
             self._u, self._btp = _shared_floats(2, self._prob.coupling.count, self._prob.n_steps)

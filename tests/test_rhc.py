@@ -8,10 +8,12 @@ import os
 import re
 import signal
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import FrozenInstanceError, fields, replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -520,7 +522,7 @@ class TestTrialLane:
     @pytest.fixture(autouse=True)
     def free_core(self, monkeypatch):
         """A core counts as free for the lane, whatever else runs on the host meanwhile."""
-        monkeypatch.setattr(dynamics, "_core_free", lambda children: True)
+        monkeypatch.setattr(dynamics, "_core_free", lambda child: True)
 
     def test_bitwise_the_serial_search(self, monkeypatch, forks):
         prob, u0 = backtracking_window()
@@ -725,7 +727,7 @@ class TestTrialLane:
     def test_no_hand_over_while_no_core_is_free(self, monkeypatch, forks, free):
         checks = []
 
-        def core_free(children):
+        def core_free(child):
             checks.append(free[len(checks) % len(free)])
             return checks[-1]
 
@@ -736,23 +738,44 @@ class TestTrialLane:
         forks.assert_reaped()
         assert_same_outcome(laned, serial)
 
-    @pytest.mark.parametrize("loadavg, cores, children, free", [
-        (b"0.52 0.61 0.70 1/85 9440\n", 2, 0, True), (b"1.52 1.61 1.70 2/85 9440\n", 2, 0, False),
-        (b"2.01 2.10 2.20 3/90 9500\n", 4, 0, True), (b"3.01 3.10 3.20 4/90 9500\n", 4, 0, False),
-        (b"0.52 0.61 0.70 2/89 9440\n", 2, 1, True), (b"1.52 1.61 1.70 3/89 9440\n", 2, 1, False),
-        (b"", 2, 0, True), (None, 2, 0, True)],
-        ids=["alone", "beside one", "4 cores", "4 cores full", "beside its idle child", "beside its child and one",
-             "empty", "no file"])
-    def test_core_free_counts_the_runnable_tasks(self, monkeypatch, loadavg, cores, children, free):
+    @pytest.mark.parametrize("loadavg, cores, child_state, free", [
+        (b"0.52 0.61 0.70 1/85 9440\n", 2, None, True), (b"1.52 1.61 1.70 2/85 9440\n", 2, None, False),
+        (b"2.01 2.10 2.20 3/90 9500\n", 4, None, True), (b"3.01 3.10 3.20 4/90 9500\n", 4, None, False),
+        (b"0.52 0.61 0.70 2/89 9440\n", 2, b"R", True), (b"1.52 1.61 1.70 3/89 9440\n", 2, b"R", False),
+        (b"1.52 1.61 1.70 2/89 9440\n", 2, b"S", False), (b"1.52 1.61 1.70 2/89 9440\n", 2, b"", False),
+        (b"", 2, None, True), (None, 2, None, True), (None, 2, b"R", True)],
+        ids=["alone", "beside one", "4 cores", "4 cores full", "beside its runnable child",
+             "beside its runnable child and one", "beside its sleeping child and one",
+             "beside one and a child that cannot be read", "empty", "no file", "no file beside a child"])
+    def test_core_free_counts_the_runnable_tasks(self, monkeypatch, loadavg, cores, child_state, free):
+        """The lane's waiting child is left out only while it reads runnable: the host counts it then."""
+        child = None if child_state is None else SimpleNamespace(pid=4242)
+        reads = []
+
         def fake_open(path, mode):
-            assert path == "/proc/loadavg"
-            if loadavg is None:
-                raise FileNotFoundError(path)
-            return io.BytesIO(loadavg)
+            reads.append(path)
+            if path == "/proc/loadavg" and loadavg is not None:
+                return io.BytesIO(loadavg)
+            if path == "/proc/4242/stat" and child_state:
+                return io.BytesIO(b"4242 (py (lane) x) " + child_state + b" 1 4241 4241 0 -1\n")
+            raise FileNotFoundError(path)
 
         monkeypatch.setattr(dynamics, "open", fake_open, raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-        assert CORE_FREE(children) is free
+        assert CORE_FREE(child) is free
+        assert reads[0] == "/proc/loadavg"  # the host's count first, the child's state after it
+
+    @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/stat"), reason="no /proc")
+    def test_a_child_waiting_for_work_reads_asleep(self):
+        assert dynamics._runnable(os.getpid())  # this process runs while it reads its own state
+        child = dynamics._Child(lambda recv, send: os.read(recv, 1))
+        try:
+            deadline = time.monotonic() + 10.0
+            while dynamics._runnable(child.pid) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not dynamics._runnable(child.pid)
+        finally:
+            child.reap()
 
     def test_no_lane_in_a_pool_worker_or_beside_another_thread(self, forks):
         with ProcessPoolExecutor(max_workers=1) as pool:
