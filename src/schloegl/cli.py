@@ -109,8 +109,6 @@ def _cmd_margin(args) -> int:
 
 def _cmd_ode_toy(args) -> int:
     bound = parse_bound(_checked("feedback.cu", text=args.cu))
-    if args.stride < 1:
-        raise ValueError(f"--stride must be >= 1, got {args.stride}")
     times, z = ode_toy_simulate(args.r, bound, args.mu, args.z0, args.horizon, law=args.law)
     if args.out:
         path = Path(args.out)
@@ -124,6 +122,14 @@ def _cmd_ode_toy(args) -> int:
     print(f"z_final = {z[-1]:.17g}")
     print(f"abs_max = {abs(z).max():.17g}")  # NaN if any value is
     return 0
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,9 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_run("simulate-free", "free dynamics vs the target (controller none)")
     add_run("simulate-feedback", "saturated feedback closed loop")
     add_run("run-rhc", "receding-horizon control run")
-    add_run("table1", "cost comparison grid: saturated feedback vs RHC").add_argument("--threads", type=int, default=1)
+    table1 = add_run("table1", "cost comparison grid: saturated feedback vs RHC")
     sp = add_run("sweep", "one run per value along an axis, consolidating decay rates")
-    sp.add_argument("--threads", type=int, default=1)
+    for multi in (table1, sp):
+        multi.add_argument("--threads", type=_positive_int, default=1,
+                           help="worker processes (>= 1); run with OPENBLAS_NUM_THREADS=1, or the workers may stall")
     sp.add_argument("--axis", required=True, choices=("cu", "lambda", "msigma"))
     sp.add_argument("--values", required=True, help="comma-separated values, e.g. 'e^1,e^2,inf'")
 
@@ -174,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--horizon", type=float, default=3.0)
     sp.add_argument("--law", choices=("feedback", "free"), default="feedback")
     sp.add_argument("--out", default=None, help="optional CSV path")
-    sp.add_argument("--stride", type=int, default=100)
+    sp.add_argument("--stride", type=_positive_int, default=100)
     return p
 
 

@@ -38,9 +38,9 @@ the hot path is kept lean without changing a bit of any result:
 - an open-loop run, whose amplitudes are known before it starts (an RHC
   window's forward simulation, the RHC plant's applied segment and the
   replay), forms its actuator loads ``LOAD_BLOCK`` steps at a time with
-  one multi-vector CSR product, each column of which is bitwise the
-  single-vector product; the forcing is then added to it, as per step.
-  A closed loop forms B u once per step, after its control law.
+  scipy's multi-vector product ``b @ block``, each column of which is
+  bitwise the single-vector product; the forcing is then added to it, as
+  per step.  A closed loop forms B u once per step, after its control law.
 
 A target is its initial state, and a lockstep run from level 0 against one
 (``track_target``, ``simulate_free`` and ``simulate_controlled`` with one)
@@ -88,7 +88,6 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec_kernel
-from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs_kernel
 
 from .actuators import control_norm
 from .geometry import FemOperators, StructuredTriangulation, _BandedCholesky
@@ -284,11 +283,11 @@ _FLOAT64 = np.dtype(np.float64)
 
 
 class _CsrKernel:
-    """``a @ x`` for a float64 CSR matrix ``a``, through the compiled kernels that product ends in.
+    """``a @ x`` for a float64 CSR matrix ``a``, through the compiled kernel that product ends in.
 
     The kernel operands are read off ``a`` once, here, so a call skips the
     dispatch of ``@`` and scipy's ``shape`` property, and keeps every bit.
-    The kernels do no bounds checks, so the input is checked on every call.
+    The kernel does no bounds checks, so the input is checked on every call.
     """
 
     def __init__(self, a: sp.csr_matrix):
@@ -298,35 +297,15 @@ class _CsrKernel:
         self._n_cols = n_cols
         self._operands = (n_rows, n_cols, a.indptr, a.indices, a.data)
 
-    def _refuse(self, x, what: str):
-        raise ValueError(f"mat-vec needs {what}, got {getattr(x, 'dtype', type(x).__name__)} "
-                         f"of shape {np.shape(x)}")
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """``a @ x`` for a 1-D float64 vector ``x`` of length ``a.shape[1]``; anything else
         is refused with ``ValueError``."""
         if not (isinstance(x, np.ndarray) and x.dtype == _FLOAT64 and x.shape == (self._n_cols,)):
-            self._refuse(x, f"a 1-D float64 vector of length {self._n_cols}")
+            raise ValueError(f"mat-vec needs a 1-D float64 vector of length {self._n_cols}, got "
+                             f"{getattr(x, 'dtype', type(x).__name__)} of shape {np.shape(x)}")
         y = np.zeros(self._n_rows)
         _csr_matvec_kernel(*self._operands, x, y)
         return y
-
-    def columns(self, x: np.ndarray) -> np.ndarray:
-        """``(a @ x).T`` for a 2-D float64 ``x`` of ``a.shape[1]`` rows, by one multi-vector product.
-
-        Row j of the result is bitwise ``self(x[:, j])``: both kernels add
-        each row's entries in storage order, starting from zero.  The rows
-        are made contiguous: on a large mesh, adding a strided column to a
-        vector costs more than the per-column products saved.
-        """
-        if not (isinstance(x, np.ndarray) and x.dtype == _FLOAT64 and x.ndim == 2
-                and x.shape[0] == self._n_cols):
-            self._refuse(x, f"a 2-D float64 array of {self._n_cols} rows")
-        n_rows, n_cols, indptr, indices, data = self._operands
-        y = np.zeros((n_rows, x.shape[1]))
-        _csr_matvecs_kernel(n_rows, n_cols, x.shape[1], indptr, indices, data,
-                            np.ascontiguousarray(x).ravel(), y.ravel())
-        return np.ascontiguousarray(y.T)
 
 
 class CrankNicolsonAB2:
@@ -504,9 +483,10 @@ class _TargetSource:
     """The target's states by time level: the free run from the initial state ``y0`` under ``load``.
 
     ``window(n0, n_steps)`` returns levels n0..n0+n_steps as read-only rows;
-    no request may start before the previous one.  The source steps each
-    level once, through the plant loop run free, and keeps only the levels
-    from the latest request on, so lockstep use holds one state.
+    a request starts from the previous one to the level after the last one
+    stepped.  The source steps each level once, through the plant loop run
+    free, and keeps only the levels from the latest request on, so lockstep
+    use holds one state.
 
     ``row(n)`` is the state at level n for the lockstep reads n = 0, 1, ....
     After ``feed``, a forked child steps the free run into a shared ring and
@@ -559,17 +539,17 @@ class _TargetSource:
         return self.window(n, 0)[0]
 
     def window(self, n0: int, n_steps: int) -> np.ndarray:
-        if n0 < self._base:
-            raise ValueError(f"target level {n0} precedes the previous request at level {self._base}")
+        cursor = self._cursor
+        if not self._base <= n0 <= cursor.level + 1:
+            raise ValueError(f"target level {n0} is out of order: a request starts at a level from "
+                             f"{self._base}, the previous request, to {cursor.level + 1}, the next one to step")
         rows = self._rows[n0 - self._base:]
         if len(rows) <= n_steps:
-            cursor = self._cursor
             grown = np.empty((n_steps + 1, len(cursor.y)))
             grown[:len(rows)] = rows
-            if cursor.level < n0 - 1:  # a gap: the levels before n0 are stepped, not kept
-                _run_plant(cursor, n0 - 1 - cursor.level, self._load)
             _run_plant(cursor, n0 + n_steps - cursor.level, self._load, states=grown[cursor.level + 1 - n0:])
             rows = grown
+        rows.flags.writeable = False
         self._rows, self._base = rows, n0
         return rows[:n_steps + 1]
 
@@ -672,7 +652,7 @@ def _run_plant(cursor: _Cursor, n_steps: int, forcing: ForcingLoad, b=None, cont
     """
     apply_mass = cursor.stepper.apply_mass
     open_loop = isinstance(control, np.ndarray)
-    if control is not None:
+    if control is not None and not open_loop:
         b = _CsrKernel(b)
 
     def error():
@@ -689,8 +669,8 @@ def _run_plant(cursor: _Cursor, n_steps: int, forcing: ForcingLoad, b=None, cont
         u = None
         if open_loop:
             j = k % LOAD_BLOCK
-            if j == 0:
-                loads = b.columns(control[:, k:min(k + LOAD_BLOCK, n_steps)])
+            if j == 0:  # rows made contiguous: a strided row added to the forcing costs more on a large mesh
+                loads = np.ascontiguousarray((b @ control[:, k:min(k + LOAD_BLOCK, n_steps)]).T)
             u, bu = control[:, k], loads[j]
         elif control is not None:
             u = control(k, z)

@@ -1,9 +1,10 @@
 """Scenario configuration, run orchestration, and experiment harnesses.
 
 Configurations are flat ``key = value`` text with optional ``[section]``
-headers (grammar documented in the README).  One key table holds each
-key's field, parser and range check; a :class:`ScenarioConfig` is checked
-against it however it is built and records where each value came from.
+headers (grammar documented in the README).  Each key is declared once,
+on its :class:`ScenarioConfig` field, with its parser and range check; the
+key table is derived from the fields, and a config is checked against it
+however it is built and records where each value came from.
 A run writes a directory with the config snapshot, a per-step CSV series
 (t, err_l2, log_err_l2, u_norm, J_running; 17 significant digits), a
 key-value summary and, for receding-horizon runs, a per-window CSV of the
@@ -15,11 +16,12 @@ axis) hand their single runs to one job runner.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -61,6 +63,38 @@ class ConfigError(ValueError):
         super().__init__(f"{where}{message}")
 
 
+def parse_bound(text: str) -> float:
+    """Saturation bound notation: 'inf', 'e^X', or a plain float; an
+    e^X beyond the float range raises ``ValueError``."""
+    t = text.strip().lower()
+    if t in ("inf", "infinity", "e^inf"):
+        return math.inf
+    if t.startswith("e^"):
+        try:
+            return math.exp(float(t[2:]))
+        except OverflowError:
+            raise ValueError(f"bound {text!r} overflows a float; write inf for no bound") from None
+    return float(t)
+
+
+def _is_initial_tag(tag: str) -> bool:
+    if tag.startswith("constant:"):
+        return math.isfinite(float(tag.split(":", 1)[1]))  # a bad constant raises
+    return tag in ("bilinear", "linear")
+
+
+# Key values reach the parsers stripped.
+_POSITIVE_FLOAT = (float, lambda v: 0 < v < math.inf, "finite positive float")
+_POSITIVE_INT = (int, lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1,
+                 "positive int")
+_INITIAL_TAG = (str, _is_initial_tag, "constant:<finite c>, bilinear, or linear")
+
+
+def _key(name: str, default, parse: Callable[[str], Any], check: Callable[[Any], bool], expect: str):
+    """A field set by the configuration key ``name``, with its text parser, range check and expected values."""
+    return field(default=default, metadata={"key": name, "spec": (parse, check, expect)})
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Fully resolved scenario; ``provenance`` maps keys to their origin.
@@ -71,31 +105,36 @@ class ScenarioConfig:
     a new ``cu_tag`` needs ``cu=None``).
     """
 
-    lx: float = 1.0
-    ly: float = 1.0
-    nx: int = 57
-    ny: int = 57
-    nu: float = 0.1
-    zeta: tuple[float, float, float] = (-1.0, 0.0, 2.0)
-    m: int = 3
-    r: float = 0.5
-    norm: str = "euclidean"
-    gain: float = 175.0
+    lx: float = _key("domain.lx", 1.0, *_POSITIVE_FLOAT)
+    ly: float = _key("domain.ly", 1.0, *_POSITIVE_FLOAT)
+    nx: int = _key("mesh.nx", 57, *_POSITIVE_INT)
+    ny: int = _key("mesh.ny", 57, *_POSITIVE_INT)
+    nu: float = _key("params.nu", 0.1, *_POSITIVE_FLOAT)
+    zeta: tuple[float, float, float] = _key("params.zeta", (-1.0, 0.0, 2.0),
+                                            lambda t: tuple(float(p) for p in t.split(",")),
+                                            lambda v: len(v) == 3 and all(map(math.isfinite, v)),
+                                            "three comma-separated finite floats")
+    m: int = _key("actuators.m", 3, *_POSITIVE_INT)
+    r: float = _key("actuators.r", 0.5, float, lambda v: 0 < v < 1, "float in (0, 1)")
+    norm: str = _key("actuators.norm", "euclidean", str.lower, lambda v: v in ("euclidean", "max"),
+                     "euclidean or max")
+    gain: float = _key("feedback.lambda", 175.0, float, lambda v: 0 <= v < math.inf, "finite nonnegative float")
     cu: float | None = None
-    cu_tag: str = "inf"
-    forcing: str = "none"
-    yhat0: str = "constant:0"
-    y0: str = "constant:2"
-    dt: float = 1e-3
-    t_final: float = 5.0
-    controller: str = "none"
-    csv_stride: int = 1
-    state_stride: int = 10
-    rhc_horizon: float = 1.25
-    rhc_delta: float = 0.5
-    rhc_beta: float = 1e-3
-    rhc_tol: float = 1e-4
-    rhc_j_max: int = 500
+    cu_tag: str = _key("feedback.cu", "inf", str, lambda v: parse_bound(v) >= 0, "inf, e^X, or nonnegative float")
+    forcing: str = _key("forcing.kind", "none", str.lower, lambda v: v in ("none", "periodic"), "none or periodic")
+    yhat0: str = _key("initial.yhat0", "constant:0", *_INITIAL_TAG)
+    y0: str = _key("initial.y0", "constant:2", *_INITIAL_TAG)
+    dt: float = _key("time.dt", 1e-3, *_POSITIVE_FLOAT)
+    t_final: float = _key("time.t_final", 5.0, *_POSITIVE_FLOAT)
+    controller: str = _key("run.controller", "none", str.lower, lambda v: v in ("none", "saturated", "rhc"),
+                           "none, saturated, or rhc")
+    csv_stride: int = _key("run.csv_stride", 1, *_POSITIVE_INT)
+    state_stride: int = _key("run.state_stride", 10, *_POSITIVE_INT)
+    rhc_horizon: float = _key("rhc.t", 1.25, *_POSITIVE_FLOAT)
+    rhc_delta: float = _key("rhc.delta", 0.5, *_POSITIVE_FLOAT)
+    rhc_beta: float = _key("rhc.beta", 1e-3, *_POSITIVE_FLOAT)
+    rhc_tol: float = _key("rhc.tol", 1e-4, *_POSITIVE_FLOAT)
+    rhc_j_max: int = _key("rhc.j_max", 500, *_POSITIVE_INT)
     provenance: dict = field(default_factory=dict)
     source_text: str = ""
 
@@ -112,20 +151,6 @@ class ScenarioConfig:
                                     f"({bound!r}); leave cu None, it is derived from cu_tag")
 
 
-def parse_bound(text: str) -> float:
-    """Saturation bound notation: 'inf', 'e^X', or a plain float; an
-    e^X beyond the float range raises ``ValueError``."""
-    t = text.strip().lower()
-    if t in ("inf", "infinity", "e^inf"):
-        return math.inf
-    if t.startswith("e^"):
-        try:
-            return math.exp(float(t[2:]))
-        except OverflowError:
-            raise ValueError(f"bound {text!r} overflows a float; write inf for no bound") from None
-    return float(t)
-
-
 class _Key(NamedTuple):
     """A configuration key: its field, text parser, range check and expected values."""
 
@@ -135,45 +160,7 @@ class _Key(NamedTuple):
     expect: str
 
 
-def _is_initial_tag(tag: str) -> bool:
-    if tag.startswith("constant:"):
-        return math.isfinite(float(tag.split(":", 1)[1]))  # a bad constant raises
-    return tag in ("bilinear", "linear")
-
-
-# Key values reach the parsers stripped.
-_POSITIVE_FLOAT = (float, lambda v: 0 < v < math.inf, "finite positive float")
-_POSITIVE_INT = (int, lambda v: v >= 1, "positive int")
-_INITIAL_TAG = (str, _is_initial_tag, "constant:<finite c>, bilinear, or linear")
-
-_KEYS = {
-    "domain.lx": _Key("lx", *_POSITIVE_FLOAT),
-    "domain.ly": _Key("ly", *_POSITIVE_FLOAT),
-    "mesh.nx": _Key("nx", *_POSITIVE_INT),
-    "mesh.ny": _Key("ny", *_POSITIVE_INT),
-    "params.nu": _Key("nu", *_POSITIVE_FLOAT),
-    "params.zeta": _Key("zeta", lambda t: tuple(float(p) for p in t.split(",")),
-                        lambda v: len(v) == 3 and all(map(math.isfinite, v)), "three comma-separated finite floats"),
-    "actuators.m": _Key("m", *_POSITIVE_INT),
-    "actuators.r": _Key("r", float, lambda v: 0 < v < 1, "float in (0, 1)"),
-    "actuators.norm": _Key("norm", str.lower, lambda v: v in ("euclidean", "max"), "euclidean or max"),
-    "feedback.lambda": _Key("gain", float, lambda v: 0 <= v < math.inf, "finite nonnegative float"),
-    "feedback.cu": _Key("cu_tag", str, lambda v: parse_bound(v) >= 0, "inf, e^X, or nonnegative float"),
-    "forcing.kind": _Key("forcing", str.lower, lambda v: v in ("none", "periodic"), "none or periodic"),
-    "initial.yhat0": _Key("yhat0", *_INITIAL_TAG),
-    "initial.y0": _Key("y0", *_INITIAL_TAG),
-    "time.dt": _Key("dt", *_POSITIVE_FLOAT),
-    "time.t_final": _Key("t_final", *_POSITIVE_FLOAT),
-    "run.controller": _Key("controller", str.lower, lambda v: v in ("none", "saturated", "rhc"),
-                           "none, saturated, or rhc"),
-    "run.csv_stride": _Key("csv_stride", *_POSITIVE_INT),
-    "run.state_stride": _Key("state_stride", *_POSITIVE_INT),
-    "rhc.t": _Key("rhc_horizon", *_POSITIVE_FLOAT),
-    "rhc.delta": _Key("rhc_delta", *_POSITIVE_FLOAT),
-    "rhc.beta": _Key("rhc_beta", *_POSITIVE_FLOAT),
-    "rhc.tol": _Key("rhc_tol", *_POSITIVE_FLOAT),
-    "rhc.j_max": _Key("rhc_j_max", *_POSITIVE_INT),
-}
+_KEYS = {f.metadata["key"]: _Key(f.name, *f.metadata["spec"]) for f in fields(ScenarioConfig) if f.metadata}
 
 
 def _checked(name: str, value: Any = None, *, text: str | None = None, line: int | None = None):
@@ -273,33 +260,20 @@ def _fmt_readable(x) -> str:
     return str(x)
 
 
-def _write_series_csv(path: Path, record, stride: int):
-    times = record.times
-    err = record.err_norm
-    un = record.control_norms
-    cost = record.running_cost
+def _write_csv(path: Path, header: str, rows):
+    """``header``, then each row's fields through :func:`_fmt`, one comma-separated line each."""
     with open(path, "w") as fh:
-        fh.write("t,err_l2,log_err_l2,u_norm,J_running\n")
-        n = len(times) - 1
-        idx = list(range(0, n + 1, stride))
-        if idx[-1] != n:
-            idx.append(n)
-        for i in idx:  # log only of a positive error, so no divide-by-zero
-            log_err = np.log(err[i]) if err[i] > 0 else -math.inf
-            u = un[i] if i < n else 0.0
-            fh.write(",".join(_fmt(v) for v in (times[i], err[i], log_err, u, cost[i])) + "\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
-def _write_windows_csv(path: Path, reports: list, times: np.ndarray):
-    """One row per RHC window: its start time, how its optimizer ended, its wall time and
-    the parts of it spent in forward and in adjoint windows."""
-    n_delta = (len(times) - 1) // len(reports)
-    with open(path, "w") as fh:
-        fh.write("window,t0,iterations,evaluations,cost,converged,stop_reason,wall_s,forward_s,adjoint_s\n")
-        for w, r in enumerate(reports):
-            row = (w, times[w * n_delta], r.iterations, r.n_evaluations, r.cost, r.converged, r.message,
-                   r.wall_s, r.forward_s, r.adjoint_s)
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _series_rows(record, stride: int):
+    """The ``series.csv`` rows: every ``stride``-th level, and the last."""
+    err, n = record.err_norm, record.n_steps
+    for i in sorted({*range(0, n + 1, stride), n}):
+        log_err = np.log(err[i]) if err[i] > 0 else -math.inf  # log only of a positive error, so no divide-by-zero
+        yield record.times[i], err[i], log_err, record.control_norms[i] if i < n else 0.0, record.running_cost[i]
 
 
 def _write_summary(path: Path, summary: dict):
@@ -373,7 +347,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunArtifact:
         return RunArtifact(directory=out, summary=summary, series_csv=None)
 
     series = out / "series.csv"
-    _write_series_csv(series, record, cfg.csv_stride)
+    _write_csv(series, "t,err_l2,log_err_l2,u_norm,J_running", _series_rows(record, cfg.csv_stride))
 
     summary["final_err_l2"] = float(record.err_norm[-1])
     summary["initial_err_l2"] = float(record.err_norm[0])
@@ -387,12 +361,18 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path) -> RunArtifact:
         summary["mu_est"] = math.nan
         summary["mu_fit_note"] = str(exc)
     if rhc_result is not None:
-        _write_windows_csv(out / "windows.csv", rhc_result.window_reports, record.times)
-        iters = [r.iterations for r in rhc_result.window_reports]
+        # one row per window: its start, how its optimizer ended, and its wall, forward and adjoint times
+        reports = rhc_result.window_reports
+        n_delta = record.n_steps // len(reports)
+        _write_csv(out / "windows.csv",
+                   "window,t0,iterations,evaluations,cost,converged,stop_reason,wall_s,forward_s,adjoint_s",
+                   ((w, record.times[w * n_delta], r.iterations, r.n_evaluations, r.cost, r.converged, r.message,
+                     r.wall_s, r.forward_s, r.adjoint_s) for w, r in enumerate(reports)))
+        iters = [r.iterations for r in reports]
         summary["rhc_windows"] = len(iters)
         summary["rhc_iterations_total"] = int(sum(iters))
         summary["rhc_iterations_max"] = int(max(iters))
-        summary["rhc_converged_all"] = all(r.converged for r in rhc_result.window_reports)
+        summary["rhc_converged_all"] = all(r.converged for r in reports)
     summary.update(setup_times, wall_time_s=time.perf_counter() - wall0)
     _write_summary(out / "summary.txt", summary)
     return RunArtifact(directory=out, summary=summary, series_csv=series, record=record)
@@ -419,8 +399,10 @@ def _progress(line: str):
 
 
 def _run_jobs(jobs: list[tuple[ScenarioConfig, Path]], workers: int) -> list[dict]:
-    """Each (config, run directory) job's summary, in order; in a process pool when workers > 1."""
-    if workers <= 1:
+    """Each (config, run directory) job's summary, in order, run by ``workers`` >= 1 processes (a pool when > 1)."""
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got workers = {workers!r}")
+    if workers == 1:
         return [_run_job(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_job, jobs))
@@ -432,7 +414,9 @@ def run_table1(out_dir: str | Path, base: ScenarioConfig = _TABLE1_BASE,
 
     The default base is the calibrated Table-1 scenario (see ``_TABLE1_BASE``).
     Each cell is two runs, saturated feedback and RHC, and each run is one
-    job.  Returns one row dict per cell; writes table1.txt and table1.csv.
+    job, run by ``workers`` processes (more than one: run with ``OPENBLAS_NUM_THREADS=1``, or pool
+    workers forked beside OpenBLAS's thread pool may stall for seconds).
+    Returns one row dict per cell; writes table1.txt and table1.csv.
     """
     out = Path(out_dir)
     grid = [(beta, cu_tag, t_inf) for beta in betas for (cu_tag, t_inf) in cells]
@@ -448,11 +432,9 @@ def run_table1(out_dir: str | Path, base: ScenarioConfig = _TABLE1_BASE,
             row.update({kind: summary.get("J_total", math.nan), f"{kind}_status": summary["status"]})
         rows.append(row)
 
-    with open(out / "table1.csv", "w") as fh:
-        fh.write("beta,cu,t_inf,rhc,satcon,rhc_status,satcon_status\n")
-        for r in rows:
-            fh.write(f"{r['beta']:g},{r['cu']},{r['t_inf']:g},{_fmt(r['rhc'])},{_fmt(r['satcon'])},"
-                     f"{r['rhc_status']},{r['satcon_status']}\n")
+    _write_csv(out / "table1.csv", "beta,cu,t_inf,rhc,satcon,rhc_status,satcon_status",
+               ((f"{r['beta']:g}", r["cu"], f"{r['t_inf']:g}", r["rhc"], r["satcon"], r["rhc_status"],
+                 r["satcon_status"]) for r in rows))
     with open(out / "table1.txt", "w") as fh:
         fh.write(_format_table(rows, cells, betas))
     return rows
@@ -486,6 +468,7 @@ def run_sweep(axis: str, values: list, base: ScenarioConfig, out_dir: str | Path
 
     axis: 'cu' (bound tags), 'lambda' (gains), or 'msigma' (actuator
     counts, perfect squares).  Every value is checked before any run.
+    ``workers`` as for :func:`run_table1`, ``OPENBLAS_NUM_THREADS=1`` included.
     """
     if axis not in _SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
@@ -499,8 +482,6 @@ def run_sweep(axis: str, values: list, base: ScenarioConfig, out_dir: str | Path
     rows = [{"value": str(v), "mu_est": s.get("mu_est", math.nan), "final_err": s.get("final_err_l2", math.nan),
              "status": s["status"]}
             for v, s in zip(values, _run_jobs(jobs, workers))]
-    with open(out / f"sweep_{axis}.csv", "w") as fh:
-        fh.write("value,mu_est,final_err_l2,status\n")
-        for r in rows:
-            fh.write(f"{r['value']},{_fmt(r['mu_est'])},{_fmt(r['final_err'])},{r['status']}\n")
+    _write_csv(out / f"sweep_{axis}.csv", "value,mu_est,final_err_l2,status",
+               ((r["value"], r["mu_est"], r["final_err"], r["status"]) for r in rows))
     return rows

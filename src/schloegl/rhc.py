@@ -586,7 +586,8 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, law: FeedbackLaw, coupling: 
     Arguments as for :func:`.feedback.track_target`; ``law.saturation`` is
     every window's admissible set, ``integ.cost_beta`` the control weight of
     the window costs and the record.  The target initial state's free run is
-    rolled forward in process; it and ``y0`` are checked as in ``track_target``
+    rolled forward in process, and the plant reads its levels from the rows
+    of the window just solved; it and ``y0`` are checked as in ``track_target``
     before anything is set up.  The first window starts from the closed
     loop of ``law``; later windows shift the previous optimum and pad the
     tail with its last column.
@@ -624,7 +625,7 @@ def run_rhc(cfg: RhcConfig, y0: np.ndarray, target, law: FeedbackLaw, coupling: 
         res = bb_projected_gradient(prob, u_init, tol=cfg.tol, j_max=cfg.j_max)
         reports.append(res)
         warm = res.u
-        _run_plant(plant, n_delta, fload, coupling.b, warm, source.row, rec)
+        _run_plant(plant, n_delta, fload, coupling.b, warm, lambda n: prob.target[n - n0], rec)
 
     return RhcResult(record=rec.record, window_reports=reports)
 

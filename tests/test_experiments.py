@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +146,38 @@ class TestConfigInCode:
             dataclasses.replace(cfg, dt=0.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.nx = 3
+
+    @pytest.mark.parametrize("attr, key", [("nx", "mesh.nx"), ("ny", "mesh.ny"), ("m", "actuators.m"),
+                                           ("csv_stride", "run.csv_stride"), ("state_stride", "run.state_stride"),
+                                           ("rhc_j_max", "rhc.j_max")])
+    @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+    def test_integer_key_refuses_a_non_integer_or_bool(self, tmp_path, attr, key, value):
+        # csv_stride = 2.5 ran the whole simulation and then died writing series.csv; True ran,
+        # and its snapshot line did not parse back
+        with pytest.raises(ConfigError, match=rf"bad value {value!r} for {re.escape(key)} \(expected positive int\)"):
+            run_scenario(ScenarioConfig(**{"nx": 4, "ny": 4, "dt": 0.01, "t_final": 0.05, attr: value}),
+                         tmp_path / "run")
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            dataclasses.replace(ScenarioConfig(), **{attr: value})
+        assert not (tmp_path / "run").exists()
+        assert getattr(ScenarioConfig(**{attr: np.int64(2)}), attr) == 2  # any integral type is an integer
+
+    def test_readme_lists_every_key_with_its_default(self):
+        # the README's key block is a third copy of the key list: it must name exactly the keys,
+        # each with its field default as the key's parser reads it
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("All keys with defaults:", 1)[1].split("```", 2)[1]
+        listed, section = {}, None
+        for line in block.splitlines():
+            line = line.split("#", 1)[0]
+            if head := re.match(r"\s*\[(\w+)\]", line):
+                section, line = head.group(1), line[head.end():]
+            for key, text in re.findall(r"(\w+) = (.*?)\s*(?=\w+ = |$)", line):
+                listed[f"{section}.{key}"] = text
+        assert sorted(listed) == sorted(_KEYS)
+        defaults = ScenarioConfig()
+        for name, text in listed.items():
+            assert _KEYS[name].parse(text) == getattr(defaults, _KEYS[name].attr), name
 
 
 # (section, key, config value, field, value in code) of each non-finite or overflowing value the keys refuse
@@ -518,6 +551,12 @@ class TestForkedTargetRuns:
         assert forked["status"] == in_process["status"] == "completed-unstable"
         assert forked["blowup_time"] == in_process["blowup_time"] == 10 * 1e-2
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_refused(self, tmp_path, workers):
+        with pytest.raises(ValueError, match=f"need at least one worker, got workers = {workers}"):
+            _run_jobs([(self.BASE, tmp_path / "run")], workers)
+        assert not (tmp_path / "run").exists()
+
     def test_process_pool_runs_feedback_scenarios(self, tmp_path):
         jobs = [(dataclasses.replace(self.BASE, yhat0="constant:2", y0="constant:-1", gain=gain), f"g{gain:g}")
                 for gain in (0.5, 175.0)]
@@ -576,6 +615,19 @@ class TestCli:
         assert build_parser().parse_args(["table1", "--out", "t"]).threads == 1
         sweep = build_parser().parse_args(["sweep", "--axis", "cu", "--values", "1", "--out", "s", "--threads", "2"])
         assert sweep.threads == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["table1"], ["sweep", "--axis", "cu", "--values", "1", "--ci"]],
+                             ids=["table1", "sweep"])
+    @pytest.mark.parametrize("threads", ["0", "-3", "1.5"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, command, threads):
+        # --threads -3 ran the sweep serially and exited 0
+        from schloegl.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--out", str(tmp_path / "o"), "--threads", threads])
+        assert exit_info.value.code == 2
+        assert "argument --threads" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_snapshot_names_the_origin_of_overrides(self, tmp_path):
