@@ -27,13 +27,13 @@ array in any layout has the norm of the same vector alone, bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
+from ._checks import is_real, require, require_count
 from .geometry import RectangleDomain, StructuredTriangulation
 
 __all__ = [
@@ -79,13 +79,9 @@ class ActuatorGrid:
 
 
 def build_actuator_grid(m: int, width_fraction: float, domain: RectangleDomain | None = None) -> ActuatorGrid:
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
-        raise ValueError(f"grid parameter must be an integer, got {m!r}")
-    if m < 1:
-        raise ValueError(f"grid parameter must be >= 1, got {m}")
-    m = int(m)
-    if not (0.0 < width_fraction < 1.0):
-        raise ValueError(f"width fraction must lie in (0, 1), got {width_fraction}")
+    m = require_count(m, "grid parameter", "m")
+    require(is_real(width_fraction) and 0 < width_fraction < 1, "width fraction", "in (0, 1)", "width_fraction",
+            width_fraction)
     domain = domain or RectangleDomain()
     cx = (2.0 * np.arange(1, m + 1) - 1.0) * domain.lx / (2.0 * m)
     cy = (2.0 * np.arange(1, m + 1) - 1.0) * domain.ly / (2.0 * m)

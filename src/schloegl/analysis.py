@@ -33,6 +33,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+from ._checks import is_real, require
 from .actuators import ActuatorGrid, CouplingMatrix, control_operator_inverse_norm
 from .dynamics import BlowUpError, SchloeglParams
 from .geometry import FemOperators
@@ -77,12 +78,11 @@ def compute_theory_constants(mu: float, roots: tuple[float, float, float], area:
                              gain: float, grid: ActuatorGrid) -> TheoryConstants:
     """Evaluate all closed-form constants for rate mu on a domain of given area.
 
-    Refuses a rate that is not > 0 and a gain that is not finite and >= 0.
+    Refuses a rate or an area that is not finite and > 0, and a gain that is not finite and >= 0.
     """
-    if not mu > 0:
-        raise ValueError(f"decay rate must be positive, got {mu}")
-    if not (math.isfinite(gain) and gain >= 0):
-        raise ValueError(f"gain must be finite and >= 0, got {gain}")
+    require(is_real(mu) and mu > 0, "decay rate", "positive and finite", "mu", mu)
+    require(is_real(area) and area > 0, "domain area", "positive and finite", "area", area)
+    require(is_real(gain) and gain >= 0, "gain", "finite and >= 0", "gain", gain)
     s2, s1, s0 = SchloeglParams(roots=roots).elementary_sums
     quad_max = (50.0 / 11.0) * s2 * s2 - 2.0 * s1
     growth = (128.0 / 15.0) * s2 * s2 + quad_max + 2.0
@@ -144,8 +144,7 @@ def stabilizability_margin(gain: float, coupling: CouplingMatrix, fe: FemOperato
     nonconvergence or if the pencil residual, with the pencil applied in
     factored form, exceeds ``MARGIN_TOL`` relative to max(1, theta).
     """
-    if not (math.isfinite(gain) and gain >= 0):
-        raise ValueError(f"gain must be finite and >= 0, got {gain}")
+    require(is_real(gain) and gain >= 0, "gain", "finite and >= 0", "gain", gain)
     mass = fe.mass
     n = mass.shape[0]
     if coupling.b.shape[0] != n:
@@ -245,8 +244,7 @@ def check_gen_poly(beta0: float, beta1: float, beta2: float, p: float, kappa: fl
     sqrt(beta1^2 + 4 beta2 beta0)) / (2 beta2).
     """
     for name, val in (("beta0", beta0), ("beta1", beta1), ("beta2", beta2), ("p", p), ("kappa", kappa)):
-        if not val > 0:
-            raise ValueError(f"{name} must be positive, got {val}")
+        require(is_real(val) and val > 0, name, "positive and finite", name, val)
     lhs = -beta2 * kappa ** p + beta0 * kappa
     rhs = -beta1 * kappa ** ((p + 1.0) / 2.0)
     return lhs <= rhs
@@ -262,10 +260,10 @@ def ode_toy_simulate(r: float, bound: float, mu: float, z0: float, horizon: floa
     radial projection is the symmetric clamp.  Raises :class:`.dynamics.BlowUpError`
     with the time of the first value that overflows to a non-finite one.
     """
-    if not (all(map(math.isfinite, (r, mu, z0))) and 0 < horizon < math.inf):
-        raise ValueError(f"need finite r, mu, z0 and horizon > 0, got {r}, {mu}, {z0} and {horizon}")
-    if not bound >= 0:  # false for NaN as well
-        raise ValueError(f"bound must be >= 0, got {bound}")
+    for name, val in (("r", r), ("mu", mu), ("z0", z0)):
+        require(is_real(val), name, "finite", name, val)
+    require(is_real(horizon) and horizon > 0, "horizon", "positive and finite", "horizon", horizon)
+    require(is_real(bound, inf=True) and bound >= 0, "bound", ">= 0", "bound", bound)
     if law not in ("feedback", "free"):
         raise ValueError(f"unknown law tag {law!r}")
     gain = r - mu

@@ -12,6 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from ._checks import is_count
 from .actuators import build_actuator_grid, discretize_actuators
 from .analysis import MarginSolveError, compute_theory_constants, ode_toy_simulate, stabilizability_margin
 from .dynamics import BlowUpError
@@ -21,6 +22,7 @@ from .experiments import (
     ScenarioConfig,
     _checked,
     _override,
+    _write_csv,
     parse_bound,
     parse_config,
     run_scenario,
@@ -113,10 +115,7 @@ def _cmd_ode_toy(args) -> int:
     if args.out:
         path = Path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write("t,z\n")
-            for t, v in zip(times[:: args.stride], z[:: args.stride]):
-                fh.write(f"{t:.17g},{v:.17g}\n")
+        _write_csv(path, "t,z", zip(times[:: args.stride], z[:: args.stride]))
         print(f"wrote {path}")
     print(f"z_initial = {z[0]:.17g}")
     print(f"z_final = {z[-1]:.17g}")
@@ -125,9 +124,8 @@ def _cmd_ode_toy(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """An argparse type: an integer >= 1."""
-    n = int(text)
-    if n < 1:
+    """An argparse type: a count, an integer >= 1."""
+    if not is_count(n := int(text)):
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text}")
     return n
 

@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import numbers
 import os
 import signal
 import sys
@@ -89,6 +88,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec_kernel
 
+from ._checks import is_real, require, require_count
 from .actuators import control_norm
 from .geometry import FemOperators, StructuredTriangulation, _BandedCholesky
 
@@ -132,8 +132,9 @@ class SchloeglParams:
     roots: tuple[float, float, float] = (-1.0, 0.0, 2.0)
 
     def __post_init__(self):
-        if not self.nu > 0:
-            raise ValueError(f"diffusion coefficient must be positive, got {self.nu}")
+        require(is_real(self.nu) and self.nu > 0, "diffusion coefficient", "positive and finite", "nu", self.nu)
+        require(np.shape(self.roots) == (3,) and all(map(is_real, self.roots)), "reaction roots",
+                "three finite reals", "roots", self.roots)
 
     @property
     def elementary_sums(self) -> tuple[float, float, float]:
@@ -235,13 +236,10 @@ class IntegratorConfig:
     cost_beta: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"time step must be positive and finite, got dt = {self.dt!r}")
-        if (not isinstance(self.state_stride, numbers.Integral) or isinstance(self.state_stride, bool)
-                or self.state_stride < 1):
-            raise ValueError(f"state stride must be an integer >= 1, got state_stride = {self.state_stride!r}")
-        if not 0 <= self.cost_beta < math.inf:
-            raise ValueError(f"control-cost weight must be finite and >= 0, got cost_beta = {self.cost_beta!r}")
+        require(is_real(self.dt) and self.dt > 0, "time step", "positive and finite", "dt", self.dt)
+        require_count(self.state_stride, "state stride", "state_stride")
+        require(is_real(self.cost_beta) and self.cost_beta >= 0, "control-cost weight", "finite and >= 0",
+                "cost_beta", self.cost_beta)
 
 
 @dataclass
@@ -318,8 +316,7 @@ class CrankNicolsonAB2:
     """
 
     def __init__(self, fe: FemOperators, params: SchloeglParams, dt: float):
-        if not dt > 0:
-            raise ValueError(f"time step must be positive, got {dt}")
+        require(is_real(dt) and dt > 0, "time step", "positive and finite", "dt", dt)
         if params.nu != fe.nu:  # the stiffness carries fe.nu; params.nu is never read
             raise ValueError(f"params.nu = {params.nu!r} differs from the operators' nu = {fe.nu!r}")
         self.fe = fe
@@ -459,8 +456,7 @@ class _Recorder:
 
 
 def _n_steps_for(horizon: float, dt: float) -> int:
-    if not math.isfinite(horizon):
-        raise ValueError(f"horizon must be finite, got horizon = {horizon!r}")
+    require(is_real(horizon), "horizon", "finite", "horizon", horizon)
     n = round(horizon / dt)
     if n < 1 or abs(n * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"horizon {horizon} is not a positive multiple of the step size {dt}")

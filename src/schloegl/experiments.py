@@ -16,7 +16,6 @@ axis) hand their single runs to one job runner.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 import time
 import traceback
@@ -27,6 +26,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
+from ._checks import is_count, is_real, require, require_count
 from .actuators import build_actuator_grid, discretize_actuators
 from .analysis import fit_decay_rate
 from .dynamics import BlowUpError, ForcingSpec, IntegratorConfig, SchloeglParams, simulate_free
@@ -79,14 +79,13 @@ def parse_bound(text: str) -> float:
 
 def _is_initial_tag(tag: str) -> bool:
     if tag.startswith("constant:"):
-        return math.isfinite(float(tag.split(":", 1)[1]))  # a bad constant raises
+        return is_real(float(tag.split(":", 1)[1]))  # a bad constant raises
     return tag in ("bilinear", "linear")
 
 
 # Key values reach the parsers stripped.
-_POSITIVE_FLOAT = (float, lambda v: 0 < v < math.inf, "finite positive float")
-_POSITIVE_INT = (int, lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1,
-                 "positive int")
+_POSITIVE_FLOAT = (float, lambda v: is_real(v) and v > 0, "finite positive float")
+_POSITIVE_INT = (int, is_count, "positive int")
 _INITIAL_TAG = (str, _is_initial_tag, "constant:<finite c>, bilinear, or linear")
 
 
@@ -112,13 +111,13 @@ class ScenarioConfig:
     nu: float = _key("params.nu", 0.1, *_POSITIVE_FLOAT)
     zeta: tuple[float, float, float] = _key("params.zeta", (-1.0, 0.0, 2.0),
                                             lambda t: tuple(float(p) for p in t.split(",")),
-                                            lambda v: len(v) == 3 and all(map(math.isfinite, v)),
+                                            lambda v: len(v) == 3 and all(map(is_real, v)),
                                             "three comma-separated finite floats")
     m: int = _key("actuators.m", 3, *_POSITIVE_INT)
-    r: float = _key("actuators.r", 0.5, float, lambda v: 0 < v < 1, "float in (0, 1)")
+    r: float = _key("actuators.r", 0.5, float, lambda v: is_real(v) and 0 < v < 1, "float in (0, 1)")
     norm: str = _key("actuators.norm", "euclidean", str.lower, lambda v: v in ("euclidean", "max"),
                      "euclidean or max")
-    gain: float = _key("feedback.lambda", 175.0, float, lambda v: 0 <= v < math.inf, "finite nonnegative float")
+    gain: float = _key("feedback.lambda", 175.0, float, lambda v: is_real(v) and v >= 0, "finite nonnegative float")
     cu: float | None = None
     cu_tag: str = _key("feedback.cu", "inf", str, lambda v: parse_bound(v) >= 0, "inf, e^X, or nonnegative float")
     forcing: str = _key("forcing.kind", "none", str.lower, lambda v: v in ("none", "periodic"), "none or periodic")
@@ -146,7 +145,7 @@ class ScenarioConfig:
         bound = parse_bound(self.cu_tag)
         if self.cu is None:
             object.__setattr__(self, "cu", bound)
-        elif self.cu != bound:
+        elif not (is_real(self.cu, inf=True) and self.cu == bound):
             raise ConfigError(None, f"cu = {self.cu!r} disagrees with feedback.cu = {self.cu_tag!r} "
                                     f"({bound!r}); leave cu None, it is derived from cu_tag")
 
@@ -400,9 +399,7 @@ def _progress(line: str):
 
 def _run_jobs(jobs: list[tuple[ScenarioConfig, Path]], workers: int) -> list[dict]:
     """Each (config, run directory) job's summary, in order, run by ``workers`` >= 1 processes (a pool when > 1)."""
-    if workers < 1:
-        raise ValueError(f"need at least one worker, got workers = {workers!r}")
-    if workers == 1:
+    if require_count(workers, "worker count", "workers") == 1:
         return [_run_job(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_job, jobs))
@@ -452,9 +449,8 @@ def _format_table(rows: list[dict], cells, betas) -> str:
 
 
 def _grid_side(count) -> int:
-    m = int(round(math.sqrt(int(count))))
-    if m * m != int(count):
-        raise ValueError(f"actuator count {count} is not a perfect square")
+    m = math.isqrt(int(count))
+    require(m * m == int(count), "actuator count", "a perfect square", "count", count)
     return m
 
 
@@ -467,7 +463,7 @@ def run_sweep(axis: str, values: list, base: ScenarioConfig, out_dir: str | Path
     """One run per value along the axis; consolidates decay-rate estimates.
 
     axis: 'cu' (bound tags), 'lambda' (gains), or 'msigma' (actuator
-    counts, perfect squares).  Every value is checked before any run.
+    counts, perfect squares).  Every value is checked, then that the base runs a controller, before any run.
     ``workers`` as for :func:`run_table1`, ``OPENBLAS_NUM_THREADS=1`` included.
     """
     if axis not in _SWEEP_AXES:
@@ -478,6 +474,7 @@ def run_sweep(axis: str, values: list, base: ScenarioConfig, out_dir: str | Path
     attr, convert = _SWEEP_AXES[axis]
     jobs = [(_override(base, "sweep value", **{attr: convert(v)}), out / f"{axis}_{str(v).replace('^', '')}")
             for v in values]
+    require(base.controller != "none", "a sweep's run.controller", "saturated or rhc", "controller", base.controller)
     out.mkdir(parents=True, exist_ok=True)
     rows = [{"value": str(v), "mu_est": s.get("mu_est", math.nan), "final_err": s.get("final_err_l2", math.nan),
              "status": s["status"]}

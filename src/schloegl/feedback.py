@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import is_real, require
 from .actuators import CouplingMatrix, _column_norms, control_norm, project_onto_actuator_span
 from .dynamics import ForcingSpec, IntegratorConfig, SchloeglParams, TrajectoryRecord, _n_steps_for, _simulate
 from .geometry import FemOperators
@@ -46,8 +47,7 @@ class SaturationConfig:
     norm: str = "euclidean"
 
     def __post_init__(self):
-        if self.bound < 0 or math.isnan(self.bound):
-            raise ValueError(f"saturation bound must be >= 0, got {self.bound}")
+        require(is_real(self.bound, inf=True) and self.bound >= 0, "saturation bound", ">= 0", "bound", self.bound)
         if self.norm not in ("euclidean", "max"):
             raise ValueError(f"unknown norm tag {self.norm!r}")
 
@@ -101,8 +101,7 @@ class FeedbackLaw:
     saturation: SaturationConfig = SaturationConfig()
 
     def __post_init__(self):
-        if self.gain < 0:
-            raise ValueError(f"feedback gain must be >= 0, got {self.gain}")
+        require(is_real(self.gain) and self.gain >= 0, "feedback gain", "finite and >= 0", "gain", self.gain)
 
 
 def saturated_feedback(z: np.ndarray, law: FeedbackLaw, coupling: CouplingMatrix) -> np.ndarray:

@@ -22,7 +22,6 @@ and keeps them (the spectral margin reads them on every call).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,6 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import get_lapack_funcs
+
+from ._checks import is_real, require, require_count
 
 # LAPACK's float64 band Cholesky pair, looked up once: a factor then holds
 # only its band array, so it pickles and deep-copies with its owner.
@@ -44,8 +45,8 @@ class RectangleDomain:
     ly: float = 1.0
 
     def __post_init__(self):
-        if not (self.lx > 0 and self.ly > 0):
-            raise ValueError(f"side lengths must be positive, got ({self.lx}, {self.ly})")
+        for name, side in (("lx", self.lx), ("ly", self.ly)):
+            require(is_real(side) and side > 0, "side length", "positive and finite", name, side)
 
     @property
     def area(self) -> float:
@@ -89,14 +90,9 @@ def build_mesh(nx: int, ny: int, domain: RectangleDomain | None = None) -> Struc
 
     Every cell is split along the same (lower-left to upper-right)
     diagonal; node ordering is row-major and deterministic.  Refuses a
-    count that is a bool, not an integer or below 1.
+    count that is not an integer >= 1 (a bool included).
     """
-    for name, count in (("nx", nx), ("ny", ny)):
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-            raise ValueError(f"subdivision count {name} must be an integer, got {count!r}")
-    nx, ny = int(nx), int(ny)
-    if nx < 1 or ny < 1:
-        raise ValueError(f"subdivision counts must be >= 1, got nx={nx}, ny={ny}")
+    nx, ny = require_count(nx, "subdivision count", "nx"), require_count(ny, "subdivision count", "ny")
     domain = domain or RectangleDomain()
     xs = np.linspace(0.0, domain.lx, nx + 1)
     ys = np.linspace(0.0, domain.ly, ny + 1)
@@ -164,8 +160,7 @@ def _mass_elements(mesh: StructuredTriangulation) -> np.ndarray:
 
 
 def _stiffness_elements(mesh: StructuredTriangulation, nu: float) -> np.ndarray:
-    if not (math.isfinite(nu) and nu > 0):
-        raise ValueError(f"diffusion coefficient must be positive and finite, got {nu}")
+    require(is_real(nu) and nu > 0, "diffusion coefficient", "positive and finite", "nu", nu)
     x, y = _vertex_coordinates(mesh)
     areas = triangle_areas(mesh)
     # gradient coefficients: grad phi_i = (b_i, c_i) / (2A)

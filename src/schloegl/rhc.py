@@ -75,7 +75,6 @@ or waiting on the child.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import time
 from collections import deque
@@ -84,6 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
+from ._checks import is_real, require, require_count
 from .actuators import CouplingMatrix
 from .dynamics import (
     BlowUpError,
@@ -162,8 +162,7 @@ class OcpProblem:
     n0: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.beta < math.inf:
-            raise ValueError(f"cost weight must be finite and >= 0, got beta = {self.beta!r}")
+        require(is_real(self.beta) and self.beta >= 0, "cost weight", "finite and >= 0", "beta", self.beta)
         if self.target.ndim != 2 or self.target.shape[0] < 2:
             raise ValueError("target must cover the window at every level")
         nodes = self.stepper.fe.mesh.n_nodes
@@ -325,14 +324,6 @@ class OptimizeResult:
     adjoint_s: float
 
 
-def _check_solver_knobs(tol, j_max) -> None:
-    """Refuse a stopping tolerance that is not finite and > 0, and an iteration cap that is not an integer >= 1."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"stopping tolerance must be finite and > 0, got tol = {tol!r}")
-    if not isinstance(j_max, numbers.Integral) or isinstance(j_max, bool) or j_max < 1:
-        raise ValueError(f"iteration cap must be an integer >= 1, got j_max = {j_max!r}")
-
-
 def _trial_cost(u: np.ndarray, prob: OcpProblem) -> tuple[float, np.ndarray | None]:
     """:func:`evaluate_cost` of a line-search trial; ``(inf, None)`` for a blown-up one, which is rejected."""
     try:
@@ -457,7 +448,8 @@ def bb_projected_gradient(prob: OcpProblem, u_init: np.ndarray, tol: float = 1e-
     in a forked child meanwhile (see the module docstring); the result is
     bitwise that of the serial search.
     """
-    _check_solver_knobs(tol, j_max)
+    require(is_real(tol) and tol > 0, "stopping tolerance", "finite and > 0", "tol", tol)
+    require_count(j_max, "iteration cap", "j_max")
     start = time.perf_counter()
     a_min, a_max = BB_STEP_BOUNDS
     clock = {"forward": 0.0, "adjoint": 0.0}
@@ -554,8 +546,7 @@ def saturated_control_on_window(prob: OcpProblem, gain: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RhcConfig:
-    """Sampling time, prediction horizon, total time, and inner-solver knobs, checked as
-    :func:`bb_projected_gradient` checks them."""
+    """Sampling time, prediction horizon, total time, and the knobs of :func:`bb_projected_gradient`."""
 
     horizon: float
     delta: float
@@ -564,11 +555,11 @@ class RhcConfig:
     j_max: int = 500
 
     def __post_init__(self):
-        if not (math.inf > self.horizon > self.delta > 0):
-            raise ValueError(f"need finite horizon > delta > 0, got T={self.horizon}, delta={self.delta}")
-        if not 0 < self.t_final < math.inf:
-            raise ValueError(f"total time must be finite and positive, got {self.t_final}")
-        _check_solver_knobs(self.tol, self.j_max)
+        for name, value in (("horizon", self.horizon), ("delta", self.delta), ("t_final", self.t_final)):
+            require(is_real(value) and value > 0, name, "positive and finite", name, value)
+        require(self.horizon > self.delta, "horizon", f"> delta = {self.delta!r}", "horizon", self.horizon)
+        require(is_real(self.tol) and self.tol > 0, "stopping tolerance", "finite and > 0", "tol", self.tol)
+        require_count(self.j_max, "iteration cap", "j_max")
 
 
 @dataclass

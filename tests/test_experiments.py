@@ -1,9 +1,11 @@
 """Configuration parsing, scenario runs, persistence, and the CLI."""
 
+import argparse
 import dataclasses
 import importlib
 import math
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from schloegl import dynamics
+from schloegl.analysis import ode_toy_simulate
 from schloegl.experiments import (
     _KEYS,
     TABLE1_BETAS,
@@ -178,6 +181,26 @@ class TestConfigInCode:
         defaults = ScenarioConfig()
         for name, text in listed.items():
             assert _KEYS[name].parse(text) == getattr(defaults, _KEYS[name].attr), name
+
+    def test_readme_command_lines_parse(self):
+        # the README's command block is a copy of the parser's interface: every line must parse,
+        # its optional [...] groups left out, and the block must name every subcommand
+        from schloegl.cli import build_parser
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+        parser = build_parser()
+        named = set()
+        for line in block.splitlines():
+            if line.startswith("schloegl "):
+                argv = shlex.split(re.sub(r"\[[^]]*\]", "", line))[1:]
+                try:
+                    parser.parse_args(argv)
+                except SystemExit:
+                    pytest.fail(f"README command line does not parse: {line}")
+                named.add(argv[0])
+        subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        assert named == set(subcommands)
 
 
 # (section, key, config value, field, value in code) of each non-finite or overflowing value the keys refuse
@@ -535,6 +558,14 @@ class TestTable1AndSweep:
             run_sweep("lambda", [1.0, -1.0], base, tmp_path / "lambda")
         assert not (tmp_path / "cu").exists() and not (tmp_path / "lambda").exists()
 
+    def test_sweep_from_a_free_run_refused(self, tmp_path):
+        # with no controller each value ran the same free run: a --ci sweep over e^1, e^2 and inf
+        # wrote three rows of mu_est 0.004433008651167746
+        with pytest.raises(ValueError, match=re.escape("a sweep's run.controller must be saturated or rhc, "
+                                                       "got controller = 'none'")):
+            run_sweep("cu", ["e^1", "e^2", "inf"], parse_config(COARSE), tmp_path / "s")
+        assert not (tmp_path / "s").exists()
+
 
 class TestForkedTargetRuns:
     """Scenario runs whose target is stepped in a forked child, in this process and in a process pool."""
@@ -553,7 +584,7 @@ class TestForkedTargetRuns:
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_fewer_than_one_worker_refused(self, tmp_path, workers):
-        with pytest.raises(ValueError, match=f"need at least one worker, got workers = {workers}"):
+        with pytest.raises(ValueError, match=f"worker count must be an integer >= 1, got workers = {workers}"):
             _run_jobs([(self.BASE, tmp_path / "run")], workers)
         assert not (tmp_path / "run").exists()
 
@@ -702,6 +733,23 @@ class TestCli:
         assert out.returncode == 0
         assert (tmp_path / "toy.csv").exists()
 
+    def test_ode_toy_csv_holds_the_17_digit_rows_of_the_run(self, tmp_path, capsys):
+        from schloegl.cli import main
+
+        path = tmp_path / "toy.csv"
+        argv = ["ode-toy", "--r", "-1", "--cu", "1", "--z0", "2", "--horizon", "1", "--stride", "7", "--out", str(path)]
+        assert main(argv) == 0
+        times, z = ode_toy_simulate(-1.0, 1.0, 1.0, 2.0, 1.0)
+        assert path.read_text() == "t,z\n" + "".join(f"{t:.17g},{v:.17g}\n" for t, v in zip(times[::7], z[::7]))
+
+    def test_sweep_from_the_default_base_exits_2(self, tmp_path, capsys):
+        from schloegl.cli import main
+
+        assert main(["sweep", "--axis", "cu", "--values", "e^1,e^2,inf", "--ci", "--out", str(tmp_path / "s")]) == 2
+        out = capsys.readouterr()
+        assert out.err == "error: a sweep's run.controller must be saturated or rhc, got controller = 'none'\n"
+        assert out.out == "" and not (tmp_path / "s").exists()
+
     def test_ode_toy_overflow_is_a_numerical_failure(self):
         out = self.run_cli("ode-toy", "--r=-1e200", "--z0", "1e200", "--horizon", "0.001", "--law", "free")
         assert out.returncode == 3
@@ -735,7 +783,7 @@ class TestCli:
         argv[argv.index(flag) + 1] = "nan"
         out = self.run_cli(*argv)
         assert out.returncode == 2
-        assert "need finite r, mu, z0" in out.stderr and "z_final" not in out.stdout
+        assert f"{flag[2:]} must be finite, got {flag[2:]} = nan" in out.stderr and "z_final" not in out.stdout
 
     def test_table1_without_config_runs_the_calibrated_scenario(self, tmp_path, monkeypatch):
         from schloegl import experiments
